@@ -5,6 +5,13 @@ f(z) = (a - z)/(1 - a z), and finite Blaschke products with a scale factor.
 Taylor data for the automorphism and for Blaschke factors comes from closed
 forms, so truncation never pollutes those paths; every truncated sum carries
 a rigorous tail bound.
+
+Every Blaschke series quantity (recentred coefficients, absolute sums at one
+center or many, the area sum) comes from one engine: a closed-form table of
+factor coefficients for all factors and centers, its truncated product, and
+a tail equal to the product of the closed-form factor absolute sums minus the
+product of the table's moduli.  The product convolves at a single center and
+batches one FFT per factor when given several centers.
 """
 
 from __future__ import annotations
@@ -128,78 +135,106 @@ def evaluate_grid(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
     return acc
 
 
-# -- Blaschke factor series ----------------------------------------------------
+# -- Blaschke series engine -----------------------------------------------------
 
-def _factor_coeffs(zero: complex, z0: complex, n: int) -> np.ndarray:
-    """Taylor coefficients of (zero - z)/(1 - conj(zero) z) about z0, exact.
+def _factor_table(f: BlaschkeProduct, centers: np.ndarray, s: float, n: int) -> np.ndarray:
+    """c_j s^j for j = 0..n, every factor (axis 0) about every center (axis 1).
 
-    c_0 = (zero - z0)/D and c_k = -(1 - |zero|^2) w^{k-1} / D^{k+1} for k >= 1,
-    with w = conj(zero), D = 1 - w z0.
+    Exact closed form for the factor (zero - z)/(1 - w z), w = conj(zero),
+    D = 1 - w z0: c_0 = (zero - z0)/D and c_j = -(1 - |zero|^2) w^(j-1) / D^(j+1).
     """
-    w = zero.conjugate()
-    d = 1.0 - w * z0
-    out = np.zeros(n + 1, dtype=complex)
-    out[0] = (zero - z0) / d
-    if n >= 1:
-        lead = -(1.0 - abs(zero) ** 2) / (d * d)
-        out[1:] = lead * (w / d) ** np.arange(n)
-    return out
+    zeros = np.array(f.zeros, dtype=complex)[:, None]
+    w = zeros.conj()
+    d = 1.0 - w * centers
+    table = np.empty((len(f.zeros), centers.size, n + 1), dtype=complex)
+    table[..., 0] = (zeros - centers) / d
+    lead = -(1.0 - np.abs(zeros) ** 2) * s / (d * d)
+    table[..., 1:] = lead[..., None] * (w * s / d)[..., None] ** np.arange(n)
+    return table
 
 
-def _factor_abs_series_sum(zero: complex, z0: complex, rho: float) -> float:
-    """sum_k |c_k| rho^k for one factor, closed form; inf when divergent."""
-    w_abs = abs(zero)
-    d_abs = abs(1.0 - zero.conjugate() * z0)
-    head = abs(zero - z0) / d_abs
-    if rho == 0.0:
-        return head
-    if w_abs * rho >= d_abs:
-        return math.inf
-    return head + (1.0 - w_abs ** 2) * rho / (d_abs * (d_abs - w_abs * rho))
+def _factor_abs_sums(
+    f: BlaschkeProduct, centers: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_j |c_j| rho^j, q = |zero| rho / |D|) per factor and center.
+
+    The closed form is |c_0| + (1 - |zero|^2) rho / (|D| (|D| - |zero| rho));
+    the sum is inf where the series diverges (|zero| rho >= |D|).
+    """
+    zeros = np.array(f.zeros, dtype=complex)[:, None]
+    mods = np.abs(zeros)
+    d_abs = np.abs(1.0 - zeros.conj() * centers)
+    reach = mods * rho
+    series = np.divide(
+        (1.0 - mods * mods) * rho, d_abs * (d_abs - reach),
+        out=np.full(d_abs.shape, math.inf), where=reach < d_abs,
+    )
+    return np.abs(zeros - centers) / d_abs + series, reach / d_abs
 
 
-def _blaschke_coeffs(f: BlaschkeProduct, z0: complex, n: int) -> np.ndarray:
-    """Exact product coefficients c_0..c_n about z0 (truncation is exact:
-    order-k output depends only on factor orders <= k)."""
-    acc = np.array([f.scale], dtype=complex)
-    for zero in f.zeros:
-        acc = np.convolve(acc, _factor_coeffs(zero, z0, n))[: n + 1]
-    if acc.size < n + 1:
-        acc = np.pad(acc, (0, n + 1 - acc.size))
-    return acc
+def _truncated_product(scale: float, table: np.ndarray) -> np.ndarray:
+    """scale * (product over factors of the table rows), first n+1 terms per center.
+
+    Truncation is exact: order k of the product depends only on factor orders
+    <= k.  The kernel follows the number of centers: one center convolves
+    factor by factor; several take one FFT per factor over all centers at
+    once, whose roundoff ``_FFT_CUSHION`` covers.
+    """
+    k, m, terms = table.shape
+    if k == 0:
+        out = np.zeros((m, terms), dtype=table.dtype)
+        out[:, 0] = scale
+        return out
+    if m == 1:
+        acc = np.array([scale])
+        for row in table[:, 0]:
+            acc = np.convolve(acc, row)[:terms]
+        return acc[None, :]
+    size = 1 << (k * (terms - 1)).bit_length()
+    if np.iscomplexobj(table):
+        fft, ifft = np.fft.fft, np.fft.ifft
+    else:
+        fft, ifft = np.fft.rfft, np.fft.irfft
+    spec = fft(table[0], size, axis=1)
+    for row in table[1:]:
+        spec *= fft(row, size, axis=1)
+    return scale * ifft(spec, size, axis=1)[:, :terms]
 
 
-def _factor_abs_envelope(zero: complex, z0: complex, rho: float, n: int) -> np.ndarray:
-    """(|c_0|, |c_1| rho, ..., |c_n| rho^n) for one factor; nonnegative, decaying."""
-    w_abs = abs(zero)
-    d_abs = abs(1.0 - zero.conjugate() * z0)
-    out = np.zeros(n + 1)
-    out[0] = abs(zero - z0) / d_abs
-    if n >= 1:
-        out[1:] = ((1.0 - w_abs ** 2) * rho / d_abs ** 2) * (
-            w_abs * rho / d_abs
-        ) ** np.arange(n)
-    return out
+def _product_tail(
+    scale: float, sums: np.ndarray, rho: float, envelope: np.ndarray
+) -> np.ndarray:
+    """Rigorous bound on sum_{k>n} |c_k| rho^k per center.
 
-
-def _blaschke_tail(f: BlaschkeProduct, z0: complex, rho: float, n: int) -> float:
-    """Rigorous bound on sum_{k>n} |c_k| rho^k.
-
-    Coefficientwise, |c_k| is at most the convolution of the factor absolute
-    coefficients, whose weighted series sums exactly to the product of the
-    factor absolute sums; the tail is that product minus the envelope head.
+    ``sums`` are the factor absolute sums at ``rho`` and ``envelope`` holds
+    each factor's |c_j| rho^j for j <= n.  Coefficientwise, |c_k| is at most
+    the convolution of the factor absolute coefficients, whose weighted series
+    sums exactly to the product of the factor sums; the tail is that product
+    minus the envelope head.
     """
     if rho == 0.0:
-        return 0.0
-    total = f.scale
-    for zero in f.zeros:
-        total *= _factor_abs_series_sum(zero, z0, rho)
-        if math.isinf(total):
-            return math.inf
-    env = np.array([f.scale])
-    for zero in f.zeros:
-        env = np.convolve(env, _factor_abs_envelope(zero, z0, rho, n))[: n + 1]
-    return max(0.0, total - float(np.sum(env)))
+        return np.zeros(envelope.shape[1])
+    total = sums.prod(axis=0, initial=scale)
+    head = _truncated_product(scale, envelope).sum(axis=1)
+    return np.maximum(0.0, total - head)
+
+
+def _blaschke_abs_sums(
+    f: BlaschkeProduct, centers: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(|c_k| rho^k for k = 0..n, truncation slack) about each center."""
+    sums, q = _factor_abs_sums(f, centers, rho)
+    if np.isinf(sums).any():
+        raise DomainError("recentred series divergent at this radius")
+    # The table rows are c_j rho^j: they decay, so the spectral product stays
+    # well conditioned even where the raw coefficients grow geometrically.
+    n = _adaptive_terms(float(q.max(initial=0.0)), 2.0 ** len(f.zeros))
+    table = _factor_table(f, centers, rho, n)
+    terms = np.abs(_truncated_product(f.scale, table))
+    slacks = _product_tail(f.scale, sums, rho, np.abs(table))
+    if centers.size > 1:  # the spectral kernel ran
+        slacks += _FFT_CUSHION
+    return terms, slacks
 
 
 def _adaptive_terms(q: float, prefactor: float, floor: int = 16) -> int:
@@ -257,8 +292,12 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
             )
         return TaylorSlice(z0, tuple(coeffs), tail, rho if tail else None)
 
-    coeffs = _blaschke_coeffs(f, z0, n)
-    tail = _blaschke_tail(f, z0, rho, n)
+    centers = np.array([z0])
+    table = _factor_table(f, centers, 1.0, n)
+    coeffs = _truncated_product(f.scale, table)[0]
+    sums, _ = _factor_abs_sums(f, centers, rho)
+    envelope = np.abs(table) * rho ** np.arange(n + 1)
+    tail = float(_product_tail(f.scale, sums, rho, envelope)[0])
     return TaylorSlice(z0, tuple(coeffs), tail, rho if tail else None)
 
 
@@ -296,14 +335,8 @@ def series_abs_sum(f: AnalyticFunction, rho: float, start: int = 0) -> tuple[flo
         series = (1.0 - a * a) * rho / (1.0 - a * rho)
         return (a + series if start == 0 else series), 0.0
 
-    q = max((abs(z) for z in f.zeros), default=0.0) * rho
-    n = _adaptive_terms(q, 2.0 ** len(f.zeros))
-    coeffs = _blaschke_coeffs(f, 0.0, n)
-    weights = rho ** np.arange(n + 1)
-    head_all = float(np.sum(np.abs(coeffs) * weights))
-    tail = _blaschke_tail(f, 0.0, rho, n)
-    value = head_all - (abs(coeffs[0]) if start == 1 else 0.0)
-    return value, tail
+    terms, slacks = _blaschke_abs_sums(f, np.zeros(1, dtype=complex), rho)
+    return float(terms[0, start:].sum()), float(slacks[0])
 
 
 def recentered_abs_sum(f: AnalyticFunction, z0: complex, rho: float) -> tuple[float, float]:
@@ -317,8 +350,11 @@ def recentered_abs_sums_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched sum_{k>=1} |c_k(z0)| rho^k over many centers.
 
-    Blaschke products use one spectral polynomial product per batch; the
-    associated roundoff is covered by a flat cushion folded into the slack.
+    Blaschke products go through the one series engine, which picks its
+    product kernel from the number of centers: a single center (and the
+    Maclaurin sums of ``series_abs_sum``, the center-0 case) convolves
+    factor by factor; several centers share one FFT per factor, and only
+    then is a flat cushion for spectral roundoff folded into the slack.
     """
     centers = np.asarray(centers, dtype=complex)
     if np.any(np.abs(centers) >= 1.0):
@@ -341,92 +377,8 @@ def recentered_abs_sums_grid(
         values = (1.0 - a * a) * rho / (d_abs * (d_abs - a * rho))
         return values, np.zeros_like(values)
 
-    return _blaschke_abs_sums_grid(f, centers, rho)
-
-
-def _blaschke_abs_sums_grid(
-    f: BlaschkeProduct, centers: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    flat = centers.ravel()
-    m = flat.size
-    ws = np.array([z.conjugate() for z in f.zeros], dtype=complex)
-    mods = np.array([abs(z) for z in f.zeros], dtype=float)
-    d = 1.0 - ws[:, None] * flat[None, :]              # (factors, m)
-    d_abs = np.abs(d)
-    if rho > 0.0 and np.any(mods[:, None] * rho >= d_abs):
-        raise DomainError("recentred series divergent at this radius")
-
-    factor_sums = np.abs(np.array(f.zeros)[:, None] - flat[None, :]) / d_abs
-    if rho > 0.0:
-        factor_sums = factor_sums + (1.0 - mods[:, None] ** 2) * rho / (
-            d_abs * (d_abs - mods[:, None] * rho)
-        )
-    total_bound = f.scale * np.prod(factor_sums, axis=0)
-
-    q_hat = float(np.max(mods[:, None] * rho / d_abs)) if f.zeros else 0.0
-    n = _adaptive_terms(q_hat, float(np.max(total_bound, initial=1.0)))
-
-    # Work with the rescaled series c_k * rho^k: its entries decay, so the
-    # spectral product stays well conditioned even when the raw Taylor
-    # coefficients grow geometrically.
-    scaled = np.abs(_scaled_coeff_product_grid(f, flat, d, n, rho))
-    head_all = np.sum(scaled, axis=1)
-    values = head_all - scaled[:, 0]
-    env_heads = _envelope_heads_grid(f, flat, rho, n)
-    slacks = np.maximum(0.0, total_bound - env_heads) + _FFT_CUSHION
-    return values.reshape(centers.shape), slacks.reshape(centers.shape)
-
-
-def _envelope_heads_grid(
-    f: BlaschkeProduct, centers: np.ndarray, rho: float, n: int
-) -> np.ndarray:
-    """sum_{k<=n} env_k rho^k per center, env = convolution of factor
-    absolute coefficients; the series total is the product envelope bound."""
-    m = centers.size
-    if not f.zeros:
-        return np.full(m, f.scale)
-    length = len(f.zeros) * n + 1
-    size = 1 << (length - 1).bit_length()
-    idx = np.arange(n)
-    spec = None
-    for zero in f.zeros:
-        w_abs = abs(zero)
-        d = 1.0 - zero.conjugate() * centers
-        d_abs = np.abs(d)
-        fac = np.zeros((m, size))
-        fac[:, 0] = np.abs(zero - centers) / d_abs
-        lead = (1.0 - w_abs ** 2) * rho / d_abs ** 2
-        fac[:, 1 : n + 1] = lead[:, None] * (w_abs * rho / d_abs)[:, None] ** idx
-        fspec = np.fft.rfft(fac, axis=1)
-        spec = fspec if spec is None else spec * fspec
-    env = np.fft.irfft(spec, size, axis=1)[:, : n + 1]
-    return f.scale * np.sum(env, axis=1)
-
-
-def _scaled_coeff_product_grid(
-    f: BlaschkeProduct, centers: np.ndarray, d: np.ndarray, n: int, rho: float
-) -> np.ndarray:
-    """Coefficients c_k * rho^k of the product about each center, shape (m, n+1),
-    via one FFT polynomial product per factor."""
-    m = centers.size
-    k = len(f.zeros)
-    if k == 0:
-        out = np.zeros((m, n + 1), dtype=complex)
-        out[:, 0] = f.scale
-        return out
-    length = k * n + 1
-    size = 1 << (length - 1).bit_length()
-    idx = np.arange(n)
-    spec = None
-    for i, zero in enumerate(f.zeros):
-        fac = np.zeros((m, size), dtype=complex)
-        fac[:, 0] = (zero - centers) / d[i]
-        lead = -(1.0 - abs(zero) ** 2) * rho / (d[i] * d[i])
-        fac[:, 1 : n + 1] = lead[:, None] * (zero.conjugate() * rho / d[i])[:, None] ** idx
-        fspec = np.fft.fft(fac, axis=1)
-        spec = fspec if spec is None else spec * fspec
-    coeffs = np.fft.ifft(spec, axis=1)[:, : n + 1]
-    return f.scale * coeffs
+    terms, slacks = _blaschke_abs_sums(f, centers.ravel(), rho)
+    return terms[:, 1:].sum(axis=1).reshape(centers.shape), slacks.reshape(centers.shape)
 
 
 # -- area functional -------------------------------------------------------------
@@ -452,7 +404,8 @@ def area_sum_and_tail(
         return (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2, 0.0
     x = r * r
     m = max(n, _adaptive_terms(x, 1.0))
-    coeffs = _blaschke_coeffs(f, 0.0, m)
+    table = _factor_table(f, np.zeros(1, dtype=complex), 1.0, m)
+    coeffs = _truncated_product(f.scale, table)[0]
     ks = np.arange(m + 1)
     head = float(np.sum(ks * np.abs(coeffs) ** 2 * x ** ks))
     # |c_k| <= 1 for any self-map of the disk, so the tail is under sum k x^k.

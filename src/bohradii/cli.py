@@ -115,6 +115,12 @@ def _cmd_radius(args) -> int:
     return EXIT_OK
 
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` points from lo to hi; the last is hi itself, which
+    lo + i*(hi - lo)/(steps - 1) can miss by an ulp."""
+    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
+
+
 def _cmd_sweep(args) -> int:
     theorem = Theorem(args.theorem)
     if args.steps < 2:
@@ -124,12 +130,10 @@ def _cmd_sweep(args) -> int:
     if not (0.0 < args.beta_min <= args.beta_max):
         raise DomainError("beta range must satisfy 0 < min <= max")
 
-    steps = args.steps
     rows = ["alpha,beta,theorem,radius,regime,residual"]
-    for i in range(steps):
-        alpha = args.alpha_min + i * (args.alpha_max - args.alpha_min) / (steps - 1)
-        for j in range(steps):
-            beta = args.beta_min + j * (args.beta_max - args.beta_min) / (steps - 1)
+    betas = _grid(args.beta_min, args.beta_max, args.steps)
+    for alpha in _grid(args.alpha_min, args.alpha_max, args.steps):
+        for beta in betas:
             try:
                 cert = radius(theorem, WeightPair(alpha, beta))
                 row = SweepRow(alpha, beta, theorem, cert.value, cert.regime, cert.residual)

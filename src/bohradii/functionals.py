@@ -157,6 +157,38 @@ def _check_ar(theorem: Theorem, a, r, w: WeightPair) -> None:
         raise DomainError("the derivative-series majorant requires r < 1/2")
 
 
+def _fraction(theorem: Theorem, a, r, w: WeightPair):
+    """(numerator, denominator) of the majorant; the denominator is positive.
+
+    t36 shares the t35 fraction; its extra (1 - alpha)*a term is added by
+    ``majorant`` and ``gap``.
+    """
+    alpha, beta = w.alpha, w.beta
+    if theorem is Theorem.T31:
+        num = (
+            alpha * (a + r) * (1.0 - r)
+            + (1.0 - alpha) * a * (1.0 + a * r) * (1.0 - r)
+            + beta * (1.0 - a * a) * (1.0 + a * r) * r
+        )
+        return num, (1.0 + a * r) * (1.0 - r)
+    if theorem is Theorem.T32:
+        num = alpha * (a + r) * (1.0 - r) + beta * (1.0 - a * a) * (1.0 + a * r) * r
+        return num, (1.0 + a * r) * (1.0 - r)
+    if theorem in (Theorem.T33, Theorem.T34):
+        num = (
+            alpha * (a + r) * (1.0 + a * r) * (1.0 - 2.0 * r)
+            + beta * (1.0 - a * a) * (1.0 - r) * r
+        )
+        return num, (1.0 + a * r) ** 2 * (1.0 - 2.0 * r)
+    t = (1.0 - r * r) ** 2
+    num = (
+        alpha * a * t
+        + alpha * r * (1.0 - a * a) * (1.0 + r) * (1.0 - r * r)
+        + beta * r * r * (1.0 - a * a) ** 2
+    )
+    return num, t
+
+
 def majorant(theorem: Theorem, a, r, w: WeightPair):
     """Worst-case LHS over all certified f with |f(0)| = a at |z| = r.
 
@@ -166,67 +198,20 @@ def majorant(theorem: Theorem, a, r, w: WeightPair):
     Accepts scalars or numpy arrays in ``a`` and ``r``.
     """
     _check_ar(theorem, a, r, w)
-    alpha, beta = w.alpha, w.beta
-    if theorem is Theorem.T31:
-        num = (
-            alpha * (a + r) * (1.0 - r)
-            + (1.0 - alpha) * a * (1.0 + a * r) * (1.0 - r)
-            + beta * (1.0 - a * a) * (1.0 + a * r) * r
-        )
-        return num / ((1.0 + a * r) * (1.0 - r))
-    if theorem is Theorem.T32:
-        num = alpha * (a + r) * (1.0 - r) + beta * (1.0 - a * a) * (1.0 + a * r) * r
-        return num / ((1.0 + a * r) * (1.0 - r))
-    if theorem in (Theorem.T33, Theorem.T34):
-        num = (
-            alpha * (a + r) * (1.0 + a * r) * (1.0 - 2.0 * r)
-            + beta * (1.0 - a * a) * (1.0 - r) * r
-        )
-        return num / ((1.0 + a * r) ** 2 * (1.0 - 2.0 * r))
-    t = (1.0 - r * r) ** 2
-    num = (
-        alpha * a * t
-        + alpha * r * (1.0 - a * a) * (1.0 + r) * (1.0 - r * r)
-        + beta * r * r * (1.0 - a * a) ** 2
-    )
-    value = num / t
+    num, den = _fraction(theorem, a, r, w)
+    value = num / den
     if theorem is Theorem.T36:
-        value = value + (1.0 - alpha) * a
+        value = value + (1.0 - w.alpha) * a
     return value
 
 
 def gap(theorem: Theorem, a, r, w: WeightPair):
     """Numerator-minus-denominator form of the majorant: gap <= 0 iff majorant <= 1."""
     _check_ar(theorem, a, r, w)
-    alpha, beta = w.alpha, w.beta
-    if theorem is Theorem.T31:
-        return (
-            alpha * (a + r) * (1.0 - r)
-            + (1.0 - alpha) * a * (1.0 + a * r) * (1.0 - r)
-            + beta * (1.0 - a * a) * (1.0 + a * r) * r
-            - (1.0 + a * r) * (1.0 - r)
-        )
-    if theorem is Theorem.T32:
-        return (
-            alpha * (a + r) * (1.0 - r)
-            + beta * (1.0 - a * a) * r * (1.0 + a * r)
-            - (1.0 + a * r) * (1.0 - r)
-        )
-    if theorem in (Theorem.T33, Theorem.T34):
-        return (
-            alpha * (a + r) * (1.0 + a * r) * (1.0 - 2.0 * r)
-            + beta * (1.0 - a * a) * (1.0 - r) * r
-            - (1.0 + a * r) ** 2 * (1.0 - 2.0 * r)
-        )
-    t = (1.0 - r * r) ** 2
-    value = (
-        alpha * a * t
-        + alpha * r * (1.0 - a * a) * (1.0 + r) * (1.0 - r * r)
-        + beta * r * r * (1.0 - a * a) ** 2
-        - t
-    )
+    num, den = _fraction(theorem, a, r, w)
+    value = num - den
     if theorem is Theorem.T36:
-        value = value + (1.0 - alpha) * a * t
+        value = value + (1.0 - w.alpha) * a * den
     return value
 
 

@@ -16,6 +16,7 @@ from .rootfind import (
     Bracket,
     CertifiedRoot,
     WIDTH_TOL,
+    _cbrt,
     bisect_unique_root,
     polyval,
 )
@@ -44,7 +45,7 @@ class Theorem(Enum):
 
 @dataclass(frozen=True)
 class WeightPair:
-    """Weight parameters (alpha, beta); alpha in (0, 1], beta > 0."""
+    """Weight parameters (alpha, beta); alpha in (0, 1], beta > 0 and finite."""
 
     alpha: float
     beta: float
@@ -52,8 +53,8 @@ class WeightPair:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not (0.0 < self.beta < math.inf):
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
 
     def admissible_for(self, theorem: Theorem) -> bool:
         a, b = self.alpha, self.beta
@@ -273,10 +274,6 @@ def radius(theorem: Theorem, w: WeightPair) -> RadiusCertificate:
 
 
 # -- closed-form cross-checks --------------------------------------------------
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
 
 @dataclass(frozen=True)
 class CrosscheckReport:

@@ -152,7 +152,7 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
 
     value = _polish_in_interval(coeffs, lo, hi)
     residual = abs(polyval(coeffs, value))
-    if residual > RESIDUAL_TOL:
+    if not (residual <= RESIDUAL_TOL):
         raise ResidualError(f"root {value} failed residual gate: {residual}")
     return CertifiedRoot(value, residual, Bracket(lo, hi), iterations)
 

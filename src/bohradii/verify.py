@@ -90,11 +90,17 @@ class VerificationReport:
         return lines
 
 
+def _lhs_at(
+    theorem: Theorem, f: AnalyticFunction, w: WeightPair, r: float, theta: float
+) -> float:
+    z = r * complex(math.cos(theta), math.sin(theta))
+    return bohr_lhs(theorem, f, z, w).total
+
+
 def recheck_witness(wit: Witness) -> float:
     """Re-evaluate a witness's left-hand side from its own record."""
     f = record_to_function(wit.function)
-    z = wit.r * complex(math.cos(wit.theta), math.sin(wit.theta))
-    return bohr_lhs(wit.theorem, f, z, WeightPair(wit.alpha, wit.beta)).total
+    return _lhs_at(wit.theorem, f, WeightPair(wit.alpha, wit.beta), wit.r, wit.theta)
 
 
 # -- corpus -------------------------------------------------------------------
@@ -379,12 +385,14 @@ def run_sharpness_suite(seed: int = DEFAULT_SEED) -> list[VerificationReport]:
             max_violation = math.inf
             witnesses: tuple[Witness, ...] = ()
         else:
-            lhs = float(sharpness_fn(witness_a, r1 + DEFAULT_EPSILON, w))
+            # the recorded value is the one recheck_witness reproduces
+            f = Moebius(witness_a)
+            lhs = _lhs_at(Theorem.T31, f, w, r1 + DEFAULT_EPSILON, math.pi)
             max_violation = max(env.sup - 1.0, below_max - 1.0, 1.0 - lhs)
             witnesses = (
                 Witness(
                     Theorem.T31, alpha, beta, r1 + DEFAULT_EPSILON, math.pi,
-                    function_to_record(Moebius(witness_a)), lhs,
+                    function_to_record(f), lhs,
                 ),
             )
         reports.append(

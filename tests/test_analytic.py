@@ -156,8 +156,10 @@ class TestSeriesSums:
         direct = sum(abs(c) * rho ** k for k, c in enumerate(sl.coeffs) if k >= 1)
         assert value == pytest.approx(direct, abs=slack + 1e-12)
 
-    def test_recentered_grid_matches_scalar(self):
-        f = random_test_function(9, 6)
+    @pytest.mark.parametrize("degree", [1, 6, 12, 24])
+    def test_recentered_grid_matches_scalar(self, degree):
+        # the grid takes the spectral kernel, each scalar call the convolution
+        f = random_test_function(9, degree)
         rho = 0.4
         centers = rho * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
         values, slacks = recentered_abs_sums_grid(f, centers, rho)
@@ -165,6 +167,13 @@ class TestSeriesSums:
             single, _ = recentered_abs_sum(f, z0, rho)
             assert single == pytest.approx(v, abs=1e-12)
         assert np.all(slacks < 1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_high_degree_slack_stays_small(self, seed):
+        # a term count taken from the factor-sum product instead of 2**degree
+        # leaves slacks near 1e-7 here
+        _, slack = series_abs_sum(random_test_function(700 + seed, 24), 0.4, start=1)
+        assert slack <= 1e-11
 
     def test_moebius_recentered_closed_form(self):
         a, rho = 0.7, 0.3

@@ -34,6 +34,12 @@ class TestRadiusCommand:
         assert code == 2
         assert "t34" in err
 
+    @pytest.mark.parametrize("theorem", ["t31", "t32", "t33", "t34", "t35", "t36"])
+    def test_infinite_beta_exit_2(self, capsys, theorem):
+        code, _, err = run(capsys, "radius", "--theorem", theorem, "--alpha", "1", "--beta", "inf")
+        assert code == 2
+        assert "beta" in err
+
     def test_malformed_number_exit_1(self, capsys):
         code, _, err = run(capsys, "radius", "--theorem", "t31", "--alpha", "one", "--beta", "1")
         assert code == 1
@@ -84,6 +90,19 @@ class TestSweepCommand:
         assert code == 0
         na_rows = [l for l in out.read_text().splitlines() if ",NA,inadmissible,NA" in l]
         assert na_rows  # low-beta cells with beta <= 1 - alpha
+
+    def test_grid_ends_on_range(self, capsys, tmp_path):
+        # 0.1 + 99 * 0.9 / 99 rounds to one ulp above 1
+        out = tmp_path / "end.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--theorem", "t35", "--alpha-min", "0.1",
+            "--alpha-max", "1", "--beta-min", "0.05", "--beta-max", "2",
+            "--steps", "100", "--out", str(out),
+        )
+        assert code == 0
+        last = out.read_text().splitlines()[-1]
+        assert last.startswith("1,2,t35,")
+        assert ",inadmissible," not in last
 
     def test_bad_range_exit_2(self, capsys, tmp_path):
         code, _, _ = run(

@@ -169,6 +169,12 @@ class TestSuites:
             wit = report.witnesses[0]
             assert recheck_witness(wit) == pytest.approx(wit.lhs_value, abs=1e-12)
 
+    def test_sharpness_witnesses_recheck_exactly(self):
+        for report in run_suite("sharpness"):
+            for wit in report.witnesses:
+                assert recheck_witness(wit) == wit.lhs_value
+                assert wit.lhs_value > 1.0
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("everything")
