@@ -1,21 +1,25 @@
 """Command-line front end: radius queries, grid sweeps, functional checks, verification.
 
-Exit codes: 0 ok, 1 malformed input, 2 domain error, 3 io error,
-4 uncertified function, 5 verification failure.
+Exit codes: 0 ok, 1 malformed input, 2 domain error (weights so extreme that
+a root fails its residual gate included), 3 io error, 4 uncertified function,
+5 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .analytic import certify_bounded, record_to_function
-from .errors import DomainError, NotApplicableError, PreconditionError
+from .errors import DomainError, NotApplicableError, PreconditionError, ResidualError
 from .functionals import bohr_lhs
-from .radii import Theorem, WeightPair, radius
+from .radii import Theorem, WeightPair, radius, radius_grid
 from .verify import run_suite, witnesses_to_csv_rows
 
 EXIT_OK = 0
@@ -121,8 +125,20 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
+def _sweep_row(theorem: Theorem, alpha: float, beta: float) -> SweepRow:
+    """One cell through the scalar ``radius``; a DomainError marks it inadmissible."""
+    try:
+        cert = radius(theorem, WeightPair(alpha, beta))
+    except DomainError:
+        return SweepRow(alpha, beta, theorem, None, "inadmissible", None)
+    return SweepRow(alpha, beta, theorem, cert.value, cert.regime, cert.residual)
+
+
 def _cmd_sweep(args) -> int:
     theorem = Theorem(args.theorem)
+    bounds = (args.alpha_min, args.alpha_max, args.beta_min, args.beta_max)
+    if not all(map(math.isfinite, bounds)):
+        raise DomainError(f"sweep range bounds must be finite, got {bounds}")
     if args.steps < 2:
         raise DomainError(f"steps must be at least 2, got {args.steps}")
     if not (0.0 < args.alpha_min <= args.alpha_max <= 1.0):
@@ -130,16 +146,24 @@ def _cmd_sweep(args) -> int:
     if not (0.0 < args.beta_min <= args.beta_max):
         raise DomainError("beta range must satisfy 0 < min <= max")
 
+    # alpha-outer order; the whole grid is certified in one lockstep pass and
+    # only the cells it leaves pending go through the scalar radius
+    alphas = np.repeat(_grid(args.alpha_min, args.alpha_max, args.steps), args.steps)
+    betas = np.tile(_grid(args.beta_min, args.beta_max, args.steps), args.steps)
+    grid = radius_grid(theorem, alphas, betas)
     rows = ["alpha,beta,theorem,radius,regime,residual"]
-    betas = _grid(args.beta_min, args.beta_max, args.steps)
-    for alpha in _grid(args.alpha_min, args.alpha_max, args.steps):
-        for beta in betas:
-            try:
-                cert = radius(theorem, WeightPair(alpha, beta))
-                row = SweepRow(alpha, beta, theorem, cert.value, cert.regime, cert.residual)
-            except DomainError:
-                row = SweepRow(alpha, beta, theorem, None, "inadmissible", None)
-            rows.append(row.to_csv())
+    cells = zip(
+        alphas.tolist(), betas.tolist(), grid.value.tolist(), grid.regime.tolist(),
+        grid.residual.tolist(), grid.admissible.tolist(), grid.pending.tolist(),
+    )
+    for alpha, beta, value, regime, residual, admissible, pending in cells:
+        if pending:
+            row = _sweep_row(theorem, alpha, beta)
+        elif admissible:
+            row = SweepRow(alpha, beta, theorem, value, regime, residual)
+        else:
+            row = SweepRow(alpha, beta, theorem, None, "inadmissible", None)
+        rows.append(row.to_csv())
     try:
         with open(args.out, "w", newline="") as handle:
             handle.write("\n".join(rows) + "\n")
@@ -225,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_verify(args)
-    except (DomainError, PreconditionError, NotApplicableError) as exc:
+    except (DomainError, PreconditionError, NotApplicableError, ResidualError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:

@@ -2,6 +2,8 @@
 
 Every root-branch value is produced by certified bisection on an analytically
 justified bracket; printed closed forms are evaluated only as cross-checks.
+``radius_grid`` certifies whole arrays of weight pairs in one lockstep pass
+with the same checks and the same bits as ``radius``.
 """
 
 from __future__ import annotations
@@ -9,14 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import DomainError, NotApplicableError
 from .rootfind import (
     Bracket,
     CertifiedRoot,
+    RootGrid,
     WIDTH_TOL,
     _cbrt,
+    bisect_grid,
     bisect_unique_root,
     polyval,
 )
@@ -57,14 +63,7 @@ class WeightPair:
             raise DomainError(f"beta must be positive and finite, got {self.beta}")
 
     def admissible_for(self, theorem: Theorem) -> bool:
-        a, b = self.alpha, self.beta
-        if theorem is Theorem.T31:
-            return b > 1.0 - a
-        if theorem is Theorem.T33:
-            return b >= a
-        if theorem is Theorem.T34:
-            return 0.8 <= a <= 1.0 and b < a
-        return True  # t32, t35, t36 admit every valid pair
+        return admissible(theorem, self.alpha, self.beta)
 
     def require(self, theorem: Theorem) -> None:
         if not self.admissible_for(theorem):
@@ -72,6 +71,17 @@ class WeightPair:
                 f"(alpha={self.alpha}, beta={self.beta}) violates the "
                 f"{theorem.value} constraint: {ADMISSIBILITY_TEXT[theorem]}"
             )
+
+
+def admissible(theorem: Theorem, a, b):
+    """The per-family constraint on (alpha, beta); floats or numpy arrays."""
+    if theorem is Theorem.T31:
+        return b > 1.0 - a
+    if theorem is Theorem.T33:
+        return b >= a
+    if theorem is Theorem.T34:
+        return (0.8 <= a) & (a <= 1.0) & (b < a)
+    return True  # t32, t35, t36 admit every valid pair
 
 
 ADMISSIBILITY_TEXT = {
@@ -146,6 +156,21 @@ def t36_threshold(alpha: float) -> float:
     return 2.0 * alpha ** 2 * (alpha + 1.0) ** 2 / (2.0 * alpha + 1.0) ** 2
 
 
+def t36_cap(alpha: float) -> float:
+    """1/(2*alpha + 1): the t36 constant branch and the top of its cubic bracket."""
+    return 1.0 / (2.0 * alpha + 1.0)
+
+
+def t31_linear(alpha: float, beta: float) -> bool:
+    """beta == alpha - 1/2, where the t31 quadratic degenerates to a line."""
+    return abs(beta - (alpha - 0.5)) <= REGIME_BOUNDARY_TOL
+
+
+def t32_linear(beta: float) -> bool:
+    """beta == 1/2, where the t32 quadratic degenerates to a line."""
+    return abs(beta - 0.5) <= REGIME_BOUNDARY_TOL
+
+
 # -- radius operations --------------------------------------------------------
 
 def lemma24_roots(w: WeightPair) -> tuple[CertifiedRoot, CertifiedRoot]:
@@ -168,8 +193,8 @@ def radius_t31(w: WeightPair) -> RadiusCertificate:
     quadratic in (0, 1), selected by bracketing.
     """
     w.require(Theorem.T31)
-    a, b = w.alpha, w.beta
-    if abs(b - (a - 0.5)) <= REGIME_BOUNDARY_TOL:
+    a = w.alpha
+    if t31_linear(a, w.beta):
         value = 1.0 / (4.0 * a - 1.0)
         residual = abs((4.0 * a - 1.0) * value - 1.0)
         return RadiusCertificate(Theorem.T31, value, "linear", residual, None)
@@ -186,8 +211,8 @@ def radius_t32(w: WeightPair) -> RadiusCertificate:
     of the defining quadratic in (0, 1).
     """
     w.require(Theorem.T32)
-    a, b = w.alpha, w.beta
-    if abs(b - 0.5) <= REGIME_BOUNDARY_TOL:
+    a = w.alpha
+    if t32_linear(w.beta):
         value = a / (a + 2.0)
         residual = abs(-(a + 2.0) * value + a)
         return RadiusCertificate(Theorem.T32, value, "linear", residual, None)
@@ -249,7 +274,7 @@ def radius_t36(w: WeightPair) -> RadiusCertificate:
     cubic as t35 in (0, 1/(2*alpha + 1)].
     """
     w.require(Theorem.T36)
-    cap = 1.0 / (2.0 * w.alpha + 1.0)
+    cap = t36_cap(w.alpha)
     if w.beta < t36_threshold(w.alpha):
         return RadiusCertificate(Theorem.T36, cap, "constant", 0.0, None)
     root = _root_up_to_cap(area_cubic(w), cap)
@@ -271,6 +296,149 @@ _RADIUS_OPS = {
 def radius(theorem: Theorem, w: WeightPair) -> RadiusCertificate:
     """Dispatch to the family-specific radius operation."""
     return _RADIUS_OPS[theorem](w)
+
+
+# -- whole grids in lockstep -----------------------------------------------------
+
+class _Weights(NamedTuple):
+    """Arrays of alpha and beta standing in for a WeightPair in the coefficient functions."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
+class RadiusGrid(NamedTuple):
+    """``radius`` over arrays of weight pairs, one array per certificate field.
+
+    ``admissible`` is False where ``radius`` raises DomainError before solving
+    (not a valid pair, or outside the family's constraint).  ``pending`` marks
+    admissible cells left unfinished: a root on a bracket end, a failed scan,
+    bracket or residual check, a t35/t36 root colliding with its cap, or a
+    linear regime.  Those cells must go through ``radius``.  On every other
+    admissible cell, value, regime, residual and bracket equal the scalar
+    certificate's bit for bit; ``lo`` and ``hi`` are NaN where its bracket is
+    None.
+    """
+
+    value: np.ndarray
+    regime: np.ndarray
+    residual: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    admissible: np.ndarray
+    pending: np.ndarray
+
+
+def _valid(w: _Weights) -> np.ndarray:
+    """Where WeightPair(alpha, beta) would construct without a DomainError."""
+    return (0.0 < w.alpha) & (w.alpha <= 1.0) & (0.0 < w.beta) & (w.beta < math.inf)
+
+
+def _per_alpha(threshold, alpha: np.ndarray) -> np.ndarray:
+    """``threshold`` once per distinct alpha, on Python floats: their ``**``
+    (libm pow) may round differently from numpy's squaring."""
+    values, index = np.unique(alpha, return_inverse=True)
+    return np.array([threshold(a) for a in values.tolist()])[index.reshape(np.shape(alpha))]
+
+
+def _where_root(cond, a: RootGrid, b: RootGrid) -> RootGrid:
+    return RootGrid(*(np.where(cond, x, y) for x, y in zip(a, b)))
+
+
+def lemma24_roots_grid(alpha, beta) -> tuple[RootGrid, RootGrid]:
+    """``lemma24_roots`` over arrays of weight pairs.
+
+    A cell whose ``ok`` is False in either root, pairs outside the t34 domain
+    included, must go through ``lemma24_roots``.
+    """
+    w = _Weights(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    with np.errstate(all="ignore"):
+        usable = _valid(w) & admissible(Theorem.T34, w.alpha, w.beta)
+        r1 = bisect_grid(eq21_poly(w), 0.0, 0.5)
+        r2 = bisect_grid(eq22_poly(w), 0.0, 0.5)
+    return r1._replace(ok=r1.ok & usable), r2._replace(ok=r2.ok & usable)
+
+
+def _grid_t31(w: _Weights):
+    root = bisect_grid(t31_quadratic(w), 0.0, 1.0)
+    return root, "quadratic", ~root.ok | t31_linear(w.alpha, w.beta)
+
+
+def _grid_t32(w: _Weights):
+    root = bisect_grid(t32_quadratic(w), 0.0, 1.0)
+    return root, "quadratic", ~root.ok | t32_linear(w.beta)
+
+
+def _grid_t33(w: _Weights):
+    r1 = bisect_grid(eq21_poly(w), 0.0, 0.5)
+    r3 = bisect_grid(t33_cubic(w), 0.0, 0.5)
+    first = r1.value <= r3.value
+    return _where_root(first, r1, r3), np.where(first, "r1star", "r3star"), ~(r1.ok & r3.ok)
+
+
+def _grid_t34(w: _Weights):
+    r1, r2 = lemma24_roots_grid(w.alpha, w.beta)
+    return r2, "closed-form", ~(r1.ok & r2.ok)
+
+
+def _grid_capped(w: _Weights, cap, constant: np.ndarray):
+    """t35/t36: ``cap`` where ``constant``, else the area cubic's root on
+    (0, cap].  A root colliding with the cap, which ``_root_up_to_cap``
+    settles, has P(cap) <= 0 while P(0) = -alpha < 0: it fails the sign test
+    or is an endpoint root, and is left pending like every unfinished cell."""
+    root = bisect_grid(area_cubic(w), 0.0, cap)
+    pending = ~constant & ~root.ok
+    closed = RootGrid(cap, 0.0, math.nan, math.nan, True)
+    return _where_root(constant, closed, root), np.where(constant, "constant", "cubic"), pending
+
+
+def _grid_t35(w: _Weights):
+    return _grid_capped(w, 1.0 / 3.0, w.beta < _per_alpha(t35_threshold, w.alpha))
+
+
+def _grid_t36(w: _Weights):
+    return _grid_capped(w, t36_cap(w.alpha), w.beta < _per_alpha(t36_threshold, w.alpha))
+
+
+_GRID_OPS = {
+    Theorem.T31: _grid_t31,
+    Theorem.T32: _grid_t32,
+    Theorem.T33: _grid_t33,
+    Theorem.T34: _grid_t34,
+    Theorem.T35: _grid_t35,
+    Theorem.T36: _grid_t36,
+}
+
+
+def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
+    """``radius`` for every (alpha[k], beta[k]) at once, in lockstep.
+
+    One call solves the whole array with ``bisect_grid``; the coefficient
+    functions, thresholds and admissibility rule are the scalar path's own.
+    Cells marked ``pending`` are the caller's to finish with ``radius``.
+    """
+    w = _Weights(*np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                      np.asarray(beta, dtype=float)))
+    with np.errstate(all="ignore"):
+        ok = _valid(w) & admissible(theorem, w.alpha, w.beta)
+        # only admissible cells are solved; the rest keep the fill values
+        root, regime, pending = _GRID_OPS[theorem](_Weights(w.alpha[ok], w.beta[ok]))
+
+    def spread(x, fill):
+        x = np.broadcast_to(x, (np.count_nonzero(ok),))
+        out = np.full(ok.shape, fill, dtype=x.dtype)
+        out[ok] = x
+        return out
+
+    return RadiusGrid(
+        spread(root.value, math.nan),
+        spread(regime, ""),
+        spread(root.residual, math.nan),
+        spread(root.lo, math.nan),
+        spread(root.hi, math.nan),
+        ok,
+        spread(pending, False),
+    )
 
 
 # -- closed-form cross-checks --------------------------------------------------

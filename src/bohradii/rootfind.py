@@ -1,15 +1,18 @@
 """Residual-certified real roots for the quadratics and cubics behind the radius families.
 
 Bisection to a 1e-13 bracket followed by an in-bracket Newton polish is the
-canonical method.  The closed forms (stable quadratic formula, Cardano with a
-trigonometric branch) exist for cross-checks only.
+canonical method.  ``bisect_grid`` runs the same steps in lockstep over arrays
+of brackets, with the same bits per cell.  The closed forms (stable quadratic
+formula, Cardano with a trigonometric branch) exist for cross-checks only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import BracketError, NonUniqueRootError, ResidualError
 
@@ -22,7 +25,11 @@ MAX_BISECTIONS = 200
 
 
 def polyval(coeffs: Sequence[float], x: float) -> float:
-    """Horner evaluation; ``coeffs`` are given highest degree first."""
+    """Horner evaluation; ``coeffs`` are given highest degree first.
+
+    Coefficients and ``x`` may also be numpy arrays; each element then gets
+    the same bits as the scalar evaluation.
+    """
     acc = 0.0
     for c in coeffs:
         acc = acc * x + c
@@ -169,6 +176,108 @@ def _polish_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> float:
         x = min(hi, max(lo, x - polyval(coeffs, x) / dfx))
         candidates.append(x)
     return min(candidates, key=lambda c: abs(polyval(coeffs, c)))
+
+
+class RootGrid(NamedTuple):
+    """``bisect_unique_root`` over an array of cells, one array per certificate field.
+
+    Where ``ok`` is True the cell's value, residual and bracket are those of
+    the scalar certificate, bit for bit.  Where it is False the scalar call
+    raises or returns a bracket endpoint, and the other fields are
+    meaningless: such cells must go through ``bisect_unique_root``.
+    """
+
+    value: np.ndarray
+    residual: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    ok: np.ndarray
+
+
+def _first_max(a, b):
+    """Python's ``max(a, b)`` per element: ``b`` only where ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def _first_min(a, b):
+    """Python's ``min(a, b)`` per element: ``b`` only where ``b < a``."""
+    return np.where(b < a, b, a)
+
+
+def _sign_scan_grid(coeffs, lo, hi):
+    """``_sign_scan`` per cell; one scan point at a time, never cells x points."""
+    step = (hi - lo) / (UNIQUENESS_SCAN - 1)
+    changes = np.zeros(np.shape(lo), dtype=int)
+    prev = np.zeros(np.shape(lo))
+    for i in range(UNIQUENESS_SCAN):
+        v = polyval(coeffs, lo + i * step)
+        nonzero = v != 0.0
+        changes += nonzero & (prev != 0.0) & ((v > 0.0) != (prev > 0.0))
+        prev = np.where(nonzero, v, prev)
+    return changes
+
+
+def _polish_grid(coeffs, lo, hi):
+    """``_polish_in_interval`` per cell, keeping the first minimal-residual candidate."""
+    der = polyder(coeffs)
+    x = 0.5 * (lo + hi)
+    candidates = [x, hi]
+    live = np.ones(np.shape(lo), dtype=bool)
+    for _ in range(3):
+        dfx = polyval(der, x)
+        live &= dfx != 0.0
+        # a cell whose Newton step stopped repeats its last candidate, which
+        # cannot win the strict comparison below a second time
+        x = np.where(live, _first_min(hi, _first_max(lo, x - polyval(coeffs, x) / dfx)), x)
+        candidates.append(x)
+    best, best_res = lo, np.abs(polyval(coeffs, lo))
+    for c in candidates:
+        res = np.abs(polyval(coeffs, c))
+        better = res < best_res
+        best, best_res = np.where(better, c, best), np.where(better, res, best_res)
+    return best
+
+
+def bisect_grid(coeffs, lo, hi) -> RootGrid:
+    """``bisect_unique_root`` for a whole array of cells in lockstep.
+
+    ``coeffs`` holds arrays or floats, highest degree first, that broadcast
+    with the bracket ends ``lo`` and ``hi`` to the cell shape.  Every cell
+    takes the scalar path's steps with the same floating-point operations:
+    the endpoint sign test, the uniqueness scan, bisection to ``WIDTH_TOL``
+    (with its ``P(mid) == 0`` and unsplittable-mid stops), the clipped Newton
+    polish and the residual gate.  Cells that fail a check, or whose root is
+    a bracket endpoint, come back with ``ok`` False.
+    """
+    with np.errstate(all="ignore"):
+        shape = np.broadcast_shapes(*map(np.shape, coeffs), np.shape(lo), np.shape(hi))
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), shape)
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), shape)
+        flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
+        ok = (flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) != (fhi > 0.0))
+        ok &= _sign_scan_grid(coeffs, lo, hi) <= 1
+
+        active = np.ones(shape, dtype=bool)
+        for _ in range(MAX_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            active &= ~(hi - lo <= WIDTH_TOL) & ~(mid <= lo) & ~(mid >= hi)
+            if not active.any():
+                break
+            fmid = polyval(coeffs, mid)
+            exact = active & (fmid == 0.0)
+            to_lo = active & ~exact & ((fmid > 0.0) == (flo > 0.0))
+            to_hi = active & ~exact & ~to_lo
+            lo, hi = (
+                np.where(exact, _first_max(lo, mid - 0.5 * WIDTH_TOL), np.where(to_lo, mid, lo)),
+                np.where(exact, _first_min(hi, mid + 0.5 * WIDTH_TOL), np.where(to_hi, mid, hi)),
+            )
+            flo = np.where(to_lo, fmid, flo)
+            active &= ~exact
+
+        value = _polish_grid(coeffs, lo, hi)
+        residual = np.abs(polyval(coeffs, value))
+        ok &= residual <= RESIDUAL_TOL
+    return RootGrid(value, residual, lo, hi, ok)
 
 
 def cardano_cubic(c3: float, c2: float, c1: float, c0: float) -> list[float]:

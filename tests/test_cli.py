@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from bohradii.cli import main
+from bohradii.cli import SweepRow, main
+from bohradii.errors import DomainError
 from bohradii.functionals import sharpness_fn
-from bohradii.radii import WeightPair
+from bohradii.radii import Theorem, WeightPair, radius
 from bohradii.rootfind import polyval
 
 
@@ -39,6 +40,17 @@ class TestRadiusCommand:
         code, _, err = run(capsys, "radius", "--theorem", theorem, "--alpha", "1", "--beta", "inf")
         assert code == 2
         assert "beta" in err
+
+    @pytest.mark.parametrize("theorem", ["t31", "t33", "t35"])
+    def test_residual_failure_exit_2(self, capsys, theorem):
+        # beta = 1e308 overflows the coefficients; the residual gate refuses the root
+        code, out, err = run(
+            capsys, "radius", "--theorem", theorem, "--alpha", "1", "--beta", "1e308"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error: ") and "residual" in err
+        assert "Traceback" not in err
 
     def test_malformed_number_exit_1(self, capsys):
         code, _, err = run(capsys, "radius", "--theorem", "t31", "--alpha", "one", "--beta", "1")
@@ -103,6 +115,48 @@ class TestSweepCommand:
         last = out.read_text().splitlines()[-1]
         assert last.startswith("1,2,t35,")
         assert ",inadmissible," not in last
+
+    @pytest.mark.parametrize("theorem", [t.value for t in Theorem])
+    def test_rows_equal_scalar_radius(self, capsys, tmp_path, theorem):
+        out = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, *self.sweep_args(out, theorem=theorem))
+        assert code == 0
+        _, *lines = out.read_text().splitlines()
+        assert len(lines) == 400
+        t = Theorem(theorem)
+        for line in lines:
+            alpha, beta = (float(x) for x in line.split(",")[:2])  # .17g round-trips
+            try:
+                cert = radius(t, WeightPair(alpha, beta))
+                row = SweepRow(alpha, beta, t, cert.value, cert.regime, cert.residual)
+            except DomainError:
+                row = SweepRow(alpha, beta, t, None, "inadmissible", None)
+            assert line == row.to_csv()
+
+    @pytest.mark.parametrize("bound", ["--alpha-min", "--alpha-max", "--beta-min", "--beta-max"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_bound_exit_2(self, capsys, tmp_path, bound, value):
+        bounds = {"--alpha-min": "0.5", "--alpha-max": "1", "--beta-min": "0.1", "--beta-max": "1"}
+        bounds[bound] = value
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sweep", "--theorem", "t35", *[x for item in bounds.items() for x in item],
+            "--steps", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert "finite" in err
+        assert not out.exists()
+
+    def test_residual_failure_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sweep", "--theorem", "t35", "--alpha-min", "0.5", "--alpha-max", "1",
+            "--beta-min", "1", "--beta-max", "1e308", "--steps", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("domain error: ") and "residual" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_range_exit_2(self, capsys, tmp_path):
         code, _, _ = run(

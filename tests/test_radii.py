@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bohradii.errors import DomainError, NotApplicableError
 from bohradii.radii import (
@@ -10,7 +11,9 @@ from bohradii.radii import (
     closed_form_crosscheck,
     eq21_poly,
     lemma24_roots,
+    lemma24_roots_grid,
     radius,
+    radius_grid,
     radius_t31,
     radius_t32,
     radius_t33,
@@ -329,3 +332,89 @@ class TestClosedFormCrosscheck:
             closed_form_crosscheck(Theorem.T35, WeightPair(1.0, 0.1))
         with pytest.raises(NotApplicableError):
             closed_form_crosscheck(Theorem.T31, WeightPair(1.0, 1.0))
+
+
+def assert_grid_matches_scalar(theorem, cells):
+    """Every finished cell of radius_grid equals the scalar certificate field
+    by field; a cell marked inadmissible is one where radius raises DomainError."""
+    alphas, betas = (np.array(x, dtype=float) for x in zip(*cells))
+    grid = radius_grid(theorem, alphas, betas)
+    for k, (alpha, beta) in enumerate(cells):
+        if grid.pending[k]:
+            continue
+        if not grid.admissible[k]:
+            with pytest.raises(DomainError):
+                radius(theorem, WeightPair(alpha, beta))
+            continue
+        cert = radius(theorem, WeightPair(alpha, beta))
+        assert grid.value[k] == cert.value
+        assert grid.regime[k] == cert.regime
+        assert grid.residual[k] == cert.residual
+        if cert.bracket is None:
+            assert math.isnan(grid.lo[k]) and math.isnan(grid.hi[k])
+        else:
+            assert grid.lo[k] == cert.bracket.lo and grid.hi[k] == cert.bracket.hi
+    return grid
+
+
+def _edge_cells():
+    up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, 0.0))
+    cells = []
+    for alpha in (0.3, 0.6, 0.75, 0.8, 0.9, 1.0, down(0.8), up(0.8)):
+        edges = (
+            alpha - 0.5,             # t31 linear
+            0.5,                     # t32 linear
+            1.0 - alpha,             # t31 admissibility
+            alpha,                   # t33 / t34 admissibility
+            t35_threshold(alpha),
+            t36_threshold(alpha),
+        )
+        for beta in edges:
+            if beta > 0.0:
+                cells += [(alpha, down(beta)), (alpha, beta), (alpha, up(beta))]
+    cells += [(1.0, b) for b in (0.2, 0.5, 0.9, 1.0, 1.5, 2.0, 8.0)]  # t33 r1*/r3* switch
+    cells += [(1.0, 1e308), (1e-300, 0.5), (0.5, 1e-300)]                # extreme weights
+    return cells
+
+
+class TestRadiusGrid:
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_edge_cells_match_scalar(self, theorem):
+        assert_grid_matches_scalar(theorem, _edge_cells())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 50.0, exclude_min=True)),
+        min_size=1, max_size=16,
+    ))
+    def test_random_cells_match_scalar(self, cells):
+        for theorem in Theorem:
+            assert_grid_matches_scalar(theorem, cells)
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_regular_grid_leaves_nothing_pending(self, theorem):
+        # a grid off the linear regimes: the scalar path is not needed at all
+        alphas = np.repeat(np.linspace(0.05, 1.0, 23), 23)
+        betas = np.tile(np.linspace(0.03, 2.7, 23), 23)
+        grid = assert_grid_matches_scalar(theorem, list(zip(alphas.tolist(), betas.tolist())))
+        assert not grid.pending.any()
+        assert grid.admissible.any()
+
+    def test_linear_regimes_are_pending(self):
+        assert radius_grid(Theorem.T31, [1.0], [0.5]).pending[0]
+        assert radius_grid(Theorem.T32, [0.7], [0.5]).pending[0]
+
+    def test_lemma24_roots_match_scalar(self):
+        alphas = np.repeat(np.linspace(0.8, 1.0, 9), 9)
+        betas = alphas * np.tile(np.arange(1, 10), 9) / 10.0
+        r1, r2 = lemma24_roots_grid(alphas, betas)
+        assert (r1.ok & r2.ok).all()
+        for k, (alpha, beta) in enumerate(zip(alphas.tolist(), betas.tolist())):
+            s1, s2 = lemma24_roots(WeightPair(alpha, beta))
+            for grid, root in ((r1, s1), (r2, s2)):
+                assert grid.value[k] == root.value and grid.residual[k] == root.residual
+                assert (grid.lo[k], grid.hi[k]) == (root.bracket.lo, root.bracket.hi)
+
+    def test_lemma24_grid_leaves_out_of_domain_cells(self):
+        r1, r2 = lemma24_roots_grid([0.7, 0.9, 0.9], [0.3, 0.95, 0.3])
+        assert (r1.ok & r2.ok).tolist() == [False, False, True]

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from bohradii.errors import BracketError, NonUniqueRootError
+from bohradii.errors import BracketError, NonUniqueRootError, ResidualError
 from bohradii.rootfind import (
     Bracket,
+    bisect_grid,
     bisect_unique_root,
     cardano_cubic,
     polyval,
@@ -95,6 +97,53 @@ class TestBisectUniqueRoot:
         a = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0))
         b = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0))
         assert a == b
+
+
+def assert_grid_cell_matches_scalar(grid, k, coeffs, lo, hi):
+    """A finished cell equals the scalar certificate; an unfinished one is a
+    cell where the scalar path raises or returns a bracket end."""
+    try:
+        root = bisect_unique_root(coeffs, Bracket(lo, hi))
+    except (BracketError, NonUniqueRootError, ResidualError):
+        assert not grid.ok[k]
+        return
+    if not grid.ok[k]:
+        assert root.iterations == 0 and root.value in (lo, hi)
+        return
+    assert grid.value[k] == root.value
+    assert grid.residual[k] == root.residual
+    assert (grid.lo[k], grid.hi[k]) == (root.bracket.lo, root.bracket.hi)
+
+
+class TestBisectGrid:
+    @pytest.mark.parametrize("coeffs,lo,hi", [
+        ((1.0, 1.0, 3.0, -1.0), 0.0, 1.0 / 3.0),
+        ((4.0, -1.0), 0.0, 1.0),                # root 1/4 is a midpoint: P(mid) == 0
+        ((2.0, 1.0, -4.0, 1.0), 0.0, 0.5),
+        ((1.0, -0.5), 0.0, 0.5),                # root on the upper end
+        ((1.0, 0.0, 1.0), 0.0, 1.0),            # no sign change
+        ((1.0, -1.5, 0.66, -0.08), 0.0, 1.0),   # three crossings
+        ((1e300, 1e300, -1e300), 0.0, 1.0),     # fails the residual gate
+    ])
+    def test_single_cell_matches_scalar(self, coeffs, lo, hi):
+        grid = bisect_grid(tuple(np.array([c]) for c in coeffs), lo, hi)
+        assert_grid_cell_matches_scalar(grid, 0, coeffs, lo, hi)
+
+    def test_midpoint_root_is_finished(self):
+        grid = bisect_grid((np.array([4.0]), -1.0), 0.0, 1.0)
+        assert grid.ok[0] and grid.value[0] == 0.25
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(
+        st.tuples(*[st.floats(-10.0, 10.0)] * 4, st.floats(0.01, 1.0)),
+        min_size=1, max_size=24,
+    ))
+    def test_cubics_match_scalar(self, cells):
+        coeffs = tuple(np.array([c[i] for c in cells]) for i in range(4))
+        his = np.array([c[4] for c in cells])
+        grid = bisect_grid(coeffs, 0.0, his)
+        for k, cell in enumerate(cells):
+            assert_grid_cell_matches_scalar(grid, k, cell[:4], 0.0, cell[4])
 
 
 class TestCardanoCubic:
