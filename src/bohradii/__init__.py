@@ -13,7 +13,6 @@ from .analytic import (
     Moebius,
     Polynomial,
     TaylorSlice,
-    area_sum,
     area_sum_and_tail,
     certify_bounded,
     evaluate,
@@ -67,13 +66,10 @@ from .rootfind import (
     Bracket,
     CertifiedRoot,
     bisect_unique_root,
-    cardano_cubic,
-    solve_quadratic,
 )
 from .verify import (
     VerificationReport,
     Witness,
-    above_radius_probe,
     check_below_radius,
     default_corpus,
     lemma24_campaign,

@@ -383,15 +383,11 @@ def recentered_abs_sums_grid(
 
 # -- area functional -------------------------------------------------------------
 
-def area_sum(f: AnalyticFunction, r: float, n: int = DEFAULT_TERMS) -> float:
-    """Normalised image-area sum S_r/pi = sum_k k |c_k|^2 r^(2k)."""
-    return area_sum_and_tail(f, r, n)[0]
-
-
 def area_sum_and_tail(
     f: AnalyticFunction, r: float, n: int = DEFAULT_TERMS
 ) -> tuple[float, float]:
-    """(area sum, rigorous truncation bound)."""
+    """(normalised image-area sum S_r/pi = sum_k k |c_k|^2 r^(2k), rigorous
+    truncation bound)."""
     if not (0.0 < r < 1.0):
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if isinstance(f, Polynomial):

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,24 +34,15 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid cell of a radius sweep; inadmissible cells carry NA fields."""
-
-    alpha: float
-    beta: float
-    theorem: Theorem
-    radius: Optional[float]
-    regime: str
-    residual: Optional[float]
-
-    def to_csv(self) -> str:
-        if self.radius is None:
-            return f"{_fmt(self.alpha)},{_fmt(self.beta)},{self.theorem.value},NA,{self.regime},NA"
-        return (
-            f"{_fmt(self.alpha)},{_fmt(self.beta)},{self.theorem.value},"
-            f"{_fmt(self.radius)},{self.regime},{_fmt(self.residual)}"
-        )
+def _csv_row(
+    theorem: str, alpha: float, beta: float, value: float, regime: str, residual: float,
+    admissible: bool,
+) -> str:
+    """One grid cell of a radius sweep, numbers written as ``_fmt`` writes them;
+    an inadmissible cell carries NA fields."""
+    if not admissible:
+        return f"{alpha:.17g},{beta:.17g},{theorem},NA,inadmissible,NA"
+    return f"{alpha:.17g},{beta:.17g},{theorem},{value:.17g},{regime},{residual:.17g}"
 
 
 class _ParseExit(Exception):
@@ -120,18 +110,12 @@ def _cmd_radius(args) -> int:
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    """``steps`` points from lo to hi; the last is hi itself, which
-    lo + i*(hi - lo)/(steps - 1) can miss by an ulp."""
-    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
-
-
-def _sweep_row(theorem: Theorem, alpha: float, beta: float) -> SweepRow:
-    """One cell through the scalar ``radius``; a DomainError marks it inadmissible."""
-    try:
-        cert = radius(theorem, WeightPair(alpha, beta))
-    except DomainError:
-        return SweepRow(alpha, beta, theorem, None, "inadmissible", None)
-    return SweepRow(alpha, beta, theorem, cert.value, cert.regime, cert.residual)
+    """``steps`` points lo + i*(hi - lo)/(steps - 1), dividing first only where
+    i*(hi - lo) overflows; the last is hi itself, which the formula can miss
+    by an ulp."""
+    span, n = hi - lo, steps - 1
+    return [lo + (i * span / n if math.isfinite(i * span) else i * (span / n))
+            for i in range(n)] + [hi]
 
 
 def _cmd_sweep(args) -> int:
@@ -146,24 +130,16 @@ def _cmd_sweep(args) -> int:
     if not (0.0 < args.beta_min <= args.beta_max):
         raise DomainError("beta range must satisfy 0 < min <= max")
 
-    # alpha-outer order; the whole grid is certified in one lockstep pass and
-    # only the cells it leaves pending go through the scalar radius
+    # alpha-outer order; the whole grid is certified in one call
     alphas = np.repeat(_grid(args.alpha_min, args.alpha_max, args.steps), args.steps)
     betas = np.tile(_grid(args.beta_min, args.beta_max, args.steps), args.steps)
     grid = radius_grid(theorem, alphas, betas)
     rows = ["alpha,beta,theorem,radius,regime,residual"]
     cells = zip(
         alphas.tolist(), betas.tolist(), grid.value.tolist(), grid.regime.tolist(),
-        grid.residual.tolist(), grid.admissible.tolist(), grid.pending.tolist(),
+        grid.residual.tolist(), grid.admissible.tolist(),
     )
-    for alpha, beta, value, regime, residual, admissible, pending in cells:
-        if pending:
-            row = _sweep_row(theorem, alpha, beta)
-        elif admissible:
-            row = SweepRow(alpha, beta, theorem, value, regime, residual)
-        else:
-            row = SweepRow(alpha, beta, theorem, None, "inadmissible", None)
-        rows.append(row.to_csv())
+    rows += [_csv_row(theorem.value, *cell) for cell in cells]
     try:
         with open(args.out, "w", newline="") as handle:
             handle.write("\n".join(rows) + "\n")

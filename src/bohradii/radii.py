@@ -21,7 +21,6 @@ from .rootfind import (
     CertifiedRoot,
     RootGrid,
     WIDTH_TOL,
-    _cbrt,
     bisect_grid,
     bisect_unique_root,
     polyval,
@@ -310,14 +309,10 @@ class _Weights(NamedTuple):
 class RadiusGrid(NamedTuple):
     """``radius`` over arrays of weight pairs, one array per certificate field.
 
-    ``admissible`` is False where ``radius`` raises DomainError before solving
-    (not a valid pair, or outside the family's constraint).  ``pending`` marks
-    admissible cells left unfinished: a root on a bracket end, a failed scan,
-    bracket or residual check, a t35/t36 root colliding with its cap, or a
-    linear regime.  Those cells must go through ``radius``.  On every other
-    admissible cell, value, regime, residual and bracket equal the scalar
-    certificate's bit for bit; ``lo`` and ``hi`` are NaN where its bracket is
-    None.
+    ``admissible`` is False where ``radius`` raises DomainError; the other
+    fields are then NaN or empty.  On every admissible cell, value, regime,
+    residual and bracket equal the scalar certificate's bit for bit; ``lo``
+    and ``hi`` are NaN where its bracket is None.
     """
 
     value: np.ndarray
@@ -326,7 +321,6 @@ class RadiusGrid(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     admissible: np.ndarray
-    pending: np.ndarray
 
 
 def _valid(w: _Weights) -> np.ndarray:
@@ -385,7 +379,8 @@ def _grid_capped(w: _Weights, cap, constant: np.ndarray):
     """t35/t36: ``cap`` where ``constant``, else the area cubic's root on
     (0, cap].  A root colliding with the cap, which ``_root_up_to_cap``
     settles, has P(cap) <= 0 while P(0) = -alpha < 0: it fails the sign test
-    or is an endpoint root, and is left pending like every unfinished cell."""
+    or is an endpoint root, and is left to the scalar path like every
+    unfinished cell."""
     root = bisect_grid(area_cubic(w), 0.0, cap)
     pending = ~constant & ~root.ok
     closed = RootGrid(cap, 0.0, math.nan, math.nan, True)
@@ -415,7 +410,10 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
 
     One call solves the whole array with ``bisect_grid``; the coefficient
     functions, thresholds and admissibility rule are the scalar path's own.
-    Cells marked ``pending`` are the caller's to finish with ``radius``.
+    The cells it leaves unfinished (a linear regime, a root on a bracket end,
+    a failed scan, bracket or residual check, a t35/t36 root colliding with
+    its cap) go through ``radius`` itself: a DomainError there marks the cell
+    inadmissible, and any other error propagates.
     """
     w = _Weights(*np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                       np.asarray(beta, dtype=float)))
@@ -430,18 +428,31 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
         out[ok] = x
         return out
 
-    return RadiusGrid(
+    grid = RadiusGrid(
         spread(root.value, math.nan),
         spread(regime, ""),
         spread(root.residual, math.nan),
         spread(root.lo, math.nan),
         spread(root.hi, math.nan),
         ok,
-        spread(pending, False),
     )
+    for k in map(tuple, np.argwhere(spread(pending, False))):
+        try:
+            cert = radius(theorem, WeightPair(float(w.alpha[k]), float(w.beta[k])))
+        except DomainError:
+            ok[k] = False
+            cert = RadiusCertificate(theorem, math.nan, "", math.nan, None)
+        grid.value[k], grid.regime[k], grid.residual[k] = cert.value, cert.regime, cert.residual
+        bracket = (cert.bracket.lo, cert.bracket.hi) if cert.bracket else (math.nan, math.nan)
+        grid.lo[k], grid.hi[k] = bracket
+    return grid
 
 
 # -- closed-form cross-checks --------------------------------------------------
+
+def _cbrt(x: float) -> float:
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
 
 @dataclass(frozen=True)
 class CrosscheckReport:

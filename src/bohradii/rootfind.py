@@ -1,14 +1,12 @@
 """Residual-certified real roots for the quadratics and cubics behind the radius families.
 
 Bisection to a 1e-13 bracket followed by an in-bracket Newton polish is the
-canonical method.  ``bisect_grid`` runs the same steps in lockstep over arrays
-of brackets, with the same bits per cell.  The closed forms (stable quadratic
-formula, Cardano with a trigonometric branch) exist for cross-checks only.
+only root finder.  ``bisect_grid`` runs the same steps in lockstep over arrays
+of brackets, with the same bits per cell.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -17,8 +15,6 @@ import numpy as np
 from .errors import BracketError, NonUniqueRootError, ResidualError
 
 RESIDUAL_TOL = 1e-10
-QUADRATIC_RESIDUAL_TOL = 1e-12
-CARDANO_RESIDUAL_TOL = 1e-9
 WIDTH_TOL = 1e-13
 UNIQUENESS_SCAN = 64
 MAX_BISECTIONS = 200
@@ -42,10 +38,6 @@ def polyder(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(c * (n - i) for i, c in enumerate(coeffs[:-1]))
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 @dataclass(frozen=True)
 class Bracket:
     """Interval [lo, hi] on which the target polynomial changes sign."""
@@ -57,10 +49,6 @@ class Bracket:
         if not self.lo < self.hi:
             raise BracketError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class CertifiedRoot:
@@ -70,36 +58,6 @@ class CertifiedRoot:
     residual: float
     bracket: Bracket
     iterations: int
-
-
-def solve_quadratic(c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of c2*x^2 + c1*x + c0, cancellation-stable.
-
-    The larger-magnitude root comes from the sign-matched quadratic formula,
-    the other from the root product c0/c2.  Degenerate c2 == 0 falls back to
-    the linear root.  Returns roots ascending; empty list when no real root
-    exists.
-    """
-    if c2 == 0.0 and c1 == 0.0 and c0 == 0.0:
-        raise ValueError("all quadratic coefficients are zero")
-    if c2 == 0.0:
-        if c1 == 0.0:
-            return []
-        return [-c0 / c1]
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        roots = [-0.5 * c1 / c2]
-    else:
-        sign_c1 = 1.0 if c1 >= 0.0 else -1.0
-        q = -0.5 * (c1 + sign_c1 * math.sqrt(disc))
-        roots = sorted((q / c2, c0 / q))
-    for r in roots:
-        residual = abs(polyval((c2, c1, c0), r))
-        if residual > QUADRATIC_RESIDUAL_TOL * max(1.0, abs(c2), abs(c1), abs(c0)):
-            raise ResidualError(f"quadratic root {r} has residual {residual}")
-    return roots
 
 
 def _sign_scan(coeffs: Sequence[float], lo: float, hi: float) -> int:
@@ -279,48 +237,3 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
         ok &= residual <= RESIDUAL_TOL
     return RootGrid(value, residual, lo, hi, ok)
 
-
-def cardano_cubic(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """All real roots of c3*x^3 + ... + c0 via the depressed-cubic closed form.
-
-    Uses the trigonometric branch when all three roots are real.  Cross-check
-    engine only; each root is Newton-polished and gated at 1e-9 residual.
-    """
-    if c3 == 0.0:
-        raise ValueError("cubic leading coefficient is zero")
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
-    shift = -b / 3.0
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-
-    if p == 0.0 and q == 0.0:
-        roots = [shift]
-    else:
-        disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
-        if disc > 0.0:
-            s = math.sqrt(disc)
-            roots = [_cbrt(-0.5 * q + s) + _cbrt(-0.5 * q - s) + shift]
-        elif disc == 0.0:
-            roots = sorted({3.0 * q / p + shift, -1.5 * q / p + shift})
-        else:
-            m = 2.0 * math.sqrt(-p / 3.0)
-            cos3t = min(1.0, max(-1.0, 3.0 * q / (p * m)))
-            theta = math.acos(cos3t) / 3.0
-            roots = sorted(
-                m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift for k in range(3)
-            )
-
-    coeffs = (c3, c2, c1, c0)
-    der = polyder(coeffs)
-    polished = []
-    for r in roots:
-        for _ in range(2):
-            dfr = polyval(der, r)
-            if dfr == 0.0:
-                break
-            r = r - polyval(coeffs, r) / dfr
-        residual = abs(polyval(coeffs, r))
-        if residual > CARDANO_RESIDUAL_TOL * max(1.0, *map(abs, coeffs)):
-            raise ResidualError(f"cubic root {r} failed residual gate: {residual}")
-        polished.append(r)
-    return sorted(polished)

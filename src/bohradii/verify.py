@@ -222,70 +222,6 @@ def threshold_continuity(theorem: Theorem, alpha: float) -> VerificationReport:
     )
 
 
-def above_radius_probe(
-    theorem: Theorem,
-    w: WeightPair,
-    r: float,
-    budget: int,
-    corpus: Optional[Sequence[AnalyticFunction]] = None,
-) -> VerificationReport:
-    """Exploratory search for LHS > 1 beyond the radius; reporting only.
-
-    Finding nothing never implies the radius is sharp, so the report always
-    passes; witnesses (if any) are recorded for re-checking.
-    """
-    cert = radius(theorem, w)
-    if not (cert.value < r < 1.0):
-        raise PreconditionError(f"r must lie in (radius={cert.value}, 1), got {r}")
-    witnesses: list[Witness] = []
-    max_violation = -math.inf
-    probes = 0
-
-    ladder = [1.0 - 2.0 ** -j for j in range(1, WITNESS_LADDER + 1)]
-    grid = list(np.linspace(0.0, 0.999, max(2, min(budget, 512))))
-    for a in ladder + grid:
-        if probes >= budget:
-            break
-        probes += 1
-        f = Moebius(float(a))
-        breakdown = bohr_lhs(theorem, f, complex(-r), w)
-        violation = breakdown.total - 1.0 - breakdown.truncation_slack
-        max_violation = max(max_violation, violation)
-        if violation > BELOW_RADIUS_TOL:
-            witnesses.append(
-                Witness(
-                    theorem, w.alpha, w.beta, r, math.pi,
-                    function_to_record(f), breakdown.total,
-                )
-            )
-
-    thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
-    for f in corpus or ():
-        if probes >= budget:
-            break
-        probes += THETA_POINTS
-        totals, slacks = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
-        violations = totals - 1.0 - slacks
-        worst = int(np.argmax(violations))
-        max_violation = max(max_violation, float(violations[worst]))
-        if violations[worst] > BELOW_RADIUS_TOL:
-            witnesses.append(
-                Witness(
-                    theorem, w.alpha, w.beta, r, float(thetas[worst]),
-                    function_to_record(f), float(totals[worst]),
-                )
-            )
-
-    return VerificationReport(
-        "above_probe",
-        probes,
-        max_violation,
-        tuple(witnesses),
-        True,
-        label=f"theorem={theorem.value} alpha={w.alpha:g} beta={w.beta:g} r={r:g}",
-    )
-
-
 def lemma24_campaign(grid_n: int) -> VerificationReport:
     """Ordering check 0 < r2* < r1* < 1/2 and positivity of the ordering form
     (4-2a)b^2 + 4a^2 b + a(-a^2 + a + 2) over a grid of [0.8, 1] x (0, alpha)."""
@@ -413,15 +349,10 @@ def run_sharpness_suite(seed: int = DEFAULT_SEED) -> list[VerificationReport]:
 
 def run_threshold_suite() -> list[VerificationReport]:
     reports = []
-    for theorem, alphas in _ordered_threshold_items():
+    for theorem, alphas in THRESHOLD_ALPHAS.items():
         for alpha in alphas:
             reports.append(threshold_continuity(theorem, float(alpha)))
     return reports
-
-
-def _ordered_threshold_items():
-    for theorem in (Theorem.T31, Theorem.T32, Theorem.T35, Theorem.T36):
-        yield theorem, THRESHOLD_ALPHAS[theorem]
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[VerificationReport]:

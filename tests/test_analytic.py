@@ -9,7 +9,6 @@ from bohradii.analytic import (
     BlaschkeProduct,
     Moebius,
     Polynomial,
-    area_sum,
     area_sum_and_tail,
     certify_bounded,
     evaluate,
@@ -186,11 +185,11 @@ class TestSeriesSums:
 
 class TestAreaSum:
     def test_identity_map(self):
-        assert area_sum(Polynomial((0.0, 1.0)), 0.37) == pytest.approx(0.37 ** 2, abs=1e-15)
+        assert area_sum_and_tail(Polynomial((0.0, 1.0)), 0.37)[0] == pytest.approx(0.37 ** 2, abs=1e-15)
 
     def test_moebius_closed_form_matches_series(self):
         a, r = 0.5, 0.3
-        closed = area_sum(Moebius(a), r)
+        closed = area_sum_and_tail(Moebius(a), r)[0]
         sl = taylor_at_zero(Moebius(a), 300)
         direct = sum(k * abs(c) ** 2 * r ** (2 * k) for k, c in enumerate(sl.coeffs))
         assert closed == pytest.approx(direct, abs=1e-14)
@@ -199,7 +198,7 @@ class TestAreaSum:
         )
 
     def test_moebius_zero_reduces_to_rotation(self):
-        assert area_sum(Moebius(0.0), 0.25) == pytest.approx(0.0625, abs=1e-15)
+        assert area_sum_and_tail(Moebius(0.0), 0.25)[0] == pytest.approx(0.0625, abs=1e-15)
 
     def test_blaschke_truncation_covered_by_tail(self):
         f = random_test_function(4, 6)
@@ -209,7 +208,7 @@ class TestAreaSum:
 
     def test_domain_gate(self):
         with pytest.raises(DomainError):
-            area_sum(Moebius(0.5), 1.0)
+            area_sum_and_tail(Moebius(0.5), 1.0)
 
 
 class TestCertifyBounded:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bohradii.cli import SweepRow, main
+from bohradii.cli import main
 from bohradii.errors import DomainError
 from bohradii.functionals import sharpness_fn
 from bohradii.radii import Theorem, WeightPair, radius
@@ -128,10 +128,23 @@ class TestSweepCommand:
             alpha, beta = (float(x) for x in line.split(",")[:2])  # .17g round-trips
             try:
                 cert = radius(t, WeightPair(alpha, beta))
-                row = SweepRow(alpha, beta, t, cert.value, cert.regime, cert.residual)
+                tail = f"{cert.value:.17g},{cert.regime},{cert.residual:.17g}"
             except DomainError:
-                row = SweepRow(alpha, beta, t, None, "inadmissible", None)
-            assert line == row.to_csv()
+                tail = "NA,inadmissible,NA"
+            assert line == f"{alpha:.17g},{beta:.17g},{theorem},{tail}"
+
+    def test_huge_beta_range_stays_finite(self, capsys, tmp_path):
+        # 2 * (1.5e308 - 0.1) overflows; the grid must still step inside the range
+        out = tmp_path / "huge.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--theorem", "t34", "--alpha-min", "0.9", "--alpha-max", "1",
+            "--beta-min", "0.1", "--beta-max", "1.5e308", "--steps", "4", "--out", str(out),
+        )
+        assert code == 0
+        _, *lines = out.read_text().splitlines()
+        betas = [float(line.split(",")[1]) for line in lines]
+        assert all(math.isfinite(b) and 0.1 <= b <= 1.5e308 for b in betas)
+        assert betas[1:3] == [0.1 + 1.5e308 / 3, 0.1 + 2 * (1.5e308 / 3)]
 
     @pytest.mark.parametrize("bound", ["--alpha-min", "--alpha-max", "--beta-min", "--beta-max"])
     @pytest.mark.parametrize("value", ["inf", "nan"])

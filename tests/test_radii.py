@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bohradii.errors import DomainError, NotApplicableError
+from bohradii import radii
+from bohradii.errors import (
+    BracketError,
+    DomainError,
+    NonUniqueRootError,
+    NotApplicableError,
+    ResidualError,
+)
 from bohradii.radii import (
     Theorem,
     WeightPair,
@@ -335,13 +342,25 @@ class TestClosedFormCrosscheck:
 
 
 def assert_grid_matches_scalar(theorem, cells):
-    """Every finished cell of radius_grid equals the scalar certificate field
-    by field; a cell marked inadmissible is one where radius raises DomainError."""
-    alphas, betas = (np.array(x, dtype=float) for x in zip(*cells))
-    grid = radius_grid(theorem, alphas, betas)
-    for k, (alpha, beta) in enumerate(cells):
-        if grid.pending[k]:
+    """Every cell of radius_grid equals the scalar certificate field by field;
+    a cell marked inadmissible is one where radius raises DomainError.  A cell
+    where radius fails to find its root makes radius_grid raise the same error,
+    so such cells are checked one at a time and left out of the shared grid."""
+    solvable = []
+    for alpha, beta in cells:
+        try:
+            radius(theorem, WeightPair(alpha, beta))
+        except DomainError:
+            pass
+        except (BracketError, NonUniqueRootError, ResidualError) as exc:
+            with pytest.raises(type(exc)):
+                radius_grid(theorem, [alpha], [beta])
             continue
+        solvable.append((alpha, beta))
+    alphas = np.array([alpha for alpha, _ in solvable], dtype=float)
+    betas = np.array([beta for _, beta in solvable], dtype=float)
+    grid = radius_grid(theorem, alphas, betas)
+    for k, (alpha, beta) in enumerate(solvable):
         if not grid.admissible[k]:
             with pytest.raises(DomainError):
                 radius(theorem, WeightPair(alpha, beta))
@@ -391,18 +410,38 @@ class TestRadiusGrid:
         for theorem in Theorem:
             assert_grid_matches_scalar(theorem, cells)
 
+    @staticmethod
+    def count_scalar_calls(monkeypatch):
+        """Record every call radius_grid makes to the scalar radius."""
+        calls, scalar = [], radii.radius
+
+        def counted(theorem, w):
+            calls.append((theorem, w.alpha, w.beta))
+            return scalar(theorem, w)
+
+        monkeypatch.setattr(radii, "radius", counted)
+        return calls
+
     @pytest.mark.parametrize("theorem", list(Theorem))
-    def test_regular_grid_leaves_nothing_pending(self, theorem):
+    def test_regular_grid_leaves_nothing_pending(self, monkeypatch, theorem):
         # a grid off the linear regimes: the scalar path is not needed at all
+        calls = self.count_scalar_calls(monkeypatch)
         alphas = np.repeat(np.linspace(0.05, 1.0, 23), 23)
         betas = np.tile(np.linspace(0.03, 2.7, 23), 23)
         grid = assert_grid_matches_scalar(theorem, list(zip(alphas.tolist(), betas.tolist())))
-        assert not grid.pending.any()
+        assert calls == []
         assert grid.admissible.any()
 
-    def test_linear_regimes_are_pending(self):
-        assert radius_grid(Theorem.T31, [1.0], [0.5]).pending[0]
-        assert radius_grid(Theorem.T32, [0.7], [0.5]).pending[0]
+    def test_linear_regimes_are_pending(self, monkeypatch):
+        # each linear cell, and only it, goes through the scalar radius
+        calls = self.count_scalar_calls(monkeypatch)
+        grid = radius_grid(Theorem.T31, [1.0, 0.9, 1.0], [0.5, 0.4, 0.7])
+        assert calls == [(Theorem.T31, 1.0, 0.5), (Theorem.T31, 0.9, 0.4)]
+        assert grid.regime.tolist() == ["linear", "linear", "quadratic"]
+        calls.clear()
+        grid = radius_grid(Theorem.T32, [0.7, 0.7], [0.5, 0.8])
+        assert calls == [(Theorem.T32, 0.7, 0.5)]
+        assert grid.regime.tolist() == ["linear", "quadratic"]
 
     def test_lemma24_roots_match_scalar(self):
         alphas = np.repeat(np.linspace(0.8, 1.0, 9), 9)

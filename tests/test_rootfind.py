@@ -9,53 +9,9 @@ from bohradii.rootfind import (
     Bracket,
     bisect_grid,
     bisect_unique_root,
-    cardano_cubic,
-    polyval,
-    solve_quadratic,
 )
 
 from support import bisect_oracle
-
-
-class TestSolveQuadratic:
-    def test_difference_of_squares(self):
-        assert solve_quadratic(1.0, 0.0, -1.0) == [-1.0, 1.0]
-
-    def test_eq21_shape_at_unit_weights(self):
-        # 2r^2 + 3r - 1: roots (-3 -+ sqrt(17))/4, cross-checked by substitution
-        roots = solve_quadratic(2.0, 3.0, -1.0)
-        assert roots == pytest.approx(
-            [(-3.0 - math.sqrt(17)) / 4.0, (math.sqrt(17) - 3.0) / 4.0], abs=1e-14
-        )
-        assert roots[1] == pytest.approx(0.280776, abs=1e-6)
-        for r in roots:
-            assert abs(polyval((2.0, 3.0, -1.0), r)) <= 1e-12
-
-    def test_linear_fallback(self):
-        assert solve_quadratic(0.0, 2.0, -1.0) == [0.5]
-
-    def test_no_real_roots_gives_empty(self):
-        assert solve_quadratic(1.0, 0.0, 1.0) == []
-
-    def test_constant_nonzero_gives_empty(self):
-        assert solve_quadratic(0.0, 0.0, 3.0) == []
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            solve_quadratic(0.0, 0.0, 0.0)
-
-    @given(
-        c2=st.floats(0.1, 10.0),
-        c1=st.floats(-10.0, 10.0),
-        c0=st.floats(-10.0, 10.0),
-    )
-    def test_vieta(self, c2, c1, c0):
-        roots = solve_quadratic(c2, c1, c0)
-        if len(roots) != 2:
-            return
-        scale = max(1.0, abs(c1 / c2), abs(c0 / c2))
-        assert roots[0] + roots[1] == pytest.approx(-c1 / c2, abs=1e-12 * scale)
-        assert roots[0] * roots[1] == pytest.approx(c0 / c2, abs=1e-12 * scale)
 
 
 class TestBisectUniqueRoot:
@@ -66,7 +22,7 @@ class TestBisectUniqueRoot:
         assert root.value == pytest.approx(expected, abs=1e-12)
         assert root.value == pytest.approx(0.29560, abs=1e-5)
         assert root.residual <= 1e-10
-        assert root.bracket.width <= 1e-13
+        assert root.bracket.hi - root.bracket.lo <= 1e-13
         assert root.bracket.lo <= root.value <= root.bracket.hi
 
     def test_linear(self):
@@ -144,44 +100,3 @@ class TestBisectGrid:
         grid = bisect_grid(coeffs, 0.0, his)
         for k, cell in enumerate(cells):
             assert_grid_cell_matches_scalar(grid, k, cell[:4], 0.0, cell[4])
-
-
-class TestCardanoCubic:
-    def test_perfect_cube(self):
-        assert cardano_cubic(1.0, 0.0, 0.0, -8.0) == pytest.approx([2.0], abs=1e-12)
-
-    def test_single_real_root_matches_bisection(self):
-        roots = cardano_cubic(1.0, 1.0, 3.0, -1.0)
-        assert len(roots) == 1
-        expected = bisect_oracle((1.0, 1.0, 3.0, -1.0), 0.0, 1.0 / 3.0)
-        assert roots[0] == pytest.approx(expected, abs=1e-9)
-
-    def test_three_real_roots(self):
-        roots = cardano_cubic(2.0, 1.0, -4.0, 1.0)
-        expected = [(-3.0 - math.sqrt(17)) / 4.0, (math.sqrt(17) - 3.0) / 4.0, 1.0]
-        assert roots == pytest.approx(expected, abs=1e-9)
-        for r in roots:
-            assert abs(polyval((2.0, 1.0, -4.0, 1.0), r)) <= 1e-9
-
-    def test_zero_leading_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            cardano_cubic(0.0, 1.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("alpha,beta", [
-        (1.0, 1.0), (0.5, 2.0), (1.0, 2.0), (0.3, 0.3), (0.8, 1.6), (0.2, 4.0),
-    ])
-    def test_agrees_with_bisection_on_derivative_family_cubic(self, alpha, beta):
-        poly = (4.0 - 2.0 * alpha, 2.0 + 2.0 * beta - 3.0 * alpha,
-                -(2.0 * beta + 2.0), alpha)
-        bis = bisect_unique_root(poly, Bracket(0.0, 0.5)).value
-        matches = [r for r in cardano_cubic(*poly) if abs(r - bis) < 1e-6]
-        assert matches and matches[0] == pytest.approx(bis, abs=1e-9)
-
-    @pytest.mark.parametrize("alpha,beta", [
-        (1.0, 1.0), (1.0, 8.0 / 9.0), (0.5, 0.9), (0.25, 3.0), (0.7, 0.7),
-    ])
-    def test_agrees_with_bisection_on_area_family_cubic(self, alpha, beta):
-        poly = (alpha, alpha, 4.0 * beta - alpha, -alpha)
-        bis = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0 + 1e-9)).value
-        matches = [r for r in cardano_cubic(*poly) if abs(r - bis) < 1e-6]
-        assert matches and matches[0] == pytest.approx(bis, abs=1e-9)

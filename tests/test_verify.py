@@ -7,7 +7,6 @@ from bohradii.errors import NotApplicableError, PreconditionError
 from bohradii.functionals import sharpness_fn
 from bohradii.radii import Theorem, WeightPair, radius_t31
 from bohradii.verify import (
-    above_radius_probe,
     check_below_radius,
     default_corpus,
     lemma24_campaign,
@@ -103,33 +102,6 @@ class TestThresholdContinuity:
             threshold_continuity(Theorem.T33, 1.0)
         with pytest.raises(NotApplicableError):
             threshold_continuity(Theorem.T34, 0.9)
-
-
-class TestAboveRadiusProbe:
-    def test_sharp_family_produces_witnesses(self):
-        report = above_radius_probe(Theorem.T31, WeightPair(1.0, 1.0), 0.25, 10_000)
-        assert report.witnesses
-        assert report.passed  # probes report, they never fail
-
-    def test_witnesses_recheck(self):
-        report = above_radius_probe(Theorem.T31, WeightPair(1.0, 1.0), 0.25, 10_000)
-        for wit in report.witnesses[:5]:
-            assert recheck_witness(wit) == pytest.approx(wit.lhs_value, abs=1e-12)
-
-    def test_reports_even_without_findings(self):
-        # just beyond the area-family cubic root the extremal family stays
-        # at or below 1: record that nothing was found, assert nothing more
-        report = above_radius_probe(Theorem.T35, WeightPair(1.0, 1.0), 0.31, 10_000)
-        assert report.passed
-        assert report.cells_checked <= 10_000
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionError):
-            above_radius_probe(Theorem.T31, WeightPair(1.0, 1.0), 0.2, 100)
-
-    def test_budget_respected(self):
-        report = above_radius_probe(Theorem.T31, WeightPair(1.0, 1.0), 0.25, 17)
-        assert report.cells_checked <= 17
 
 
 class TestLemma24Campaign:
