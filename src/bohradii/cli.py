@@ -1,8 +1,8 @@
 """Command-line front end: radius queries, grid sweeps, functional checks, verification.
 
 Exit codes: 0 ok, 1 malformed input, 2 domain error (weights so extreme that
-a root fails its residual gate included), 3 io error, 4 uncertified function,
-5 verification failure.
+a root fails its bracket sign test, uniqueness proof or residual gate
+included), 3 io error, 4 uncertified function, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytic import certify_bounded, record_to_function
-from .errors import DomainError, NotApplicableError, PreconditionError, ResidualError
+from .errors import (BracketError, DomainError, NonUniqueRootError, NotApplicableError,
+                     PreconditionError, ResidualError)
 from .functionals import bohr_lhs
 from .radii import Theorem, WeightPair, radius, radius_grid
 from .verify import run_suite, witnesses_to_csv_rows
@@ -225,7 +226,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_verify(args)
-    except (DomainError, PreconditionError, NotApplicableError, ResidualError) as exc:
+    except (DomainError, PreconditionError, NotApplicableError, ResidualError, BracketError,
+            NonUniqueRootError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:

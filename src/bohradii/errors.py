@@ -10,7 +10,7 @@ class BracketError(ValueError):
 
 
 class NonUniqueRootError(ValueError):
-    """More than one sign change detected on a bracket that must isolate one root."""
+    """Uniqueness not proven: Descartes' rule of signs leaves room for a second root."""
 
 
 class ResidualError(ArithmeticError):

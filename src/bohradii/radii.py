@@ -411,8 +411,8 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
     One call solves the whole array with ``bisect_grid``; the coefficient
     functions, thresholds and admissibility rule are the scalar path's own.
     The cells it leaves unfinished (a linear regime, a root on a bracket end,
-    a failed scan, bracket or residual check, a t35/t36 root colliding with
-    its cap) go through ``radius`` itself: a DomainError there marks the cell
+    a failed bracket or residual check, a t35/t36 root colliding with its
+    cap) go through ``radius`` itself: a DomainError there marks the cell
     inadmissible, and any other error propagates.
     """
     w = _Weights(*np.broadcast_arrays(np.asarray(alpha, dtype=float),

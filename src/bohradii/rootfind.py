@@ -3,6 +3,15 @@
 Bisection to a 1e-13 bracket followed by an in-bracket Newton polish is the
 only root finder.  ``bisect_grid`` runs the same steps in lockstep over arrays
 of brackets, with the same bits per cell.
+
+Uniqueness is proven by Descartes' rule of signs: a polynomial has at most V
+positive roots, V being the number of sign changes along its coefficients
+(zeros skipped).  A bracket [lo, hi] with lo >= 0 whose ends have strictly
+opposite signs holds an odd number of roots, all positive, so V <= 2 leaves
+exactly one.  Every radius family qualifies: quadratics have V <= 2, the t33
+cubic has signs (+, +, -, +) and the area cubic (+, +, +/-, -).  The end signs
+are floating-point evaluations: P(0) is exact, and P(hi) can round to the
+wrong sign only within Horner's rounding bound of a root.
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ from .errors import BracketError, NonUniqueRootError, ResidualError
 
 RESIDUAL_TOL = 1e-10
 WIDTH_TOL = 1e-13
-UNIQUENESS_SCAN = 64
 MAX_BISECTIONS = 200
 
 
@@ -60,27 +68,25 @@ class CertifiedRoot:
     iterations: int
 
 
-def _sign_scan(coeffs: Sequence[float], lo: float, hi: float) -> int:
-    """Number of sign changes of the polynomial over an equispaced scan."""
-    step = (hi - lo) / (UNIQUENESS_SCAN - 1)
-    changes = 0
-    prev = 0.0
-    for i in range(UNIQUENESS_SCAN):
-        v = polyval(coeffs, lo + i * step)
-        if v == 0.0:
-            continue
-        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
-            changes += 1
-        prev = v
+def sign_changes(coeffs: Sequence[float]) -> int:
+    """Descartes' V: sign changes along ``coeffs``, zeros skipped; counted per
+    element when the coefficients are numpy arrays, as ``polyval`` evaluates."""
+    changes, last = 0, 0.0
+    for c in coeffs:
+        sign = (c > 0.0) * 1.0 - (c < 0.0)
+        changes = changes + (sign * last < 0.0)
+        last = sign + (sign == 0.0) * last
     return changes
 
 
 def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRoot:
     """Certified unique root of the polynomial on ``bracket``.
 
-    The caller asserts uniqueness; a 64-point sign scan guards against caller
-    error and raises ``NonUniqueRootError`` if a second crossing shows up.
-    Deterministic for identical inputs.
+    Raises ``BracketError`` unless the ends have strictly opposite signs, and
+    ``NonUniqueRootError`` unless ``lo >= 0`` and ``sign_changes(coeffs) <= 2``,
+    which proves the root unique (see the module docstring).  A bracket end
+    where P is exactly 0 is returned as the root; the parity argument does not
+    cover that case.  Deterministic for identical inputs.
     """
     coeffs = tuple(float(c) for c in coeffs)
     lo, hi = bracket.lo, bracket.hi
@@ -89,8 +95,8 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: P(lo)={flo}, P(hi)={fhi}"
         )
-    if _sign_scan(coeffs, lo, hi) > 1:
-        raise NonUniqueRootError(f"multiple sign changes detected on [{lo}, {hi}]")
+    if lo < 0.0 or sign_changes(coeffs) > 2:
+        raise NonUniqueRootError(f"uniqueness not proven on [{lo}, {hi}]: V > 2 or lo < 0")
 
     if flo == 0.0:
         return CertifiedRoot(lo, 0.0, Bracket(lo, min(hi, lo + WIDTH_TOL)), 0)
@@ -162,19 +168,6 @@ def _first_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _sign_scan_grid(coeffs, lo, hi):
-    """``_sign_scan`` per cell; one scan point at a time, never cells x points."""
-    step = (hi - lo) / (UNIQUENESS_SCAN - 1)
-    changes = np.zeros(np.shape(lo), dtype=int)
-    prev = np.zeros(np.shape(lo))
-    for i in range(UNIQUENESS_SCAN):
-        v = polyval(coeffs, lo + i * step)
-        nonzero = v != 0.0
-        changes += nonzero & (prev != 0.0) & ((v > 0.0) != (prev > 0.0))
-        prev = np.where(nonzero, v, prev)
-    return changes
-
-
 def _polish_grid(coeffs, lo, hi):
     """``_polish_in_interval`` per cell, keeping the first minimal-residual candidate."""
     der = polyder(coeffs)
@@ -202,10 +195,10 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
     ``coeffs`` holds arrays or floats, highest degree first, that broadcast
     with the bracket ends ``lo`` and ``hi`` to the cell shape.  Every cell
     takes the scalar path's steps with the same floating-point operations:
-    the endpoint sign test, the uniqueness scan, bisection to ``WIDTH_TOL``
-    (with its ``P(mid) == 0`` and unsplittable-mid stops), the clipped Newton
-    polish and the residual gate.  Cells that fail a check, or whose root is
-    a bracket endpoint, come back with ``ok`` False.
+    the endpoint sign test, the Descartes uniqueness proof (``lo >= 0``, V <= 2),
+    bisection to ``WIDTH_TOL`` (with its ``P(mid) == 0`` and unsplittable-mid
+    stops), the clipped Newton polish and the residual gate.  Cells that fail
+    a check, or whose root is a bracket endpoint, come back with ``ok`` False.
     """
     with np.errstate(all="ignore"):
         shape = np.broadcast_shapes(*map(np.shape, coeffs), np.shape(lo), np.shape(hi))
@@ -213,7 +206,7 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
         hi = np.broadcast_to(np.asarray(hi, dtype=float), shape)
         flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
         ok = (flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) != (fhi > 0.0))
-        ok &= _sign_scan_grid(coeffs, lo, hi) <= 1
+        ok &= (lo >= 0.0) & (sign_changes(coeffs) <= 2)
 
         active = np.ones(shape, dtype=bool)
         for _ in range(MAX_BISECTIONS):

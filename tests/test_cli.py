@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bohradii.cli import main
 from bohradii.errors import DomainError
@@ -51,6 +52,30 @@ class TestRadiusCommand:
         assert out == ""
         assert err.startswith("domain error: ") and "residual" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha,beta,message", [
+        ("0.2", "1e-300", "P(hi)=5.55"),  # P(1) = -4*beta rounds to +5.6e-17
+        ("0.9", "1e308", "P(lo)=nan"),    # 1 - 2*beta overflows
+    ])
+    def test_bracket_failure_exit_2(self, capsys, alpha, beta, message):
+        code, out, err = run(capsys, "radius", "--theorem", "t32", "--alpha", alpha, "--beta", beta)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error: no sign change") and message in err
+
+    @pytest.mark.parametrize("theorem", [t.value for t in Theorem])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                        st.floats(-1074.0, 0.0).map(lambda e: 2.0 ** e)),
+        beta=st.floats(-1074.0, 1023.99).map(lambda e: 2.0 ** e),
+    )
+    @example(alpha=0.2, beta=1e-300)
+    @example(alpha=0.9, beta=1e308)
+    def test_valid_weights_exit_0_or_2(self, theorem, alpha, beta):
+        # finite alpha in (0, 1] and beta > 0 are well formed: never exit 1
+        assert main(["radius", "--theorem", theorem, "--alpha", repr(alpha),
+                     "--beta", repr(beta)]) in (0, 2)
 
     def test_malformed_number_exit_1(self, capsys):
         code, _, err = run(capsys, "radius", "--theorem", "t31", "--alpha", "one", "--beta", "1")
@@ -169,6 +194,16 @@ class TestSweepCommand:
         assert code == 2
         assert err.startswith("domain error: ") and "residual" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bracket_failure_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sweep", "--theorem", "t32", "--alpha-min", "0.2", "--alpha-max", "1",
+            "--beta-min", "1e-300", "--beta-max", "1", "--steps", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("domain error: no sign change")
         assert not out.exists()
 
     def test_bad_range_exit_2(self, capsys, tmp_path):

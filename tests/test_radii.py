@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bohradii import radii
 from bohradii.errors import (
@@ -17,6 +17,7 @@ from bohradii.radii import (
     WeightPair,
     closed_form_crosscheck,
     eq21_poly,
+    eq22_poly,
     lemma24_roots,
     lemma24_roots_grid,
     radius,
@@ -34,6 +35,7 @@ from bohradii.radii import (
     t32_quadratic,
     area_cubic,
 )
+from bohradii.rootfind import sign_changes
 
 from support import bisect_oracle, polyval
 
@@ -339,6 +341,43 @@ class TestClosedFormCrosscheck:
             closed_form_crosscheck(Theorem.T35, WeightPair(1.0, 0.1))
         with pytest.raises(NotApplicableError):
             closed_form_crosscheck(Theorem.T31, WeightPair(1.0, 1.0))
+
+
+FAMILY_POLYS = {
+    Theorem.T31: (t31_quadratic,),
+    Theorem.T32: (t32_quadratic,),
+    Theorem.T33: (eq21_poly, t33_cubic),
+    Theorem.T34: (eq21_poly, eq22_poly),
+    Theorem.T35: (area_cubic,),
+    Theorem.T36: (area_cubic,),
+}
+
+# finite weights from the smallest subnormal to the largest double, log-uniform
+# and plain uniform, plus the t34 alpha band
+LOG_UNIFORM = st.floats(-1074.0, 1023.99).map(lambda e: 2.0 ** e)
+ALPHAS = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.8, 1.0),
+                   LOG_UNIFORM.filter(lambda a: a <= 1.0))
+BETAS = st.one_of(LOG_UNIFORM, st.floats(0.0, 1e308, exclude_min=True),
+                  st.floats(1e-300, 1e-280), st.floats(1e300, 1e308))
+
+
+class TestUniquenessProof:
+    @settings(max_examples=300, deadline=None)
+    @given(ALPHAS, BETAS)
+    @example(0.9, 0.3)         # t34 domain
+    @example(1.0, 1e308)
+    @example(0.2, 1e-300)
+    def test_every_family_polynomial_has_at_most_two_sign_changes(self, alpha, beta):
+        w = WeightPair(alpha, beta)
+        for theorem, polys in FAMILY_POLYS.items():
+            if not w.admissible_for(theorem):
+                continue
+            for poly in polys:
+                assert sign_changes(poly(w)) <= 2, (theorem, poly.__name__)
+            try:
+                radius(theorem, w)
+            except (BracketError, ResidualError):
+                pass  # extreme weights; never NonUniqueRootError
 
 
 def assert_grid_matches_scalar(theorem, cells):

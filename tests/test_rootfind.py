@@ -9,6 +9,7 @@ from bohradii.rootfind import (
     Bracket,
     bisect_grid,
     bisect_unique_root,
+    sign_changes,
 )
 
 from support import bisect_oracle
@@ -43,16 +44,41 @@ class TestBisectUniqueRoot:
         with pytest.raises(BracketError):
             bisect_unique_root((1.0, 0.0, 1.0), Bracket(0.0, 1.0))
 
-    def test_multiple_roots_rejected(self):
-        # (r - 0.2)(r - 0.5)(r - 0.8): three crossings inside (0, 1)
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, -1.5, 0.66, -0.08),        # (r - 0.2)(r - 0.5)(r - 0.8)
+        (1.0, -1.3001, 0.5101, -0.063021),  # roots 0.3, 0.3001 and 0.7
+    ])
+    def test_multiple_roots_rejected(self, coeffs):
         with pytest.raises(NonUniqueRootError):
-            bisect_unique_root((1.0, -1.5, 0.66, -0.08), Bracket(0.0, 1.0))
+            bisect_unique_root(coeffs, Bracket(0.0, 1.0))
+
+    def test_negative_lower_end_rejected(self):
+        # one root, 1/4, but Descartes' rule counts positive roots only
+        with pytest.raises(NonUniqueRootError):
+            bisect_unique_root((1.0, -0.25), Bracket(-1.0, 1.0))
 
     def test_deterministic(self):
         poly = (1.0, 1.0, 3.0, -1.0)
         a = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0))
         b = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0))
         assert a == b
+
+
+class TestSignChanges:
+    @pytest.mark.parametrize("coeffs,expected", [
+        ((1.0, 1.0, 3.0, -1.0), 1),
+        ((1.0, -1.5, 0.66, -0.08), 3),
+        ((-1.0, 0.0, 0.0, 2.0, 0.0), 1),      # zeros skipped
+        ((0.0, 0.0), 0),
+        ((1e-300, -1e-300, 1e-300), 2),       # the products of these would underflow
+        ((2.0,), 0),
+    ])
+    def test_scalar(self, coeffs, expected):
+        assert sign_changes(coeffs) == expected
+
+    def test_per_element_on_arrays(self):
+        coeffs = (np.array([1.0, -1.0, 0.0, 1.0]), 2.0, np.array([-3.0, 0.0, 1.0, 0.0]))
+        assert sign_changes(coeffs).tolist() == [1, 1, 0, 0]
 
 
 def assert_grid_cell_matches_scalar(grid, k, coeffs, lo, hi):
@@ -80,6 +106,8 @@ class TestBisectGrid:
         ((1.0, 0.0, 1.0), 0.0, 1.0),            # no sign change
         ((1.0, -1.5, 0.66, -0.08), 0.0, 1.0),   # three crossings
         ((1e300, 1e300, -1e300), 0.0, 1.0),     # fails the residual gate
+        ((1.0, -1.3001, 0.5101, -0.063021), 0.0, 1.0),  # three crossings, two 1e-4 apart
+        ((1.0, -0.25), -1.0, 1.0),              # lo < 0
     ])
     def test_single_cell_matches_scalar(self, coeffs, lo, hi):
         grid = bisect_grid(tuple(np.array([c]) for c in coeffs), lo, hi)
@@ -88,6 +116,11 @@ class TestBisectGrid:
     def test_midpoint_root_is_finished(self):
         grid = bisect_grid((np.array([4.0]), -1.0), 0.0, 1.0)
         assert grid.ok[0] and grid.value[0] == 0.25
+
+    def test_close_pair_rejected(self):
+        # roots 0.3, 0.3001 and 0.7: the endpoint signs alone look like one root
+        grid = bisect_grid((1.0, -1.3001, 0.5101, -0.063021), 0.0, np.array([1.0]))
+        assert not grid.ok[0]
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(
