@@ -20,7 +20,7 @@ from .analytic import (
     random_test_function,
     recenter,
     record_to_function,
-    recentered_abs_sum,
+    recentered_abs_sums_grid,
     series_abs_sum,
     taylor_at_zero,
 )

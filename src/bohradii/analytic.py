@@ -6,6 +6,10 @@ Taylor data for the automorphism and for Blaschke factors comes from closed
 forms, so truncation never pollutes those paths; every truncated sum carries
 a rigorous tail bound.
 
+One evaluator body written with plain operators serves a single point
+(``evaluate``, in Python complex arithmetic) and an array of points
+(``evaluate_grid``, in numpy); only the domain checks differ.
+
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
 center or many, the area sum) comes from one engine: a closed-form table of
 factor coefficients for all factors and centers, its truncated product, and
@@ -25,7 +29,8 @@ import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_TERMS = 64
+AREA_TERMS = 64  # floor on the Blaschke area sum's term count
+CERTIFY_SAMPLES = 1024  # boundary samples behind a polynomial's certificate
 _TAIL_TARGET = 1e-13
 _MAX_TERMS = 4096
 _FFT_CUSHION = 1e-12  # absolute allowance for spectral-product roundoff
@@ -101,9 +106,8 @@ def _require_in_disk(z: complex, what: str = "z") -> complex:
 
 # -- evaluation ---------------------------------------------------------------
 
-def evaluate(f: AnalyticFunction, z: complex) -> complex:
-    """Function value at a point of the open disk."""
-    z = _require_in_disk(z)
+def _value(f: AnalyticFunction, z):
+    """f(z) by plain operators, so z may be a Python complex or a numpy array."""
     if isinstance(f, Polynomial):
         acc = 0j
         for c in reversed(f.coeffs):
@@ -111,28 +115,27 @@ def evaluate(f: AnalyticFunction, z: complex) -> complex:
         return acc
     if isinstance(f, Moebius):
         return (f.a - z) / (1.0 - f.a * z)
-    acc = complex(f.scale)
+    acc = f.scale + 0j * z  # exactly scale + 0j, in the shape of z
     for zero in f.zeros:
-        acc *= (zero - z) / (1.0 - zero.conjugate() * z)
+        acc = acc * ((zero - z) / (1.0 - zero.conjugate() * z))
     return acc
+
+
+def evaluate(f: AnalyticFunction, z: complex) -> complex:
+    """Function value at a point of the open disk, in Python complex arithmetic."""
+    return _value(f, _require_in_disk(z))
 
 
 def evaluate_grid(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
-    """Vectorised ``evaluate`` over an array of disk points."""
+    """``evaluate``'s operations over an array of disk points.
+
+    numpy's complex ``*``, ``/`` and ``abs`` may round differently from
+    CPython's, so a cell can differ from ``evaluate`` in the last bits.
+    """
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
         raise DomainError("all evaluation points must lie in the open unit disk")
-    if isinstance(f, Polynomial):
-        acc = np.zeros_like(zs)
-        for c in reversed(f.coeffs):
-            acc = acc * zs + c
-        return acc
-    if isinstance(f, Moebius):
-        return (f.a - zs) / (1.0 - f.a * zs)
-    acc = np.full_like(zs, f.scale)
-    for zero in f.zeros:
-        acc *= (zero - zs) / (1.0 - zero.conjugate() * zs)
-    return acc
+    return _value(f, zs)
 
 
 # -- Blaschke series engine -----------------------------------------------------
@@ -339,16 +342,12 @@ def series_abs_sum(f: AnalyticFunction, rho: float, start: int = 0) -> tuple[flo
     return float(terms[0, start:].sum()), float(slacks[0])
 
 
-def recentered_abs_sum(f: AnalyticFunction, z0: complex, rho: float) -> tuple[float, float]:
-    """(sum_{k>=1} |f^(k)(z0)/k!| rho^k, truncation slack)."""
-    values, slacks = recentered_abs_sums_grid(f, np.array([z0], dtype=complex), rho)
-    return float(values[0]), float(slacks[0])
-
-
 def recentered_abs_sums_grid(
-    f: AnalyticFunction, centers: np.ndarray, rho: float
+    f: AnalyticFunction, centers, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched sum_{k>=1} |c_k(z0)| rho^k over many centers.
+    """(sum_{k>=1} |c_k(z0)| rho^k, truncation slack) for each center z0.
+
+    ``centers`` is one complex (0-d results) or an array of them.
 
     Blaschke products go through the one series engine, which picks its
     product kernel from the number of centers: a single center (and the
@@ -383,9 +382,7 @@ def recentered_abs_sums_grid(
 
 # -- area functional -------------------------------------------------------------
 
-def area_sum_and_tail(
-    f: AnalyticFunction, r: float, n: int = DEFAULT_TERMS
-) -> tuple[float, float]:
+def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
     """(normalised image-area sum S_r/pi = sum_k k |c_k|^2 r^(2k), rigorous
     truncation bound)."""
     if not (0.0 < r < 1.0):
@@ -399,7 +396,7 @@ def area_sum_and_tail(
         a = f.a
         return (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2, 0.0
     x = r * r
-    m = max(n, _adaptive_terms(x, 1.0))
+    m = max(AREA_TERMS, _adaptive_terms(x, 1.0))
     table = _factor_table(f, np.zeros(1, dtype=complex), 1.0, m)
     coeffs = _truncated_product(f.scale, table)[0]
     ks = np.arange(m + 1)
@@ -412,26 +409,24 @@ def area_sum_and_tail(
 # -- boundedness certification -----------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def certify_bounded(f: AnalyticFunction, samples: int = 1024) -> Boundedness:
+def certify_bounded(f: AnalyticFunction) -> Boundedness:
     """Certify sup |f| <= 1 on the disk.
 
     Moebius and scaled Blaschke products are certified analytically.  A
     polynomial is sampled on the boundary circle and padded with the rigorous
-    Lipschitz margin pi * (sum_k k |a_k|) / samples; conservative rejections
-    are intended (soundness over completeness).
+    Lipschitz margin pi * (sum_k k |a_k|) / CERTIFY_SAMPLES; conservative
+    rejections are intended (soundness over completeness).
     """
-    if samples < 256:
-        raise ValueError(f"need at least 256 boundary samples, got {samples}")
     if isinstance(f, Moebius):
         return Boundedness(True, 1.0)
     if isinstance(f, BlaschkeProduct):
         return Boundedness(True, f.scale)
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
+    thetas = 2.0 * math.pi * np.arange(CERTIFY_SAMPLES) / CERTIFY_SAMPLES
     ring = np.exp(1j * thetas)
     acc = np.zeros_like(ring)
     for c in reversed(f.coeffs):
         acc = acc * ring + c
-    margin = math.pi * sum(k * abs(c) for k, c in enumerate(f.coeffs)) / samples
+    margin = math.pi * sum(k * abs(c) for k, c in enumerate(f.coeffs)) / CERTIFY_SAMPLES
     sup_estimate = float(np.max(np.abs(acc))) + margin
     return Boundedness(sup_estimate <= 1.0, sup_estimate)
 

@@ -4,6 +4,11 @@ For weights (alpha, beta) and a disk self-map f with a = |f(0)|, each family
 pairs a concrete left-hand side (``bohr_lhs``) with the closed-form worst case
 over all functions sharing that a (``majorant``) and its numerator-minus-
 denominator form (``gap``); gap <= 0 exactly when the majorant is at most 1.
+
+The left-hand side has one body for its terms, shared by a single point
+(``bohr_lhs``) and by an array of angles at one radius
+(``bohr_lhs_theta_grid``); both add modulus + constant + series + area in
+that order.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .analytic import (
     certify_bounded,
     evaluate,
     evaluate_grid,
-    recentered_abs_sum,
     recentered_abs_sums_grid,
     series_abs_sum,
 )
@@ -50,13 +54,49 @@ class FunctionalBreakdown:
     truncation_slack: float
 
 
-def _require_certified(f: AnalyticFunction) -> None:
+def _require(theorem: Theorem, f: AnalyticFunction, w: WeightPair) -> None:
+    """Certification first, then admissibility: the entry points' error order."""
     report = certify_bounded(f)
     if not report.certified:
         raise UncertifiedFunctionError(
             f"function not certified as a disk self-map (sup estimate "
             f"{report.sup_estimate})"
         )
+    w.require(theorem)
+
+
+# family groups, built once: an enum member lookup is slow on the hot path
+_HAS_MODULUS = (Theorem.T31, Theorem.T32, Theorem.T33, Theorem.T34)
+_RECENTERED = (Theorem.T33, Theorem.T34)
+_SERIES_FROM_ONE = (Theorem.T31, Theorem.T32)
+_HAS_CONSTANT = (Theorem.T31, Theorem.T36)
+
+
+def _terms(theorem: Theorem, f: AnalyticFunction, w: WeightPair, r: float, centers):
+    """(constant, series, area, truncation slack) of the left-hand side at |z| = r.
+
+    Only t33/t34 read the points themselves, through ``centers`` (one complex
+    or an array; 0-d arrays for one); every other family's terms are floats
+    that depend on r alone.
+    """
+    alpha, beta = w.alpha, w.beta
+    constant = area = 0.0
+    if theorem in _RECENTERED:
+        s, s_slack = recentered_abs_sums_grid(f, centers, r)
+        return constant, beta * s, area, beta * s_slack
+    if theorem in _SERIES_FROM_ONE:
+        s, s_slack = series_abs_sum(f, r, start=1)
+        series, slack = beta * s, beta * s_slack
+    else:
+        s, s_slack = series_abs_sum(f, r, start=0)
+        series, slack = alpha * s, alpha * s_slack
+        if r > 0.0:
+            s_area, a_slack = area_sum_and_tail(f, r)
+            area = beta * s_area
+            slack += beta * a_slack
+    if theorem in _HAS_CONSTANT:
+        constant = (1.0 - alpha) * abs(evaluate(f, 0.0))
+    return constant, series, area, slack
 
 
 def bohr_lhs(
@@ -69,39 +109,14 @@ def bohr_lhs(
     t33/t34: alpha*|f(z)| + beta*sum_{k>=1} |f^(k)(z)/k!| r^k
     t35: alpha*sum_{k>=0} |c_k| r^k + beta*(area sum);  t36 adds (1-alpha)*|c0|
     """
-    _require_certified(f)
-    w.require(theorem)
+    _require(theorem, f, w)
     z = complex(z)
     r = abs(z)
     if r >= 1.0:
         raise DomainError(f"|z| must be below 1, got {r}")
-    a0 = abs(evaluate(f, 0.0))
-    alpha, beta = w.alpha, w.beta
-    modulus = constant = series = area = slack = 0.0
-
-    if theorem in (Theorem.T31, Theorem.T32):
-        modulus = alpha * abs(evaluate(f, z))
-        if theorem is Theorem.T31:
-            constant = (1.0 - alpha) * a0
-        s, s_slack = series_abs_sum(f, r, start=1)
-        series = beta * s
-        slack = beta * s_slack
-    elif theorem in (Theorem.T33, Theorem.T34):
-        modulus = alpha * abs(evaluate(f, z))
-        s, s_slack = recentered_abs_sum(f, z, r)
-        series = beta * s
-        slack = beta * s_slack
-    else:
-        s, s_slack = series_abs_sum(f, r, start=0)
-        series = alpha * s
-        slack = alpha * s_slack
-        if r > 0.0:
-            s_area, a_slack = area_sum_and_tail(f, r)
-            area = beta * s_area
-            slack += beta * a_slack
-        if theorem is Theorem.T36:
-            constant = (1.0 - alpha) * a0
-
+    modulus = w.alpha * abs(evaluate(f, z)) if theorem in _HAS_MODULUS else 0.0
+    constant, series, area, slack = _terms(theorem, f, w, r, z)
+    series, slack = float(series), float(slack)
     total = modulus + constant + series + area
     return FunctionalBreakdown(theorem, total, modulus, constant, series, area, slack)
 
@@ -111,37 +126,22 @@ def bohr_lhs_theta_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(totals, slacks) of the left-hand side at z = r*exp(i*theta) per theta.
 
-    Matches ``bohr_lhs`` pointwise; the batched path exists because the
-    campaign grids evaluate the same function at many angles.
+    Same terms as ``bohr_lhs``, summed in the same order; only the modulus
+    term and the t33/t34 series take the angles, in numpy arithmetic, whose
+    complex operations may round differently from ``bohr_lhs``'s in the
+    last bits.
     """
-    _require_certified(f)
-    w.require(theorem)
+    _require(theorem, f, w)
     if not (0.0 <= r < 1.0):
         raise DomainError(f"r must lie in [0, 1), got {r}")
     thetas = np.asarray(thetas, dtype=float)
-    alpha, beta = w.alpha, w.beta
-    a0 = abs(evaluate(f, 0.0))
-
-    if theorem in (Theorem.T35, Theorem.T36):
-        one = bohr_lhs(theorem, f, complex(r), w)
-        return (
-            np.full(thetas.shape, one.total),
-            np.full(thetas.shape, one.truncation_slack),
-        )
-
     zs = r * np.exp(1j * thetas)
-    mods = alpha * np.abs(evaluate_grid(f, zs))
-    if theorem in (Theorem.T31, Theorem.T32):
-        s, s_slack = series_abs_sum(f, r, start=1)
-        totals = mods + beta * s
-        if theorem is Theorem.T31:
-            totals = totals + (1.0 - alpha) * a0
-        slacks = np.full(thetas.shape, beta * s_slack)
+    if theorem in _HAS_MODULUS:
+        modulus = w.alpha * np.abs(evaluate_grid(f, zs))
     else:
-        vals, v_slacks = recentered_abs_sums_grid(f, zs, r)
-        totals = mods + beta * vals
-        slacks = beta * v_slacks
-    return totals, slacks
+        modulus = np.zeros(thetas.shape)
+    constant, series, area, slack = _terms(theorem, f, w, r, zs)
+    return modulus + constant + series + area, np.full(thetas.shape, slack)
 
 
 # -- closed-form majorants and gap functions -------------------------------------

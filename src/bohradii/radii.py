@@ -160,14 +160,24 @@ def t36_cap(alpha: float) -> float:
     return 1.0 / (2.0 * alpha + 1.0)
 
 
+# beta, as a function of alpha, where a family's regime switches branch;
+# t33 and t34 have a single regime
+BRANCH_POINTS = {
+    Theorem.T31: lambda alpha: alpha - 0.5,
+    Theorem.T32: lambda alpha: 0.5,
+    Theorem.T35: t35_threshold,
+    Theorem.T36: t36_threshold,
+}
+
+
 def t31_linear(alpha: float, beta: float) -> bool:
     """beta == alpha - 1/2, where the t31 quadratic degenerates to a line."""
-    return abs(beta - (alpha - 0.5)) <= REGIME_BOUNDARY_TOL
+    return abs(beta - BRANCH_POINTS[Theorem.T31](alpha)) <= REGIME_BOUNDARY_TOL
 
 
-def t32_linear(beta: float) -> bool:
+def t32_linear(alpha: float, beta: float) -> bool:
     """beta == 1/2, where the t32 quadratic degenerates to a line."""
-    return abs(beta - 0.5) <= REGIME_BOUNDARY_TOL
+    return abs(beta - BRANCH_POINTS[Theorem.T32](alpha)) <= REGIME_BOUNDARY_TOL
 
 
 # -- radius operations --------------------------------------------------------
@@ -211,7 +221,7 @@ def radius_t32(w: WeightPair) -> RadiusCertificate:
     """
     w.require(Theorem.T32)
     a = w.alpha
-    if t32_linear(w.beta):
+    if t32_linear(a, w.beta):
         value = a / (a + 2.0)
         residual = abs(-(a + 2.0) * value + a)
         return RadiusCertificate(Theorem.T32, value, "linear", residual, None)
@@ -339,20 +349,6 @@ def _where_root(cond, a: RootGrid, b: RootGrid) -> RootGrid:
     return RootGrid(*(np.where(cond, x, y) for x, y in zip(a, b)))
 
 
-def lemma24_roots_grid(alpha, beta) -> tuple[RootGrid, RootGrid]:
-    """``lemma24_roots`` over arrays of weight pairs.
-
-    A cell whose ``ok`` is False in either root, pairs outside the t34 domain
-    included, must go through ``lemma24_roots``.
-    """
-    w = _Weights(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
-    with np.errstate(all="ignore"):
-        usable = _valid(w) & admissible(Theorem.T34, w.alpha, w.beta)
-        r1 = bisect_grid(eq21_poly(w), 0.0, 0.5)
-        r2 = bisect_grid(eq22_poly(w), 0.0, 0.5)
-    return r1._replace(ok=r1.ok & usable), r2._replace(ok=r2.ok & usable)
-
-
 def _grid_t31(w: _Weights):
     root = bisect_grid(t31_quadratic(w), 0.0, 1.0)
     return root, "quadratic", ~root.ok | t31_linear(w.alpha, w.beta)
@@ -360,7 +356,7 @@ def _grid_t31(w: _Weights):
 
 def _grid_t32(w: _Weights):
     root = bisect_grid(t32_quadratic(w), 0.0, 1.0)
-    return root, "quadratic", ~root.ok | t32_linear(w.beta)
+    return root, "quadratic", ~root.ok | t32_linear(w.alpha, w.beta)
 
 
 def _grid_t33(w: _Weights):
@@ -371,7 +367,8 @@ def _grid_t33(w: _Weights):
 
 
 def _grid_t34(w: _Weights):
-    r1, r2 = lemma24_roots_grid(w.alpha, w.beta)
+    r1 = bisect_grid(eq21_poly(w), 0.0, 0.5)
+    r2 = bisect_grid(eq22_poly(w), 0.0, 0.5)
     return r2, "closed-form", ~(r1.ok & r2.ok)
 
 

@@ -29,16 +29,7 @@ from .functionals import (
     envelope_sup,
     sharpness_fn,
 )
-from .radii import (
-    Theorem,
-    WeightPair,
-    lemma24_roots,
-    lemma24_roots_grid,
-    radius,
-    radius_t31,
-    t35_threshold,
-    t36_threshold,
-)
+from .radii import BRANCH_POINTS, Theorem, WeightPair, lemma24_roots, radius, radius_t31
 
 DEFAULT_SEED = 7
 THETA_POINTS = 64
@@ -147,10 +138,12 @@ def check_below_radius(
         worst = int(np.argmax(violations))
         max_violation = max(max_violation, float(violations[worst]))
         if violations[worst] > BELOW_RADIUS_TOL:
+            # the recorded value is the one recheck_witness reproduces
+            theta = float(thetas[worst])
             witnesses.append(
                 Witness(
-                    theorem, w.alpha, w.beta, r, float(thetas[worst]),
-                    function_to_record(f), float(totals[worst]),
+                    theorem, w.alpha, w.beta, r, theta,
+                    function_to_record(f), _lhs_at(theorem, f, w, r, theta),
                 )
             )
     env = envelope_sup(theorem, r, w)
@@ -190,19 +183,11 @@ def sharpness_witness_t31(w: WeightPair, r: float) -> Optional[float]:
     return best_a if best_h > 1.0 else None
 
 
-_THRESHOLDS = {
-    Theorem.T31: lambda alpha: alpha - 0.5,
-    Theorem.T32: lambda alpha: 0.5,
-    Theorem.T35: t35_threshold,
-    Theorem.T36: t36_threshold,
-}
-
-
 def threshold_continuity(theorem: Theorem, alpha: float) -> VerificationReport:
     """Radius agreement across the beta regime boundary at +-1e-7 offsets."""
-    if theorem not in _THRESHOLDS:
+    if theorem not in BRANCH_POINTS:
         raise NotApplicableError(f"{theorem.value} has no beta branch point")
-    beta0 = _THRESHOLDS[theorem](alpha)
+    beta0 = BRANCH_POINTS[theorem](alpha)
     if theorem is Theorem.T31 and beta0 - THRESHOLD_OFFSET <= 1.0 - alpha:
         raise NotApplicableError(
             "t31 branch point requires alpha > 3/4 for an admissible neighbourhood"
@@ -227,32 +212,24 @@ def lemma24_campaign(grid_n: int) -> VerificationReport:
     (4-2a)b^2 + 4a^2 b + a(-a^2 + a + 2) over a grid of [0.8, 1] x (0, alpha)."""
     if grid_n < 2:
         raise PreconditionError(f"grid_n must be at least 2, got {grid_n}")
-    alphas, betas = [], []
+    max_violation = -math.inf
     for i in range(grid_n):
         alpha = 0.8 + 0.2 * i / (grid_n - 1)
         for j in range(grid_n):
-            alphas.append(alpha)
-            betas.append(alpha * (j + 1) / (grid_n + 1))
-    r1, r2 = lemma24_roots_grid(np.array(alphas), np.array(betas))
-    r1s, r2s = r1.value.tolist(), r2.value.tolist()
-    for k in np.flatnonzero(~(r1.ok & r2.ok)).tolist():  # cells the grid left to the scalar path
-        s1, s2 = lemma24_roots(WeightPair(alphas[k], betas[k]))
-        r1s[k], r2s[k] = s1.value, s2.value
-
-    max_violation = -math.inf
-    for alpha, beta, r1v, r2v in zip(alphas, betas, r1s, r2s):
-        g = (4.0 - 2.0 * alpha) * beta * beta + 4.0 * alpha * alpha * beta + alpha * (
-            -alpha * alpha + alpha + 2.0
-        )
-        violation = max(
-            r2v - r1v,   # ordering r1* > r2*
-            -r2v,        # positivity
-            r1v - 0.5,   # both under 1/2
-            -g,          # ordering form positive
-        )
-        max_violation = max(max_violation, violation)
+            beta = alpha * (j + 1) / (grid_n + 1)
+            r1, r2 = lemma24_roots(WeightPair(alpha, beta))
+            g = (4.0 - 2.0 * alpha) * beta * beta + 4.0 * alpha * alpha * beta + alpha * (
+                -alpha * alpha + alpha + 2.0
+            )
+            violation = max(
+                r2.value - r1.value,  # ordering r1* > r2*
+                -r2.value,            # positivity
+                r1.value - 0.5,       # both under 1/2
+                -g,                   # ordering form positive
+            )
+            max_violation = max(max_violation, violation)
     return VerificationReport(
-        "lemma24", len(alphas), max_violation, (), max_violation < 0.0
+        "lemma24", grid_n * grid_n, max_violation, (), max_violation < 0.0
     )
 
 

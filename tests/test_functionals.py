@@ -17,6 +17,7 @@ from bohradii.functionals import (
 )
 from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.rootfind import Bracket, bisect_unique_root
+from bohradii.verify import below_radius_grid
 
 RNG = np.random.default_rng(2024)
 
@@ -96,6 +97,24 @@ class TestBohrLhs:
                     single = bohr_lhs(theorem, f, z, w)
                     assert single.total == pytest.approx(total, abs=1e-12)
                     assert abs(single.truncation_slack - slack) <= 1e-9
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_theta_grid_equals_single_point_on_real_axis(self, theorem):
+        # Real coefficients at theta in {0, pi}: numpy and Python complex
+        # arithmetic agree there, so any difference is a difference in which
+        # terms the two entry points add, or in what order.
+        rng = np.random.default_rng(41)
+        weights = below_radius_grid(theorem)
+        thetas = np.array([0.0, math.pi])
+        for i in range(200):
+            coeffs = rng.normal(size=int(rng.integers(1, 9)))
+            f = Polynomial(tuple(coeffs * rng.uniform(0.3, 0.9) / np.abs(coeffs).sum()))
+            w = weights[i % len(weights)]
+            r = float(rng.uniform(0.05, 0.95))
+            totals, slacks = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
+            for z, total, slack in zip(r * np.exp(1j * thetas), totals, slacks):
+                single = bohr_lhs(theorem, f, complex(z), w)
+                assert (single.total, single.truncation_slack) == (total, slack)
 
 
 class TestMajorant:

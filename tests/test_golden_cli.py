@@ -1,0 +1,115 @@
+"""The CLI's text output, byte for byte, against a recorded transcript.
+
+``golden_cli.txt`` holds, for a fixed list of commands, each command line,
+its exit code, its stdout and stderr, and the CSV a sweep writes.  It pins
+the ``radius``, ``check``, ``sweep`` and ``verify`` outputs through
+refactors.  Rewrite it only for a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from bohradii.analytic import Moebius, Polynomial, function_to_record, random_test_function
+from bohradii.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.txt")
+
+RADIUS_WEIGHTS = {
+    "t31": [(1.0, 1.0), (0.9, 0.4), (0.3, 0.9), (0.8, 0.25), (0.5, 0.4)],
+    "t32": [(1.0, 0.5), (0.4, 0.2), (0.7, 2.0)],
+    "t33": [(0.5, 0.5), (0.3, 1.2), (1.0, 3.0), (1.0, 0.5)],
+    "t34": [(0.9, 0.3), (1.0, 0.95), (0.8, 0.1), (0.5, 0.1)],
+    "t35": [(1.0, 0.5), (0.6, 1.0), (0.3, 0.25)],
+    "t36": [(0.5, 0.1), (0.5, 1.0), (1.0, 2.0)],
+}
+
+# two admissible pairs per family for the check commands
+CHECK_WEIGHTS = {
+    "t31": [(0.6, 0.9), (1.0, 0.3)],
+    "t32": [(0.4, 0.5), (0.9, 1.4)],
+    "t33": [(0.5, 0.8), (1.0, 1.0)],
+    "t34": [(0.85, 0.4), (1.0, 0.9)],
+    "t35": [(0.7, 0.3), (0.5, 1.8)],
+    "t36": [(0.4, 0.2), (1.0, 1.1)],
+}
+CHECK_RADII = ("0.15", "0.4")
+
+CHECK_FUNCTIONS = {
+    "moebius": Moebius(0.6),
+    "polynomial": Polynomial((0.1 + 0.2j, -0.3j, 0.25, 0.05 - 0.1j)),
+    "blaschke6": random_test_function(11, 6),
+    "blaschke24": random_test_function(12, 24),
+}
+
+SWEEP_RANGES = {
+    "t31": (0.1, 1.0, 0.05, 2.5),
+    "t32": (0.1, 1.0, 0.05, 2.5),
+    "t33": (0.1, 1.0, 0.05, 2.5),
+    "t34": (0.75, 1.0, 0.05, 1.2),
+    "t35": (0.1, 1.0, 0.05, 2.5),
+    "t36": (0.1, 1.0, 0.05, 2.5),
+}
+
+
+def commands(tmp: str) -> list[list[str]]:
+    cmds = []
+    for theorem, pairs in RADIUS_WEIGHTS.items():
+        for alpha, beta in pairs:
+            cmds.append(["radius", "--theorem", theorem, "--alpha", repr(alpha),
+                         "--beta", repr(beta)])
+    for name in CHECK_FUNCTIONS:
+        path = os.path.join(tmp, f"{name}.json")
+        for theorem, pairs in CHECK_WEIGHTS.items():
+            for alpha, beta in pairs:
+                for r in CHECK_RADII:
+                    cmds.append(["check", "--theorem", theorem, "--alpha", repr(alpha),
+                                 "--beta", repr(beta), "--r", r, "--function", path])
+    cmds.append(["check", "--theorem", "t31", "--alpha", "1", "--beta", "1", "--r", "1",
+                 "--function", os.path.join(tmp, "moebius.json")])
+    for theorem, (a_lo, a_hi, b_lo, b_hi) in SWEEP_RANGES.items():
+        cmds.append(["sweep", "--theorem", theorem, "--alpha-min", repr(a_lo),
+                     "--alpha-max", repr(a_hi), "--beta-min", repr(b_lo),
+                     "--beta-max", repr(b_hi), "--steps", "10",
+                     "--out", os.path.join(tmp, f"sweep_{theorem}.csv")])
+    for suite in ("sharpness", "thresholds", "lemma24"):
+        cmds.append(["verify", "--suite", suite])
+    return cmds
+
+
+def transcript() -> str:
+    """Every command's exit code and output, temporary paths replaced by <tmp>."""
+    blocks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, f in CHECK_FUNCTIONS.items():
+            with open(os.path.join(tmp, f"{name}.json"), "w") as handle:
+                json.dump(function_to_record(f), handle)
+        for argv in commands(tmp):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            block = [f"$ {' '.join(argv)}", f"exit={code}", out.getvalue() + err.getvalue()]
+            if argv[0] == "sweep" and code == 0:
+                with open(argv[-1]) as handle:
+                    block.append(handle.read())
+            blocks.append("\n".join(block).replace(tmp, "<tmp>"))
+    return "\n".join(blocks)
+
+
+def test_cli_output_matches_golden_transcript():
+    expected = GOLDEN.read_text().splitlines()
+    actual = transcript().splitlines()
+    assert len(actual) == len(expected)
+    for number, (want, got) in enumerate(zip(expected, actual), start=1):
+        assert got == want, f"golden_cli.txt line {number}"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(transcript())

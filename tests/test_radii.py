@@ -19,7 +19,6 @@ from bohradii.radii import (
     eq21_poly,
     eq22_poly,
     lemma24_roots,
-    lemma24_roots_grid,
     radius,
     radius_grid,
     radius_t31,
@@ -481,18 +480,3 @@ class TestRadiusGrid:
         grid = radius_grid(Theorem.T32, [0.7, 0.7], [0.5, 0.8])
         assert calls == [(Theorem.T32, 0.7, 0.5)]
         assert grid.regime.tolist() == ["linear", "quadratic"]
-
-    def test_lemma24_roots_match_scalar(self):
-        alphas = np.repeat(np.linspace(0.8, 1.0, 9), 9)
-        betas = alphas * np.tile(np.arange(1, 10), 9) / 10.0
-        r1, r2 = lemma24_roots_grid(alphas, betas)
-        assert (r1.ok & r2.ok).all()
-        for k, (alpha, beta) in enumerate(zip(alphas.tolist(), betas.tolist())):
-            s1, s2 = lemma24_roots(WeightPair(alpha, beta))
-            for grid, root in ((r1, s1), (r2, s2)):
-                assert grid.value[k] == root.value and grid.residual[k] == root.residual
-                assert (grid.lo[k], grid.hi[k]) == (root.bracket.lo, root.bracket.hi)
-
-    def test_lemma24_grid_leaves_out_of_domain_cells(self):
-        r1, r2 = lemma24_roots_grid([0.7, 0.9, 0.9], [0.3, 0.95, 0.3])
-        assert (r1.ok & r2.ok).tolist() == [False, False, True]

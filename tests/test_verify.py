@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import pytest
 
+from bohradii import verify
 from bohradii.analytic import Moebius, Polynomial
 from bohradii.errors import NotApplicableError, PreconditionError
 from bohradii.functionals import sharpness_fn
-from bohradii.radii import Theorem, WeightPair, radius_t31
+from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.verify import (
+    below_radius_grid,
     check_below_radius,
     default_corpus,
     lemma24_campaign,
@@ -52,6 +55,19 @@ class TestCheckBelowRadius:
         assert bohr_lhs(Theorem.T31, Polynomial((0.5,)), complex(r), w).total == pytest.approx(
             0.5, abs=1e-12
         )
+
+    def test_witnesses_recheck_exactly(self, monkeypatch):
+        # a radius pushed 0.15 too far makes the campaign record witnesses
+        def too_far(theorem, w):
+            cert = radius(theorem, w)
+            return dataclasses.replace(cert, value=cert.value + 0.15)
+
+        monkeypatch.setattr(verify, "radius", too_far)
+        w = below_radius_grid(Theorem.T31)[12]
+        report = check_below_radius(Theorem.T31, w, default_corpus(7, size=40))
+        assert len(report.witnesses) >= 10
+        for wit in report.witnesses:
+            assert recheck_witness(wit) == wit.lhs_value
 
     def test_constant_branch_cell(self):
         report = check_below_radius(
