@@ -11,11 +11,11 @@ One evaluator body written with plain operators serves a single point
 (``evaluate_grid``, in numpy); only the domain checks differ.
 
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
-center or many, the area sum) comes from one engine: a closed-form table of
-factor coefficients for all factors and centers, its truncated product, and
-a tail equal to the product of the closed-form factor absolute sums minus the
-product of the table's moduli.  The product convolves at a single center and
-batches one FFT per factor when given several centers.
+center or many, the area sum) comes from one engine: closed-form factor
+series c0 + lead*u/(1 - t*u), their truncated product, and a tail equal to the
+product of the closed-form factor absolute sums minus the same product's head
+on moduli.  One center convolves; several run pipelined first-order
+recurrences, whose derived roundoff bound joins the slack.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ AREA_TERMS = 64  # floor on the Blaschke area sum's term count
 CERTIFY_SAMPLES = 1024  # boundary samples behind a polynomial's certificate
 _TAIL_TARGET = 1e-13
 _MAX_TERMS = 4096
-_FFT_CUSHION = 1e-12  # absolute allowance for spectral-product roundoff
 
 
 @dataclass(frozen=True)
@@ -140,24 +139,27 @@ def evaluate_grid(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
 
 # -- Blaschke series engine -----------------------------------------------------
 
-def _factor_table(f: BlaschkeProduct, centers: np.ndarray, s: float, n: int) -> np.ndarray:
-    """c_j s^j for j = 0..n, every factor (axis 0) about every center (axis 1).
-
-    Exact closed form for the factor (zero - z)/(1 - w z), w = conj(zero),
-    D = 1 - w z0: c_0 = (zero - z0)/D and c_j = -(1 - |zero|^2) w^(j-1) / D^(j+1).
+def _factor_forms(f: BlaschkeProduct, centers: np.ndarray, s: float) -> tuple[np.ndarray, ...]:
+    """(c0, lead, t, D) per factor (axis 0) and center (axis 1): with w = conj(zero)
+    and D = 1 - w z0, (zero - z)/(1 - w z) is exactly c0 + lead*u/(1 - t*u) in
+    u = (z - z0)/s, c0 = (zero - z0)/D, lead = -(1 - |zero|^2) s/D^2, t = w s/D.
     """
     zeros = np.array(f.zeros, dtype=complex)[:, None]
     w = zeros.conj()
     d = 1.0 - w * centers
-    table = np.empty((len(f.zeros), centers.size, n + 1), dtype=complex)
-    table[..., 0] = (zeros - centers) / d
-    lead = -(1.0 - np.abs(zeros) ** 2) * s / (d * d)
-    table[..., 1:] = lead[..., None] * (w * s / d)[..., None] ** np.arange(n)
+    return (zeros - centers) / d, -(1.0 - np.abs(zeros) ** 2) * s / (d * d), w * s / d, d
+
+
+def _factor_table(c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """c_j s^j for j = 0..n from ``_factor_forms``, per factor and center."""
+    table = np.empty(c0.shape + (n + 1,), dtype=complex)
+    table[..., 0] = c0
+    table[..., 1:] = lead[..., None] * t[..., None] ** np.arange(n)
     return table
 
 
 def _factor_abs_sums(
-    f: BlaschkeProduct, centers: np.ndarray, rho: float
+    f: BlaschkeProduct, centers: np.ndarray, d: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sum_j |c_j| rho^j, q = |zero| rho / |D|) per factor and center.
 
@@ -166,7 +168,7 @@ def _factor_abs_sums(
     """
     zeros = np.array(f.zeros, dtype=complex)[:, None]
     mods = np.abs(zeros)
-    d_abs = np.abs(1.0 - zeros.conj() * centers)
+    d_abs = np.abs(d)
     reach = mods * rho
     series = np.divide(
         (1.0 - mods * mods) * rho, d_abs * (d_abs - reach),
@@ -176,68 +178,85 @@ def _factor_abs_sums(
 
 
 def _truncated_product(scale: float, table: np.ndarray) -> np.ndarray:
-    """scale * (product over factors of the table rows), first n+1 terms per center.
-
-    Truncation is exact: order k of the product depends only on factor orders
-    <= k.  The kernel follows the number of centers: one center convolves
-    factor by factor; several take one FFT per factor over all centers at
-    once, whose roundoff ``_FFT_CUSHION`` covers.
+    """scale * (product over factors of the table rows), first n+1 terms, at the
+    table's one center.  Each convolution may truncate: order k of the product
+    depends only on factor orders <= k.
     """
-    k, m, terms = table.shape
-    if k == 0:
-        out = np.zeros((m, terms), dtype=table.dtype)
-        out[:, 0] = scale
-        return out
-    if m == 1:
-        acc = np.array([scale])
-        for row in table[:, 0]:
-            acc = np.convolve(acc, row)[:terms]
-        return acc[None, :]
-    size = 1 << (k * (terms - 1)).bit_length()
-    if np.iscomplexobj(table):
-        fft, ifft = np.fft.fft, np.fft.ifft
-    else:
-        fft, ifft = np.fft.rfft, np.fft.irfft
-    spec = fft(table[0], size, axis=1)
-    for row in table[1:]:
-        spec *= fft(row, size, axis=1)
-    return scale * ifft(spec, size, axis=1)[:, :terms]
+    terms = table.shape[2]
+    acc = np.zeros(1 if len(table) else terms, dtype=table.dtype)  # no factors: full length
+    acc[0] = scale
+    for row in table[:, 0]:
+        acc = np.convolve(acc, row)[:terms]
+    return acc[None, :]
 
 
-def _product_tail(
-    scale: float, sums: np.ndarray, rho: float, envelope: np.ndarray
+def _pipelined_product(
+    scale: float, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int
 ) -> np.ndarray:
-    """Rigorous bound on sum_{k>n} |c_k| rho^k per center.
+    """scale * prod_i (c0_i + lead_i u/(1 - t_i u)), coefficients 0..n per column.
 
-    ``sums`` are the factor absolute sums at ``rho`` and ``envelope`` holds
-    each factor's |c_j| rho^j for j <= n.  Coefficientwise, |c_k| is at most
-    the convolution of the factor absolute coefficients, whose weighted series
-    sums exactly to the product of the factor sums; the tail is that product
-    minus the envelope head.
+    Stage i multiplies the running series A by factor i: S_j = A_j + t_i S_(j-1)
+    and B_j = c0_i A_j + lead_i S_(j-1).  It reads stage i-1's output of the
+    step before, so step m runs index m - i of every stage i at once: n + k + 1
+    vectorised steps over (factors, columns), with no power table.
+
+    Roundoff (Higham, ch. 3): a path to coefficient j meets at most j + k
+    complex products, each within sqrt(2) gamma_2 <= (1+u)^3 - 1 (Lemma 3.5),
+    and j + 2k sums, so |c^_j - c_j| <= gamma_(4j+5k) e_j for the factor forms
+    as given, e being the same recurrences on |c0|, |lead|, |t|, done exactly.
+    """
+    k, m = c0.shape
+    x, y = np.zeros((2, k + 1, m), dtype=complex)  # x[0] input, x[1:] stage outputs; y: next x
+    x[0] = scale
+    s = np.zeros_like(c0)
+    out = np.empty((n + k + 1, m), dtype=complex)  # the last stage lags k steps
+    for step in range(n + k + 1):
+        out[step] = x[k]
+        np.multiply(c0, x[:-1], out=y[1:])
+        y[1:] += lead * s
+        s *= t
+        s += x[:-1]
+        x, y = y, x
+        y[0] = 0.0  # the input is scale at step 0 only
+    return out[k:].T
+
+
+def _product_tail(scale: float, sums: np.ndarray, rho: float, head: np.ndarray) -> np.ndarray:
+    """Rigorous bound on sum_{k>n} |c_k| rho^k per center: the product of the
+    factor absolute sums at ``rho`` minus the envelope ``head``, the sum over
+    j <= n of the product of the factors' |c_j| rho^j.  Coefficientwise, |c_k|
+    is at most that product's coefficient, whose series sums to the former.
     """
     if rho == 0.0:
-        return np.zeros(envelope.shape[1])
-    total = sums.prod(axis=0, initial=scale)
-    head = _truncated_product(scale, envelope).sum(axis=1)
-    return np.maximum(0.0, total - head)
+        return np.zeros(head.shape)
+    return np.maximum(0.0, sums.prod(axis=0, initial=scale) - head)
 
 
 def _blaschke_abs_sums(
     f: BlaschkeProduct, centers: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(|c_k| rho^k for k = 0..n, truncation slack) about each center."""
-    sums, q = _factor_abs_sums(f, centers, rho)
+    """(|c_k| rho^k for k = 0..n, truncation slack) about each center.
+
+    One center convolves the factor table.  Several run ``_pipelined_product``
+    on the factor forms and, stacked along the center axis, on their moduli:
+    the envelope, whose computed head h is within gamma_(3n+3k) of the exact
+    one.  The moduli and the caller's sum of them err by gamma_(5n+5k+1) of it,
+    so (Higham, Lemma 3.3) the slack adds gamma_(11(n+k)+2) h to the tail.
+    """
+    c0, lead, t, d = _factor_forms(f, centers, rho)
+    sums, q = _factor_abs_sums(f, centers, d, rho)
     if np.isinf(sums).any():
         raise DomainError("recentred series divergent at this radius")
-    # The table rows are c_j rho^j: they decay, so the spectral product stays
-    # well conditioned even where the raw coefficients grow geometrically.
     n = _adaptive_terms(float(q.max(initial=0.0)), 2.0 ** len(f.zeros))
-    table = _factor_table(f, centers, rho, n)
-    terms = np.abs(_truncated_product(f.scale, table))
-    slacks = _product_tail(f.scale, sums, rho, np.abs(table))
-    if centers.size > 1:  # the spectral kernel ran
-        slacks += _FFT_CUSHION
-    return terms, slacks
+    if centers.size == 1:
+        table = _factor_table(c0, lead, t, n)
+        head = _truncated_product(f.scale, np.abs(table)).sum(axis=1)
+        terms = np.abs(_truncated_product(f.scale, table))
+        return terms, _product_tail(f.scale, sums, rho, head)
+    series = _pipelined_product(f.scale, *(np.hstack([v, abs(v)]) for v in (c0, lead, t)), n)
+    terms, head = np.abs(series[: centers.size]), series[centers.size :].real.sum(axis=1)
+    ops = (11 * (n + len(f.zeros)) + 2) * 2.0 ** -53  # gamma = ops/(1 - ops)
+    return terms, _product_tail(f.scale, sums, rho, head) + ops / (1.0 - ops) * head
 
 
 def _adaptive_terms(q: float, prefactor: float, floor: int = 16) -> int:
@@ -296,11 +315,13 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
         return TaylorSlice(z0, tuple(coeffs), tail, rho if tail else None)
 
     centers = np.array([z0])
-    table = _factor_table(f, centers, 1.0, n)
+    c0, lead, t, d = _factor_forms(f, centers, 1.0)
+    table = _factor_table(c0, lead, t, n)
     coeffs = _truncated_product(f.scale, table)[0]
-    sums, _ = _factor_abs_sums(f, centers, rho)
+    sums, _ = _factor_abs_sums(f, centers, d, rho)
     envelope = np.abs(table) * rho ** np.arange(n + 1)
-    tail = float(_product_tail(f.scale, sums, rho, envelope)[0])
+    head = _truncated_product(f.scale, envelope).sum(axis=1)
+    tail = float(_product_tail(f.scale, sums, rho, head)[0])
     return TaylorSlice(z0, tuple(coeffs), tail, rho if tail else None)
 
 
@@ -349,11 +370,10 @@ def recentered_abs_sums_grid(
 
     ``centers`` is one complex (0-d results) or an array of them.
 
-    Blaschke products go through the one series engine, which picks its
-    product kernel from the number of centers: a single center (and the
-    Maclaurin sums of ``series_abs_sum``, the center-0 case) convolves
-    factor by factor; several centers share one FFT per factor, and only
-    then is a flat cushion for spectral roundoff folded into the slack.
+    Blaschke products go through the one series engine.  A single center
+    (and ``series_abs_sum``, the center-0 case) convolves factor by factor;
+    several run pipelined first-order recurrences, and only then is their
+    roundoff bound, gamma_(11(n+k)+2) times the envelope head, in the slack.
     """
     centers = np.asarray(centers, dtype=complex)
     if np.any(np.abs(centers) >= 1.0):
@@ -397,8 +417,8 @@ def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
         return (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2, 0.0
     x = r * r
     m = max(AREA_TERMS, _adaptive_terms(x, 1.0))
-    table = _factor_table(f, np.zeros(1, dtype=complex), 1.0, m)
-    coeffs = _truncated_product(f.scale, table)[0]
+    c0, lead, t, _ = _factor_forms(f, np.zeros(1, dtype=complex), 1.0)
+    coeffs = _truncated_product(f.scale, _factor_table(c0, lead, t, m))[0]
     ks = np.arange(m + 1)
     head = float(np.sum(ks * np.abs(coeffs) ** 2 * x ** ks))
     # |c_k| <= 1 for any self-map of the disk, so the tail is under sum k x^k.

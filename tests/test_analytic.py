@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,14 +21,37 @@ from bohradii.analytic import (
     recentered_abs_sums_grid,
     series_abs_sum,
     taylor_at_zero,
+    _blaschke_abs_sums,
 )
 from bohradii.errors import DomainError
 
-from support import cauchy_coeffs
+from support import blaschke_series_mp, cauchy_coeffs
 
 
 def corpus_sample(n=24):
     return [random_test_function(1000 + i, 1 + i % 6) for i in range(n)]
+
+
+def gamma(ops):
+    """Higham's gamma_ops = ops*u/(1 - ops*u), u = 2**-53."""
+    return ops * 2.0 ** -53 / (1.0 - ops * 2.0 ** -53)
+
+
+def many_centers(r, count=64):
+    """``count`` centers on |z0| = r, the first moved to 0 (the Maclaurin case)."""
+    centers = r * np.exp(2j * np.pi * np.arange(count) / count)
+    centers[0] = 0.0
+    return centers
+
+
+REPEATED_ZEROS = BlaschkeProduct((0.9,) * 12, 1.0)
+ORACLE_PRODUCTS = {
+    "24 equal zeros at 0.95": BlaschkeProduct((0.95,) * 24, 1.0),
+    "12 equal zeros at 0.9": REPEATED_ZEROS,
+    "12 zeros clustered at 0.9": BlaschkeProduct(tuple(0.9 + 0.001j * i for i in range(12)), 1.0),
+    "seeded degree 24, seed 31": random_test_function(31, 24),
+    "seeded degree 24, seed 32": random_test_function(32, 24),
+}
 
 
 class TestEvaluate:
@@ -156,17 +180,74 @@ class TestSeriesSums:
         direct = sum(abs(c) * rho ** k for k, c in enumerate(sl.coeffs) if k >= 1)
         assert value == pytest.approx(direct, abs=slack + 1e-12)
 
-    @pytest.mark.parametrize("degree", [1, 6, 12, 24])
+    @pytest.mark.parametrize("degree", [1, 6, 12, 24, "repeated"])
     def test_recentered_grid_matches_scalar(self, degree):
-        # the grid takes the spectral kernel, each scalar call the convolution
-        f = random_test_function(9, degree)
+        # the grid takes the pipelined recurrences, each scalar call the
+        # convolution; both lie within their slack of the exact sum, so they
+        # differ by at most the two slacks (the grid's holds its roundoff bound)
+        f = REPEATED_ZEROS if degree == "repeated" else random_test_function(9, degree)
         rho = 0.4
         centers = rho * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
         values, slacks = recentered_abs_sums_grid(f, centers, rho)
-        for z0, v in zip(centers, values):
-            single, _ = recentered_abs_sums_grid(f, z0, rho)
-            assert single == pytest.approx(v, abs=1e-12)
-        assert np.all(slacks < 1e-9)
+        for z0, v, slack in zip(centers, values, slacks):
+            single, single_slack = recentered_abs_sums_grid(f, z0, rho)
+            assert abs(single - v) <= slack + single_slack
+        if degree != "repeated":  # its envelope tail alone is 1.2e-9 at z0 = 0.4
+            assert np.all(slacks < 1e-9)
+
+    @pytest.mark.parametrize("r", [0.4, 0.45])
+    @pytest.mark.parametrize("name", ORACLE_PRODUCTS)
+    def test_many_centers_against_mpmath(self, name, r):
+        # The 24-equal-zeros case guards against the order-k recurrence
+        # c_m = P_m - sum Q_i c_(m-i), which loses up to 9 digits there in
+        # double precision.
+        f = ORACLE_PRODUCTS[name]
+        centers = many_centers(r)
+        terms, slacks = _blaschke_abs_sums(f, centers, r)
+        values, grid_slacks = recentered_abs_sums_grid(f, centers, r)
+        assert np.array_equal(values, terms[:, 1:].sum(axis=1))
+        assert np.array_equal(slacks, grid_slacks)
+        n, k = terms.shape[1] - 1, len(f.zeros)
+        js = np.arange(n + 1)
+        for i in (0, 40):
+            exact, _ = blaschke_series_mp(f, centers[i], r, n + 33)
+            envelope, total = blaschke_series_mp(f, centers[i], r, n + 33, moduli=True)
+            with mpmath.workdps(60):
+                moduli = [abs(c) for c in exact]
+                # per coefficient, plus the modulus: |c^_j| within gamma_(4j+5k+2) e_j
+                coeff_errors = [float(abs(a - b)) for a, b in zip(terms[i], moduli)]
+                error = float(abs(values[i] - mpmath.fsum(moduli[1 : n + 1])))
+                # the exact tail is at most its computed part plus the envelope's rest
+                tail = float(mpmath.fsum(moduli[n + 1 :]) + total - mpmath.fsum(envelope))
+            env = np.array([float(e) for e in envelope[: n + 1]])
+            assert np.all(coeff_errors <= gamma(4 * js + 5 * k + 2) * env)
+            assert error <= gamma(11 * (n + k) + 2) * env.sum()
+            assert slacks[i] >= tail + error
+
+    @pytest.mark.parametrize("rho", [0.0, 0.45])
+    def test_many_centers_zero_free(self, rho):
+        # k = 0: the pipeline has no stage to index; n is the 16-term floor,
+        # the head is the scale and the tail is 0
+        values, slacks = recentered_abs_sums_grid(BlaschkeProduct((), 0.7), many_centers(0.4), rho)
+        assert np.all(values == 0.0)
+        assert np.all((0.0 <= slacks) & (slacks <= gamma(11 * 16 + 2) * 0.7))
+
+    @pytest.mark.parametrize("zero", [0.5, -0.3 + 0.6j])
+    def test_many_centers_degree_one_closed_form(self, zero):
+        rho = 0.45
+        centers = many_centers(rho)
+        values, slacks = recentered_abs_sums_grid(BlaschkeProduct((zero,), 0.8), centers, rho)
+        d = np.abs(1.0 - np.conj(zero) * centers)
+        closed = 0.8 * (1.0 - abs(zero) ** 2) * rho / (d * (d - abs(zero) * rho))
+        assert np.all(np.abs(values - closed) <= slacks)
+        assert np.all(slacks < 1e-12)
+
+    def test_many_centers_rho_zero(self):
+        # n is the 16-term floor and the head, scale * prod |c0|, is below 1
+        f = random_test_function(21, 6)
+        values, slacks = recentered_abs_sums_grid(f, many_centers(0.4), 0.0)
+        assert np.all(values == 0.0)
+        assert np.all((0.0 <= slacks) & (slacks < gamma(11 * (16 + 6) + 2)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_high_degree_slack_stays_small(self, seed):

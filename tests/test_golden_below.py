@@ -1,0 +1,62 @@
+"""The t33/t34 below-radius campaign's report lines, byte for byte.
+
+``golden_cli.txt`` leaves out ``verify --suite below``, which is too slow for
+tier-1.  t33 and t34 are the families whose campaign recentres every corpus
+Blaschke product about many points at once, so two weight pairs each over the
+seed-7 corpus pin the many-center series engine's output through refactors.
+A report's maximum violation is set by the Moebius members and the envelope,
+so each report is followed by one line summing the Blaschke members' totals
+over the campaign's angles, which the many-center sums do reach.
+Rewrite ``golden_below.txt`` only for a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden_below.py
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from bohradii.analytic import BlaschkeProduct
+from bohradii.functionals import bohr_lhs_theta_grid
+from bohradii.radii import Theorem, radius
+from bohradii.verify import (
+    DEFAULT_EPSILON,
+    THETA_POINTS,
+    below_radius_grid,
+    check_below_radius,
+    default_corpus,
+)
+
+GOLDEN = Path(__file__).with_name("golden_below.txt")
+SEED = 7
+
+
+def transcript() -> str:
+    """to_lines() of each report, the first and last pair of each family's
+    grid, then the Blaschke totals' sum to 12 digits (roundoff-level changes
+    of the series engine leave those digits alone)."""
+    corpus = default_corpus(SEED)
+    thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+    lines = []
+    for theorem in (Theorem.T33, Theorem.T34):
+        grid = below_radius_grid(theorem)
+        for w in (grid[0], grid[-1]):
+            lines.extend(check_below_radius(theorem, w, corpus).to_lines())
+            r = radius(theorem, w).value - DEFAULT_EPSILON
+            total = sum(
+                float(bohr_lhs_theta_grid(theorem, f, r, w, thetas)[0].sum())
+                for f in corpus if isinstance(f, BlaschkeProduct)
+            )
+            lines.append(f"  blaschke totals_sum={total:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_below_campaign_matches_golden_transcript():
+    assert transcript() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(transcript())
