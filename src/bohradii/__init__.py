@@ -38,6 +38,7 @@ from .functionals import (
     FunctionalBreakdown,
     b1_factor,
     bohr_lhs,
+    bohr_lhs_theta_corpus,
     bohr_lhs_theta_grid,
     envelope_sup,
     gap,

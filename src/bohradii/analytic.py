@@ -7,21 +7,21 @@ forms, so truncation never pollutes those paths; every truncated sum carries
 a rigorous tail bound.
 
 One evaluator body written with plain operators serves a single point
-(``evaluate``, in Python complex arithmetic) and an array of points
-(``evaluate_grid``, in numpy); only the domain checks differ.
+(``evaluate``, in Python complex arithmetic), an array of points and a
+``_stack`` of functions (``evaluate_grid``, in numpy); only the checks differ.
 
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
 center or many, the area sum) comes from one engine: closed-form factor
 series c0 + lead*u/(1 - t*u), their truncated product, and a tail equal to the
 product of the closed-form factor absolute sums minus the same product's head
 on moduli.  One center convolves; several run pipelined first-order
-recurrences, whose derived roundoff bound joins the slack.
+recurrences with streamed sums, whose derived roundoff bound joins the slack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -74,6 +74,17 @@ class BlaschkeProduct:
 
 
 AnalyticFunction = Union[Polynomial, Moebius, BlaschkeProduct]
+
+
+def _stack(members):
+    """Validated Moebius maps, or Blaschke products of one degree, as one object
+    with a parameter row per member (zeros: factors first); the evaluator, the
+    Moebius closed forms and the series engine (after a unit axis) give each a row."""
+    stack = object.__new__(type(members[0]))
+    for field in fields(stack):
+        rows = np.array([getattr(g, field.name) for g in members])
+        object.__setattr__(stack, field.name, np.moveaxis(rows, 0, -1)[..., None])
+    return stack
 
 
 @dataclass(frozen=True)
@@ -190,10 +201,9 @@ def _truncated_product(scale: float, table: np.ndarray) -> np.ndarray:
     return acc[None, :]
 
 
-def _pipelined_product(
-    scale: float, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int
-) -> np.ndarray:
-    """scale * prod_i (c0_i + lead_i u/(1 - t_i u)), coefficients 0..n per column.
+def _pipelined_product(scale, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int):
+    """Coefficients 0..n of scale * prod_i (c0_i + lead_i u/(1 - t_i u)) per
+    column, yielded one index at a time in a buffer that the next step reuses.
 
     Stage i multiplies the running series A by factor i: S_j = A_j + t_i S_(j-1)
     and B_j = c0_i A_j + lead_i S_(j-1).  It reads stage i-1's output of the
@@ -205,20 +215,19 @@ def _pipelined_product(
     and j + 2k sums, so |c^_j - c_j| <= gamma_(4j+5k) e_j for the factor forms
     as given, e being the same recurrences on |c0|, |lead|, |t|, done exactly.
     """
-    k, m = c0.shape
-    x, y = np.zeros((2, k + 1, m), dtype=complex)  # x[0] input, x[1:] stage outputs; y: next x
+    k = len(c0)
+    x, y = np.zeros((2, k + 1) + c0.shape[1:], dtype=complex)  # x: input, stage outputs; y: next x
     x[0] = scale
     s = np.zeros_like(c0)
-    out = np.empty((n + k + 1, m), dtype=complex)  # the last stage lags k steps
     for step in range(n + k + 1):
-        out[step] = x[k]
+        if step >= k:  # the last stage lags k steps
+            yield x[k]
         np.multiply(c0, x[:-1], out=y[1:])
         y[1:] += lead * s
         s *= t
         s += x[:-1]
         x, y = y, x
         y[0] = 0.0  # the input is scale at step 0 only
-    return out[k:].T
 
 
 def _product_tail(scale: float, sums: np.ndarray, rho: float, head: np.ndarray) -> np.ndarray:
@@ -233,30 +242,39 @@ def _product_tail(scale: float, sums: np.ndarray, rho: float, head: np.ndarray) 
 
 
 def _blaschke_abs_sums(
-    f: BlaschkeProduct, centers: np.ndarray, rho: float
+    f: BlaschkeProduct, centers: np.ndarray, rho: float, start: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(|c_k| rho^k for k = 0..n, truncation slack) about each center.
+    """(sum_{k>=start} |c_k| rho^k, truncation slack) about each center.
 
-    One center convolves the factor table.  Several run ``_pipelined_product``
-    on the factor forms and, stacked along the center axis, on their moduli:
-    the envelope, whose computed head h is within gamma_(3n+3k) of the exact
-    one.  The moduli and the caller's sum of them err by gamma_(5n+5k+1) of it,
-    so (Higham, Lemma 3.3) the slack adds gamma_(11(n+k)+2) h to the tail.
+    One product at one center convolves the factor table.  Otherwise
+    ``_pipelined_product`` runs on the factor forms and, stacked along the
+    center axis, on their moduli (the envelope, whose computed head h is within
+    gamma_(3n+3k) of the exact one), each column summed as it streams, up to
+    its member's n.  The moduli and their sum err by gamma_(5n+5k+1) of h, so
+    (Higham, Lemma 3.3) the slack adds gamma_(11(n+k)+2) h to the tail.
     """
     c0, lead, t, d = _factor_forms(f, centers, rho)
     sums, q = _factor_abs_sums(f, centers, d, rho)
     if np.isinf(sums).any():
         raise DomainError("recentred series divergent at this radius")
-    n = _adaptive_terms(float(q.max(initial=0.0)), 2.0 ** len(f.zeros))
-    if centers.size == 1:
-        table = _factor_table(c0, lead, t, n)
+    reach = q.max(axis=(0, -1), initial=0.0, keepdims=True)[0]  # per stack member
+    n = np.array([_adaptive_terms(x, 2.0 ** len(c0)) for x in reach.flat]).reshape(reach.shape)
+    if c0.shape[1:] == (1,):
+        table = _factor_table(c0, lead, t, int(n[0]))
         head = _truncated_product(f.scale, np.abs(table)).sum(axis=1)
         terms = np.abs(_truncated_product(f.scale, table))
-        return terms, _product_tail(f.scale, sums, rho, head)
-    series = _pipelined_product(f.scale, *(np.hstack([v, abs(v)]) for v in (c0, lead, t)), n)
-    terms, head = np.abs(series[: centers.size]), series[centers.size :].real.sum(axis=1)
-    ops = (11 * (n + len(f.zeros)) + 2) * 2.0 ** -53  # gamma = ops/(1 - ops)
-    return terms, _product_tail(f.scale, sums, rho, head) + ops / (1.0 - ops) * head
+        return terms[:, start:].sum(axis=1), _product_tail(f.scale, sums, rho, head)
+    c0, lead, t = [np.concatenate([v, abs(v)], axis=-1) for v in (c0, lead, t)]
+    steps = _pipelined_product(f.scale, c0, lead, t, int(n.max()))
+    acc = np.abs(next(steps))
+    if start:
+        acc[..., : centers.size] = 0.0  # the envelope head still starts at j = 0
+    for j, step in enumerate(steps, 1):
+        np.add(acc, np.abs(step), out=acc, where=j <= n)
+    values, head = acc[..., : centers.size], acc[..., centers.size :]
+    ops = (11 * (n + len(c0)) + 2) * 2.0 ** -53  # gamma = ops/(1 - ops)
+    sums = np.concatenate([np.broadcast_to(f.scale, sums.shape[1:])[None], sums])  # scale as row 0
+    return values, _product_tail(1.0, sums, rho, head) + ops / (1.0 - ops) * head
 
 
 def _adaptive_terms(q: float, prefactor: float, floor: int = 16) -> int:
@@ -359,8 +377,8 @@ def series_abs_sum(f: AnalyticFunction, rho: float, start: int = 0) -> tuple[flo
         series = (1.0 - a * a) * rho / (1.0 - a * rho)
         return (a + series if start == 0 else series), 0.0
 
-    terms, slacks = _blaschke_abs_sums(f, np.zeros(1, dtype=complex), rho)
-    return float(terms[0, start:].sum()), float(slacks[0])
+    values, slacks = _blaschke_abs_sums(f, np.zeros(1, dtype=complex), rho, start)
+    return float(values[0]), float(slacks[0])
 
 
 def recentered_abs_sums_grid(
@@ -368,12 +386,14 @@ def recentered_abs_sums_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sum_{k>=1} |c_k(z0)| rho^k, truncation slack) for each center z0.
 
-    ``centers`` is one complex (0-d results) or an array of them.
+    ``centers`` is one complex (0-d results) or an array of them; a ``_stack``
+    takes a 1-d array and gives each member a row, in member order.
 
     Blaschke products go through the one series engine.  A single center
     (and ``series_abs_sum``, the center-0 case) convolves factor by factor;
-    several run pipelined first-order recurrences, and only then is their
-    roundoff bound, gamma_(11(n+k)+2) times the envelope head, in the slack.
+    several run pipelined first-order recurrences with streamed sums, and only
+    then is their roundoff bound, gamma_(11(n+k)+2) times the envelope head,
+    in the slack.
     """
     centers = np.asarray(centers, dtype=complex)
     if np.any(np.abs(centers) >= 1.0):
@@ -396,8 +416,9 @@ def recentered_abs_sums_grid(
         values = (1.0 - a * a) * rho / (d_abs * (d_abs - a * rho))
         return values, np.zeros_like(values)
 
-    terms, slacks = _blaschke_abs_sums(f, centers.ravel(), rho)
-    return terms[:, 1:].sum(axis=1).reshape(centers.shape), slacks.reshape(centers.shape)
+    values, slacks = _blaschke_abs_sums(f, centers.ravel(), rho)
+    shape = values.shape[:-1] + centers.shape
+    return values.reshape(shape), slacks.reshape(shape)
 
 
 # -- area functional -------------------------------------------------------------

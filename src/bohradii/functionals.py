@@ -6,9 +6,9 @@ over all functions sharing that a (``majorant``) and its numerator-minus-
 denominator form (``gap``); gap <= 0 exactly when the majorant is at most 1.
 
 The left-hand side has one body for its terms, shared by a single point
-(``bohr_lhs``) and by an array of angles at one radius
-(``bohr_lhs_theta_grid``); both add modulus + constant + series + area in
-that order.
+(``bohr_lhs``) and by an array of angles at one radius for a corpus
+(``bohr_lhs_theta_corpus``; ``bohr_lhs_theta_grid`` for one function); both
+add modulus + constant + series + area in that order.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ import numpy as np
 
 from .analytic import (
     AnalyticFunction,
+    BlaschkeProduct,
+    Polynomial,
+    _stack,
     area_sum_and_tail,
     certify_bounded,
     evaluate,
@@ -31,6 +34,7 @@ from .errors import DomainError, UncertifiedFunctionError
 from .radii import Theorem, WeightPair
 
 ENVELOPE_GRID = 512
+STACK_COLUMNS = 1024  # series-pipeline columns per Blaschke stack: members x angles x 2
 A_CAP = 1.0 - 1e-9  # the a -> 1 boundary is removable; stay just inside
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -121,6 +125,42 @@ def bohr_lhs(
     return FunctionalBreakdown(theorem, total, modulus, constant, series, area, slack)
 
 
+def bohr_lhs_theta_corpus(
+    theorem: Theorem, fs, r: float, w: WeightPair, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bohr_lhs_theta_grid`` of each of ``fs``, one row each, bit for bit.  All
+    are checked first, in order; then the Moebius maps, and Blaschke products of
+    one degree (up to STACK_COLUMNS pipeline columns), run ``_terms`` as one
+    ``_stack`` (Blaschke r-only terms, outside t33/t34, per member); polynomials
+    one by one.
+    """
+    groups: dict = {}
+    for i, f in enumerate(fs):
+        _require(theorem, f, w)
+        if not (0.0 <= r < 1.0):
+            raise DomainError(f"r must lie in [0, 1), got {r}")
+        shape = i if isinstance(f, Polynomial) else len(getattr(f, "zeros", ()))
+        groups.setdefault((type(f), shape), []).append(i)
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    zs = r * np.exp(1j * thetas)
+    totals, slacks = np.empty((2, len(fs), thetas.size))
+    per_run = max(1, STACK_COLUMNS // max(1, 2 * thetas.size))
+    for (kind, _), rows in groups.items():
+        step = per_run if kind is BlaschkeProduct else len(rows)
+        for part in (rows[lo : lo + step] for lo in range(0, len(rows), step)):
+            members = [fs[i] for i in part]
+            f = members[0] if len(part) == 1 else _stack(members)
+            modulus = w.alpha * np.abs(evaluate_grid(f, zs)) if theorem in _HAS_MODULUS else 0.0
+            if isinstance(f, BlaschkeProduct) and theorem not in _RECENTERED:
+                terms = np.array([_terms(theorem, g, w, r, None) for g in members]).T[..., None]
+            else:
+                terms = _terms(theorem, f, w, r, zs)
+            constant, series, area, slack = terms
+            totals[part] = modulus + constant + series + area
+            slacks[part] = slack
+    return totals, slacks
+
+
 def bohr_lhs_theta_grid(
     theorem: Theorem, f: AnalyticFunction, r: float, w: WeightPair, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,17 +171,8 @@ def bohr_lhs_theta_grid(
     complex operations may round differently from ``bohr_lhs``'s in the
     last bits.
     """
-    _require(theorem, f, w)
-    if not (0.0 <= r < 1.0):
-        raise DomainError(f"r must lie in [0, 1), got {r}")
-    thetas = np.asarray(thetas, dtype=float)
-    zs = r * np.exp(1j * thetas)
-    if theorem in _HAS_MODULUS:
-        modulus = w.alpha * np.abs(evaluate_grid(f, zs))
-    else:
-        modulus = np.zeros(thetas.shape)
-    constant, series, area, slack = _terms(theorem, f, w, r, zs)
-    return modulus + constant + series + area, np.full(thetas.shape, slack)
+    totals, slacks = bohr_lhs_theta_corpus(theorem, [f], r, w, thetas)
+    return totals[0].reshape(np.shape(thetas)), slacks[0].reshape(np.shape(thetas))
 
 
 # -- closed-form majorants and gap functions -------------------------------------
@@ -198,6 +229,10 @@ def majorant(theorem: Theorem, a, r, w: WeightPair):
     Accepts scalars or numpy arrays in ``a`` and ``r``.
     """
     _check_ar(theorem, a, r, w)
+    return _majorant(theorem, a, r, w)
+
+
+def _majorant(theorem: Theorem, a, r, w: WeightPair):
     num, den = _fraction(theorem, a, r, w)
     value = num / den
     if theorem is Theorem.T36:
@@ -292,14 +327,14 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, fl
 
 def envelope_sup(theorem: Theorem, r: float, w: WeightPair) -> EnvelopeSup:
     """max over a in [0, 1 - 1e-9] of the majorant: 512-point grid scan, then
-    golden-section refinement on the best cell.  Deterministic."""
+    golden-section refinement on the best cell, unchecked, in floats.  Deterministic."""
     grid = np.linspace(0.0, A_CAP, ENVELOPE_GRID)
     values = majorant(theorem, grid, r, w)
     best = int(np.argmax(values))
     best_a, best_v = float(grid[best]), float(values[best])
     lo = float(grid[max(0, best - 1)])
     hi = float(grid[min(ENVELOPE_GRID - 1, best + 1)])
-    ref_a, ref_v = _golden_max(lambda a: float(majorant(theorem, a, r, w)), lo, hi)
+    ref_a, ref_v = _golden_max(lambda a: float(_majorant(theorem, a, r, w)), lo, hi)
     if ref_v > best_v:
         return EnvelopeSup(ref_v, ref_a)
     return EnvelopeSup(best_v, best_a)

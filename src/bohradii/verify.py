@@ -2,6 +2,8 @@
 
 Campaign cells are independent and merged in deterministic index order; seeds
 are derived per corpus member, so results do not depend on evaluation order.
+The below-radius campaign evaluates its corpus in stacks by shape, then reads
+the results in corpus order.
 A report's witnesses carry the full function record and angle, which makes
 every recorded left-hand-side value re-checkable bit-for-bit.
 """
@@ -25,7 +27,7 @@ from .errors import NotApplicableError, PreconditionError
 from .functionals import (
     _golden_max,
     bohr_lhs,
-    bohr_lhs_theta_grid,
+    bohr_lhs_theta_corpus,
     envelope_sup,
     sharpness_fn,
 )
@@ -130,11 +132,10 @@ def check_below_radius(
         )
     r = cert.value - epsilon
     thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+    totals, slacks = bohr_lhs_theta_corpus(theorem, functions, r, w, thetas)
     max_violation = -math.inf
     witnesses: list[Witness] = []
-    for f in functions:
-        totals, slacks = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
-        violations = totals - 1.0 - slacks
+    for f, violations in zip(functions, totals - 1.0 - slacks):
         worst = int(np.argmax(violations))
         max_violation = max(max_violation, float(violations[worst]))
         if violations[worst] > BELOW_RADIUS_TOL:

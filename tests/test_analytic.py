@@ -21,7 +21,11 @@ from bohradii.analytic import (
     recentered_abs_sums_grid,
     series_abs_sum,
     taylor_at_zero,
+    _adaptive_terms,
     _blaschke_abs_sums,
+    _factor_abs_sums,
+    _factor_forms,
+    _pipelined_product,
 )
 from bohradii.errors import DomainError
 
@@ -203,9 +207,17 @@ class TestSeriesSums:
         # double precision.
         f = ORACLE_PRODUCTS[name]
         centers = many_centers(r)
-        terms, slacks = _blaschke_abs_sums(f, centers, r)
+        c0, lead, t, d = _factor_forms(f, centers, r)
+        n = _adaptive_terms(float(_factor_abs_sums(f, centers, d, r)[1].max()), 2.0 ** len(c0))
+        # the pipeline's per-step outputs on the columns the streamed sums
+        # consume: the terms' columns, then the envelope's
+        forms = (np.concatenate([v, abs(v)], axis=-1) for v in (c0, lead, t))
+        steps = np.array([np.abs(c) for c in _pipelined_product(f.scale, *forms, n)])
+        terms = steps[:, : centers.size].T
+        sums, slacks = _blaschke_abs_sums(f, centers, r)
         values, grid_slacks = recentered_abs_sums_grid(f, centers, r)
         assert np.array_equal(values, terms[:, 1:].sum(axis=1))
+        assert np.array_equal(values, sums)
         assert np.array_equal(slacks, grid_slacks)
         n, k = terms.shape[1] - 1, len(f.zeros)
         js = np.arange(n + 1)

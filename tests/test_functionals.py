@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from bohradii.analytic import Moebius, Polynomial, evaluate, random_test_function
+from bohradii.analytic import (
+    BlaschkeProduct,
+    Moebius,
+    Polynomial,
+    evaluate,
+    random_test_function,
+)
 from bohradii.errors import DomainError, UncertifiedFunctionError
 from bohradii.functionals import (
+    STACK_COLUMNS,
     b1_factor,
     bohr_lhs,
+    bohr_lhs_theta_corpus,
     bohr_lhs_theta_grid,
     envelope_sup,
     gap,
@@ -17,7 +25,7 @@ from bohradii.functionals import (
 )
 from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.rootfind import Bracket, bisect_unique_root
-from bohradii.verify import below_radius_grid
+from bohradii.verify import DEFAULT_EPSILON, THETA_POINTS, below_radius_grid
 
 RNG = np.random.default_rng(2024)
 
@@ -115,6 +123,38 @@ class TestBohrLhs:
             for z, total, slack in zip(r * np.exp(1j * thetas), totals, slacks):
                 single = bohr_lhs(theorem, f, complex(z), w)
                 assert (single.total, single.truncation_slack) == (total, slack)
+
+
+def mixed_corpus():
+    """Every shape a stack meets: a polynomial, Moebius maps, a zero-free
+    product, degree 1, 12 equal zeros (a term count unlike its degree-12
+    mates') and each of degrees 1-6 more often than one stack holds."""
+    return [
+        Polynomial((0.3, 0.2j, -0.25)),
+        Moebius(0.0),
+        BlaschkeProduct((), 0.7),
+        BlaschkeProduct((0.4 - 0.2j,), 0.9),
+        *(random_test_function(600 + i, 12) for i in range(3)),
+        BlaschkeProduct((0.9,) * 12, 1.0),
+        Moebius(0.97),
+        *(random_test_function(700 + i, 1 + i % 6) for i in range(60)),
+        Moebius(0.5),
+    ]
+
+
+class TestCorpusStacks:
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_rows_equal_one_function_calls_bit_for_bit(self, theorem):
+        corpus = mixed_corpus()
+        assert STACK_COLUMNS // (2 * THETA_POINTS) < 10  # degree 1-6 stacks split
+        thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+        for w in (below_radius_grid(theorem)[0], below_radius_grid(theorem)[-1]):
+            r = radius(theorem, w).value - DEFAULT_EPSILON
+            totals, slacks = bohr_lhs_theta_corpus(theorem, corpus, r, w, thetas)
+            assert totals.shape == slacks.shape == (len(corpus), THETA_POINTS)
+            for f, total, slack in zip(corpus, totals, slacks):
+                alone = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
+                assert np.array_equal(total, alone[0]) and np.array_equal(slack, alone[1])
 
 
 class TestMajorant:
@@ -285,6 +325,14 @@ class TestEnvelopeSup:
         ]
         for lo, hi in zip(sups, sups[1:]):
             assert hi >= lo - 1e-12
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_refinement_is_the_checked_majorant(self, theorem):
+        # the golden-section steps skip majorant's domain checks, not its value
+        w = below_radius_grid(theorem)[-1]
+        r = radius(theorem, w).value - DEFAULT_EPSILON
+        env = envelope_sup(theorem, r, w)
+        assert env.sup == float(majorant(theorem, env.argmax_a, r, w))
 
     def test_deterministic(self):
         w = WeightPair(0.9, 1.4)

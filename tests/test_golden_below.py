@@ -1,12 +1,14 @@
-"""The t33/t34 below-radius campaign's report lines, byte for byte.
+"""The below-radius campaign's report lines, byte for byte.
 
 ``golden_cli.txt`` leaves out ``verify --suite below``, which is too slow for
-tier-1.  t33 and t34 are the families whose campaign recentres every corpus
-Blaschke product about many points at once, so two weight pairs each over the
-seed-7 corpus pin the many-center series engine's output through refactors.
-A report's maximum violation is set by the Moebius members and the envelope,
-so each report is followed by one line summing the Blaschke members' totals
-over the campaign's angles, which the many-center sums do reach.
+tier-1.  Two weight pairs per family over the seed-7 corpus pin the campaign
+through refactors.  t33 and t34 are the families whose campaign recentres
+every corpus Blaschke product about many points at once, so they come first
+and pin the many-center series engine.  A report's maximum violation is set by
+the Moebius members and the envelope, so each report is followed by the sum of
+the Blaschke members' totals over the campaign's angles, which the
+many-center sums do reach; the other four families also get the Moebius
+members' sum.
 Rewrite ``golden_below.txt`` only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_below.py
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bohradii.analytic import BlaschkeProduct
+from bohradii.analytic import BlaschkeProduct, Moebius
 from bohradii.functionals import bohr_lhs_theta_grid
 from bohradii.radii import Theorem, radius
 from bohradii.verify import (
@@ -32,25 +34,28 @@ from bohradii.verify import (
 
 GOLDEN = Path(__file__).with_name("golden_below.txt")
 SEED = 7
+KINDS = (("moebius", Moebius), ("blaschke", BlaschkeProduct))
 
 
 def transcript() -> str:
     """to_lines() of each report, the first and last pair of each family's
-    grid, then the Blaschke totals' sum to 12 digits (roundoff-level changes
-    of the series engine leave those digits alone)."""
+    grid, then the members' totals summed per kind to 12 digits
+    (roundoff-level changes of the series engine leave those digits alone)."""
     corpus = default_corpus(SEED)
     thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
     lines = []
-    for theorem in (Theorem.T33, Theorem.T34):
+    for theorem in (Theorem.T33, Theorem.T34, Theorem.T31, Theorem.T32, Theorem.T35, Theorem.T36):
+        kinds = KINDS[1:] if theorem in (Theorem.T33, Theorem.T34) else KINDS
         grid = below_radius_grid(theorem)
         for w in (grid[0], grid[-1]):
             lines.extend(check_below_radius(theorem, w, corpus).to_lines())
             r = radius(theorem, w).value - DEFAULT_EPSILON
-            total = sum(
-                float(bohr_lhs_theta_grid(theorem, f, r, w, thetas)[0].sum())
-                for f in corpus if isinstance(f, BlaschkeProduct)
-            )
-            lines.append(f"  blaschke totals_sum={total:.12g}")
+            for name, kind in kinds:
+                total = sum(
+                    float(bohr_lhs_theta_grid(theorem, f, r, w, thetas)[0].sum())
+                    for f in corpus if isinstance(f, kind)
+                )
+                lines.append(f"  {name} totals_sum={total:.12g}")
     return "\n".join(lines) + "\n"
 
 

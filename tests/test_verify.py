@@ -5,7 +5,7 @@ import pytest
 
 from bohradii import verify
 from bohradii.analytic import Moebius, Polynomial
-from bohradii.errors import NotApplicableError, PreconditionError
+from bohradii.errors import NotApplicableError, PreconditionError, UncertifiedFunctionError
 from bohradii.functionals import sharpness_fn
 from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.verify import (
@@ -74,6 +74,18 @@ class TestCheckBelowRadius:
             Theorem.T35, WeightPair(0.9, 0.1), default_corpus(7, size=40)
         )
         assert report.passed
+
+    @pytest.mark.parametrize("theorem", [Theorem.T31, Theorem.T33])
+    def test_first_uncertified_member_raises(self, theorem):
+        # the corpus is evaluated in stacks by shape, but every member is
+        # certified first and in order, as one call per member would be
+        blaschke = default_corpus(7, size=20)[10:]
+        corpus = blaschke + [Polynomial((0.9, 0.9)), Polynomial((0.8, 0.8))]
+        with pytest.raises(UncertifiedFunctionError) as err:
+            check_below_radius(theorem, below_radius_grid(theorem)[0], corpus)
+        assert str(err.value) == (
+            "function not certified as a disk self-map (sup estimate 1.802761165418194)"
+        )
 
     def test_epsilon_gate(self):
         with pytest.raises(PreconditionError):
