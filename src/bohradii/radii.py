@@ -1,9 +1,13 @@
 """The six two-parameter radius families, with explicit regime-branch selection.
 
-Every root-branch value is produced by certified bisection on an analytically
+Each family is described once: ``_closed_form`` holds its closed-form regimes
+and ``_branch`` its root branch (which polynomials to certify on [0, top],
+which root is the radius), certified by bisection on an analytically
 justified bracket; printed closed forms are evaluated only as cross-checks.
-``radius_grid`` certifies whole arrays of weight pairs in one lockstep pass
-with the same checks and the same bits as ``radius``.
+``_branch`` runs on two root finders: ``radius`` solves one weight pair with
+``bisect_unique_root``, ``radius_grid`` whole arrays in one lockstep
+``bisect_grid`` pass with the same checks and bits.  Both are kept: a one-cell
+grid costs about 50 scalar calls, a 64x64 grid a tenth to a twentieth of its.
 """
 
 from __future__ import annotations
@@ -180,7 +184,117 @@ def t32_linear(alpha: float, beta: float) -> bool:
     return abs(beta - BRANCH_POINTS[Theorem.T32](alpha)) <= REGIME_BOUNDARY_TOL
 
 
-# -- radius operations --------------------------------------------------------
+# -- one description per family, two root finders ------------------------------
+
+def _cap(theorem: Theorem, alpha):
+    """Top of the t35/t36 cubic bracket, which is also their constant branch."""
+    return 1.0 / 3.0 if theorem is Theorem.T35 else t36_cap(alpha)
+
+
+def _branch(theorem: Theorem, w, solve, pick):
+    """A family's root branch, written once for ``radius`` and ``radius_grid``.
+
+    ``solve(poly, top)`` certifies the unique root of ``poly`` on [0, top] and
+    ``pick(cond, a, b)`` is ``a`` where ``cond`` holds, else ``b``: one
+    WeightPair with ``bisect_unique_root`` and a conditional, or arrays with
+    ``bisect_grid`` and ``np.where``.  Returns (root, regime, roots certified).
+    """
+    if theorem in (Theorem.T31, Theorem.T32):
+        root = solve((t31_quadratic if theorem is Theorem.T31 else t32_quadratic)(w), 1.0)
+        return root, "quadratic", (root,)
+    if theorem in (Theorem.T35, Theorem.T36):
+        root = solve(area_cubic(w), _cap(theorem, w.alpha))
+        return root, "cubic", (root,)
+    r1 = solve(eq21_poly(w), 0.5)
+    if theorem is Theorem.T34:
+        r2 = solve(eq22_poly(w), 0.5)
+        return r2, "closed-form", (r1, r2)
+    r3 = solve(t33_cubic(w), 0.5)
+    first = r1.value <= r3.value
+    return pick(first, r1, r3), pick(first, "r1star", "r3star"), (r1, r3)
+
+
+def _closed_form(theorem: Theorem, w: WeightPair) -> Optional[RadiusCertificate]:
+    """The scalar closed-form regimes, or None where the root branch applies:
+    the t31/t32 lines, where the quadratic degenerates to (4*alpha - 1)*r - 1
+    or alpha - (alpha + 2)*r; t35/t36 below their thresholds, pinned at the
+    cap; and their cubic root colliding with the cap (roundoff P(cap) < 0)."""
+    a, b = w.alpha, w.beta
+    if theorem is Theorem.T31 and t31_linear(a, b):
+        value = 1.0 / (4.0 * a - 1.0)
+        return RadiusCertificate(theorem, value, "linear", abs((4.0 * a - 1.0) * value - 1.0), None)
+    if theorem is Theorem.T32 and t32_linear(a, b):
+        value = a / (a + 2.0)
+        return RadiusCertificate(theorem, value, "linear", abs(-(a + 2.0) * value + a), None)
+    if theorem not in (Theorem.T35, Theorem.T36):
+        return None
+    cap = _cap(theorem, a)
+    if b < BRANCH_POINTS[theorem](a):
+        return RadiusCertificate(theorem, cap, "constant", 0.0, None)
+    fcap = polyval(area_cubic(w), cap)
+    if not fcap < 0.0:
+        return None
+    # only reachable within float noise of the threshold
+    if abs(fcap) > 1e-12:
+        raise DomainError(f"cubic branch requested but P({cap}) = {fcap} < 0")
+    root = CertifiedRoot(cap, abs(fcap), Bracket(cap - WIDTH_TOL, cap), 0)
+    return RadiusCertificate(theorem, cap, "cubic", root.residual, root.bracket, (root,))
+
+
+def _solve(poly, top: float) -> CertifiedRoot:
+    return bisect_unique_root(poly, Bracket(0.0, top))
+
+
+def _pick(cond, a, b):
+    return a if cond else b
+
+
+def _certificate(theorem: Theorem, w: WeightPair) -> RadiusCertificate:
+    """Body of ``radius`` and each ``radius_t3x``: a tracer wrapping both counts a call once."""
+    w.require(theorem)
+    closed = _closed_form(theorem, w)
+    if closed is not None:
+        return closed
+    root, regime, roots = _branch(theorem, w, _solve, _pick)
+    # t34 solves r1* only to certify it; its radius is r2* alone
+    components = roots if theorem is Theorem.T33 else (root,)
+    return RadiusCertificate(theorem, root.value, regime, root.residual, root.bracket, components)
+
+
+def radius(theorem: Theorem, w: WeightPair) -> RadiusCertificate:
+    """The family's certified radius: a closed-form regime, else its root branch."""
+    return _certificate(theorem, w)
+
+
+def radius_t31(w: WeightPair) -> RadiusCertificate:
+    """Sharp radius of the value + constant + series family (linear or quadratic)."""
+    return _certificate(Theorem.T31, w)
+
+
+def radius_t32(w: WeightPair) -> RadiusCertificate:
+    """Radius of the value + series family (linear or quadratic)."""
+    return _certificate(Theorem.T32, w)
+
+
+def radius_t33(w: WeightPair) -> RadiusCertificate:
+    """min(r1*, r3*) for the recentred-derivative family with beta >= alpha."""
+    return _certificate(Theorem.T33, w)
+
+
+def radius_t34(w: WeightPair) -> RadiusCertificate:
+    """r2* for the recentred-derivative family with beta < alpha."""
+    return _certificate(Theorem.T34, w)
+
+
+def radius_t35(w: WeightPair) -> RadiusCertificate:
+    """Radius of the series + area family: 1/3, or the cubic root in (0, 1/3]."""
+    return _certificate(Theorem.T35, w)
+
+
+def radius_t36(w: WeightPair) -> RadiusCertificate:
+    """t35 plus the constant term: 1/(2*alpha + 1), or the cubic root below it."""
+    return _certificate(Theorem.T36, w)
+
 
 def lemma24_roots(w: WeightPair) -> tuple[CertifiedRoot, CertifiedRoot]:
     """Certified roots (r1*, r2*) of the two ordering quadratics on (0, 1/2).
@@ -189,122 +303,7 @@ def lemma24_roots(w: WeightPair) -> tuple[CertifiedRoot, CertifiedRoot]:
     r1* > r2* holds.
     """
     w.require(Theorem.T34)
-    r1 = bisect_unique_root(eq21_poly(w), Bracket(0.0, 0.5))
-    r2 = bisect_unique_root(eq22_poly(w), Bracket(0.0, 0.5))
-    return r1, r2
-
-
-def radius_t31(w: WeightPair) -> RadiusCertificate:
-    """Sharp radius of the value + constant + series family.
-
-    Linear regime at beta == alpha - 1/2 (then the defining quadratic
-    degenerates to (4*alpha - 1)*r - 1); otherwise the unique root of the
-    quadratic in (0, 1), selected by bracketing.
-    """
-    w.require(Theorem.T31)
-    a = w.alpha
-    if t31_linear(a, w.beta):
-        value = 1.0 / (4.0 * a - 1.0)
-        residual = abs((4.0 * a - 1.0) * value - 1.0)
-        return RadiusCertificate(Theorem.T31, value, "linear", residual, None)
-    root = bisect_unique_root(t31_quadratic(w), Bracket(0.0, 1.0))
-    return RadiusCertificate(
-        Theorem.T31, root.value, "quadratic", root.residual, root.bracket, (root,)
-    )
-
-
-def radius_t32(w: WeightPair) -> RadiusCertificate:
-    """Radius of the value + series family.
-
-    Linear regime alpha/(alpha + 2) at beta == 1/2; otherwise the unique root
-    of the defining quadratic in (0, 1).
-    """
-    w.require(Theorem.T32)
-    a = w.alpha
-    if t32_linear(a, w.beta):
-        value = a / (a + 2.0)
-        residual = abs(-(a + 2.0) * value + a)
-        return RadiusCertificate(Theorem.T32, value, "linear", residual, None)
-    root = bisect_unique_root(t32_quadratic(w), Bracket(0.0, 1.0))
-    return RadiusCertificate(
-        Theorem.T32, root.value, "quadratic", root.residual, root.bracket, (root,)
-    )
-
-
-def radius_t33(w: WeightPair) -> RadiusCertificate:
-    """min(r1*, r3*) for the recentred-derivative family with beta >= alpha."""
-    w.require(Theorem.T33)
-    r1 = bisect_unique_root(eq21_poly(w), Bracket(0.0, 0.5))
-    r3 = bisect_unique_root(t33_cubic(w), Bracket(0.0, 0.5))
-    if r1.value <= r3.value:
-        chosen, regime = r1, "r1star"
-    else:
-        chosen, regime = r3, "r3star"
-    return RadiusCertificate(
-        Theorem.T33, chosen.value, regime, chosen.residual, chosen.bracket, (r1, r3)
-    )
-
-
-def radius_t34(w: WeightPair) -> RadiusCertificate:
-    """r2* for the recentred-derivative family with beta < alpha."""
-    _, r2 = lemma24_roots(w)
-    return RadiusCertificate(
-        Theorem.T34, r2.value, "closed-form", r2.residual, r2.bracket, (r2,)
-    )
-
-
-def _root_up_to_cap(poly: tuple[float, ...], cap: float) -> CertifiedRoot:
-    """Unique root of ``poly`` on (0, cap]; tolerates roundoff collision at cap."""
-    fcap = polyval(poly, cap)
-    if fcap < 0.0:
-        # Only reachable within float noise of the regime threshold, where the
-        # root coincides with the cap.
-        if abs(fcap) > 1e-12:
-            raise DomainError(f"cubic branch requested but P({cap}) = {fcap} < 0")
-        return CertifiedRoot(cap, abs(fcap), Bracket(cap - WIDTH_TOL, cap), 0)
-    return bisect_unique_root(poly, Bracket(0.0, cap))
-
-
-def radius_t35(w: WeightPair) -> RadiusCertificate:
-    """Radius of the series + area family: 1/3, or the cubic root in (0, 1/3]."""
-    w.require(Theorem.T35)
-    if w.beta < t35_threshold(w.alpha):
-        return RadiusCertificate(Theorem.T35, 1.0 / 3.0, "constant", 0.0, None)
-    root = _root_up_to_cap(area_cubic(w), 1.0 / 3.0)
-    return RadiusCertificate(
-        Theorem.T35, root.value, "cubic", root.residual, root.bracket, (root,)
-    )
-
-
-def radius_t36(w: WeightPair) -> RadiusCertificate:
-    """Radius of the series + constant + area family.
-
-    1/(2*alpha + 1) below the threshold, otherwise the unique root of the same
-    cubic as t35 in (0, 1/(2*alpha + 1)].
-    """
-    w.require(Theorem.T36)
-    cap = t36_cap(w.alpha)
-    if w.beta < t36_threshold(w.alpha):
-        return RadiusCertificate(Theorem.T36, cap, "constant", 0.0, None)
-    root = _root_up_to_cap(area_cubic(w), cap)
-    return RadiusCertificate(
-        Theorem.T36, root.value, "cubic", root.residual, root.bracket, (root,)
-    )
-
-
-_RADIUS_OPS = {
-    Theorem.T31: radius_t31,
-    Theorem.T32: radius_t32,
-    Theorem.T33: radius_t33,
-    Theorem.T34: radius_t34,
-    Theorem.T35: radius_t35,
-    Theorem.T36: radius_t36,
-}
-
-
-def radius(theorem: Theorem, w: WeightPair) -> RadiusCertificate:
-    """Dispatch to the family-specific radius operation."""
-    return _RADIUS_OPS[theorem](w)
+    return _branch(Theorem.T34, w, _solve, _pick)[2]
 
 
 # -- whole grids in lockstep -----------------------------------------------------
@@ -333,11 +332,6 @@ class RadiusGrid(NamedTuple):
     admissible: np.ndarray
 
 
-def _valid(w: _Weights) -> np.ndarray:
-    """Where WeightPair(alpha, beta) would construct without a DomainError."""
-    return (0.0 < w.alpha) & (w.alpha <= 1.0) & (0.0 < w.beta) & (w.beta < math.inf)
-
-
 def _per_alpha(threshold, alpha: np.ndarray) -> np.ndarray:
     """``threshold`` once per distinct alpha, on Python floats: their ``**``
     (libm pow) may round differently from numpy's squaring."""
@@ -345,79 +339,40 @@ def _per_alpha(threshold, alpha: np.ndarray) -> np.ndarray:
     return np.array([threshold(a) for a in values.tolist()])[index.reshape(np.shape(alpha))]
 
 
-def _where_root(cond, a: RootGrid, b: RootGrid) -> RootGrid:
-    return RootGrid(*(np.where(cond, x, y) for x, y in zip(a, b)))
-
-
-def _grid_t31(w: _Weights):
-    root = bisect_grid(t31_quadratic(w), 0.0, 1.0)
-    return root, "quadratic", ~root.ok | t31_linear(w.alpha, w.beta)
-
-
-def _grid_t32(w: _Weights):
-    root = bisect_grid(t32_quadratic(w), 0.0, 1.0)
-    return root, "quadratic", ~root.ok | t32_linear(w.alpha, w.beta)
-
-
-def _grid_t33(w: _Weights):
-    r1 = bisect_grid(eq21_poly(w), 0.0, 0.5)
-    r3 = bisect_grid(t33_cubic(w), 0.0, 0.5)
-    first = r1.value <= r3.value
-    return _where_root(first, r1, r3), np.where(first, "r1star", "r3star"), ~(r1.ok & r3.ok)
-
-
-def _grid_t34(w: _Weights):
-    r1 = bisect_grid(eq21_poly(w), 0.0, 0.5)
-    r2 = bisect_grid(eq22_poly(w), 0.0, 0.5)
-    return r2, "closed-form", ~(r1.ok & r2.ok)
-
-
-def _grid_capped(w: _Weights, cap, constant: np.ndarray):
-    """t35/t36: ``cap`` where ``constant``, else the area cubic's root on
-    (0, cap].  A root colliding with the cap, which ``_root_up_to_cap``
-    settles, has P(cap) <= 0 while P(0) = -alpha < 0: it fails the sign test
-    or is an endpoint root, and is left to the scalar path like every
-    unfinished cell."""
-    root = bisect_grid(area_cubic(w), 0.0, cap)
-    pending = ~constant & ~root.ok
-    closed = RootGrid(cap, 0.0, math.nan, math.nan, True)
-    return _where_root(constant, closed, root), np.where(constant, "constant", "cubic"), pending
-
-
-def _grid_t35(w: _Weights):
-    return _grid_capped(w, 1.0 / 3.0, w.beta < _per_alpha(t35_threshold, w.alpha))
-
-
-def _grid_t36(w: _Weights):
-    return _grid_capped(w, t36_cap(w.alpha), w.beta < _per_alpha(t36_threshold, w.alpha))
-
-
-_GRID_OPS = {
-    Theorem.T31: _grid_t31,
-    Theorem.T32: _grid_t32,
-    Theorem.T33: _grid_t33,
-    Theorem.T34: _grid_t34,
-    Theorem.T35: _grid_t35,
-    Theorem.T36: _grid_t36,
-}
+def _where(cond, a, b):
+    """``_pick`` on arrays, field by field on RootGrids."""
+    if isinstance(a, RootGrid):
+        return RootGrid(*(np.where(cond, x, y) for x, y in zip(a, b)))
+    return np.where(cond, a, b)
 
 
 def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
     """``radius`` for every (alpha[k], beta[k]) at once, in lockstep.
 
-    One call solves the whole array with ``bisect_grid``; the coefficient
-    functions, thresholds and admissibility rule are the scalar path's own.
-    The cells it leaves unfinished (a linear regime, a root on a bracket end,
-    a failed bracket or residual check, a t35/t36 root colliding with its
-    cap) go through ``radius`` itself: a DomainError there marks the cell
-    inadmissible, and any other error propagates.
+    One ``_branch`` call with ``bisect_grid`` solves the whole array; t35/t36
+    constant cells are filled with thresholds taken per distinct alpha.  The
+    unfinished cells (a linear regime, a root on a bracket end, a failed check,
+    a t35/t36 root colliding with its cap) go through ``radius`` itself: a
+    DomainError there marks the cell inadmissible, any other error propagates.
     """
     w = _Weights(*np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                       np.asarray(beta, dtype=float)))
     with np.errstate(all="ignore"):
-        ok = _valid(w) & admissible(theorem, w.alpha, w.beta)
-        # only admissible cells are solved; the rest keep the fill values
-        root, regime, pending = _GRID_OPS[theorem](_Weights(w.alpha[ok], w.beta[ok]))
+        # where WeightPair constructs and the family admits the pair; only
+        # these cells are solved, the rest keep the fill values
+        ok = (0.0 < w.alpha) & (w.alpha <= 1.0) & (0.0 < w.beta) & (w.beta < math.inf)
+        ok &= admissible(theorem, w.alpha, w.beta)
+        v = _Weights(w.alpha[ok], w.beta[ok])
+        root, regime, roots = _branch(theorem, v, lambda poly, top: bisect_grid(poly, 0.0, top),
+                                      _where)
+        pending = ~np.all([r.ok for r in roots], axis=0)
+        if theorem in (Theorem.T31, Theorem.T32):
+            pending |= (t31_linear if theorem is Theorem.T31 else t32_linear)(v.alpha, v.beta)
+        if theorem in (Theorem.T35, Theorem.T36):
+            constant = v.beta < _per_alpha(BRANCH_POINTS[theorem], v.alpha)
+            closed = RootGrid(_cap(theorem, v.alpha), 0.0, math.nan, math.nan, True)
+            root, regime = _where(constant, closed, root), np.where(constant, "constant", regime)
+            pending &= ~constant
 
     def spread(x, fill):
         x = np.broadcast_to(x, (np.count_nonzero(ok),))
@@ -483,8 +438,7 @@ def closed_form_crosscheck(theorem: Theorem, w: WeightPair) -> CrosscheckReport:
         return CrosscheckReport(theorem, closed, numeric, abs(closed - numeric))
 
     if theorem is Theorem.T33:
-        w.require(Theorem.T33)
-        numeric = bisect_unique_root(t33_cubic(w), Bracket(0.0, 0.5)).value
+        numeric = radius_t33(w).components[1].value  # r3*, the cubic's root
         a, b = w.alpha, w.beta
         A = (
             54.0 * a ** 3 + 16.0 * b ** 3 + 216.0 * a * a * b - 144.0 * a * b * b

@@ -11,12 +11,14 @@ opposite signs holds an odd number of roots, all positive, so V <= 2 leaves
 exactly one.  Every radius family qualifies: quadratics have V <= 2, the t33
 cubic has signs (+, +, -, +) and the area cubic (+, +, +/-, -).  The end signs
 are floating-point evaluations: P(0) is exact, and P(hi) can round to the
-wrong sign only within Horner's rounding bound of a root.
+wrong sign only within Horner's rounding bound of a root.  A root on a
+bracket end is proven unique by exact deflation (``_prove_endpoint_root``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,8 +87,8 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
     Raises ``BracketError`` unless the ends have strictly opposite signs, and
     ``NonUniqueRootError`` unless ``lo >= 0`` and ``sign_changes(coeffs) <= 2``,
     which proves the root unique (see the module docstring).  A bracket end
-    where P is exactly 0 is returned as the root; the parity argument does not
-    cover that case.  Deterministic for identical inputs.
+    where P evaluates to 0 is returned as the root, after
+    ``_prove_endpoint_root``.  Deterministic for identical inputs.
     """
     coeffs = tuple(float(c) for c in coeffs)
     lo, hi = bracket.lo, bracket.hi
@@ -99,8 +101,10 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
         raise NonUniqueRootError(f"uniqueness not proven on [{lo}, {hi}]: V > 2 or lo < 0")
 
     if flo == 0.0:
+        _prove_endpoint_root(coeffs, lo, hi)
         return CertifiedRoot(lo, 0.0, Bracket(lo, min(hi, lo + WIDTH_TOL)), 0)
     if fhi == 0.0:
+        _prove_endpoint_root(coeffs, hi, lo)
         return CertifiedRoot(hi, 0.0, Bracket(max(lo, hi - WIDTH_TOL), hi), 0)
 
     iterations = 0
@@ -126,6 +130,30 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
     if not (residual <= RESIDUAL_TOL):
         raise ResidualError(f"root {value} failed residual gate: {residual}")
     return CertifiedRoot(value, residual, Bracket(lo, hi), iterations)
+
+
+def _deflate(coeffs, x: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Exact synthetic division by (t - x): the quotient's coefficients and P(x)."""
+    acc, quotient = Fraction(0), []
+    for c in coeffs:
+        quotient.append(acc)
+        acc = acc * x + c
+    return quotient[1:], acc
+
+
+def _prove_endpoint_root(coeffs: Sequence[float], end: float, other: float) -> None:
+    """Raise ``NonUniqueRootError`` unless ``end``, where P evaluates to 0, is
+    the only root between ``end`` and ``other``.  Where P(end) is exactly 0,
+    P = (t - end)*Q, and V(Q) <= 1 (for end > 0, V(Q) <= V(P) - 1) leaves Q at
+    most one positive root: none lies between the ends if Q(other) != 0 and
+    Q(end) has its sign or, for end > 0, is 0.  A P(end) that only rounds to
+    0 is still accepted unproven."""
+    e = Fraction(end)
+    quotient, value = _deflate(map(Fraction, coeffs), e)
+    q_end, q_other = (_deflate(quotient, x)[1] for x in (e, Fraction(other)))
+    if value == 0 and not (sign_changes(quotient) <= 1 and q_other != 0
+                           and (q_end * q_other > 0 or (q_end == 0 and end > 0))):
+        raise NonUniqueRootError(f"root at bracket end {end} not proven unique")
 
 
 def _polish_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> float:

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +13,20 @@ from bohradii.errors import DomainError
 from bohradii.functionals import sharpness_fn
 from bohradii.radii import Theorem, WeightPair, radius
 from bohradii.rootfind import polyval
+
+
+# non-finite and extreme values for every weight and range bound, passed as
+# --name=value: argparse reads a separate "-inf" as an option, not a value
+HOSTILE = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-300, 1e308, 0.5, 1.0])
+THEOREMS = st.sampled_from([t.value for t in Theorem])
+
+
+def run_quiet(argv):
+    """main(argv) with stdout and stderr captured; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run(capsys, *argv):
@@ -214,6 +232,20 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @settings(max_examples=60, deadline=None)
+    @given(theorem=THEOREMS, bounds=st.tuples(HOSTILE, HOSTILE, HOSTILE, HOSTILE),
+           steps=st.integers(2, 4))
+    def test_hostile_bounds_exit_0_or_2(self, theorem, bounds, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "x.csv")
+            names = ("--alpha-min", "--alpha-max", "--beta-min", "--beta-max")
+            code, _, err = run_quiet(
+                ["sweep", "--theorem", theorem, *[f"{n}={b!r}" for n, b in zip(names, bounds)],
+                 "--steps", str(steps), "--out", out])
+            assert code in (0, 2)
+            assert "Traceback" not in err
+            assert os.path.exists(out) == (code == 0)
+
     def test_unwritable_path_exit_3(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--theorem", "t35", "--alpha-min", "0.5",
@@ -282,6 +314,19 @@ class TestCheckCommand:
             "--r", "1.5", "--function", path,
         )
         assert code == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(theorem=THEOREMS, alpha=HOSTILE, beta=HOSTILE, r=st.sampled_from([0.0, 0.3, 0.99]),
+           a=st.sampled_from([0.0, 0.5, 0.99]))
+    def test_hostile_weights_exit_0_or_2(self, theorem, alpha, beta, r, a):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fn.json")
+            with open(path, "w") as handle:
+                json.dump({"kind": "moebius", "a": a}, handle)
+            code, _, err = run_quiet(["check", "--theorem", theorem, f"--alpha={alpha!r}",
+                                      f"--beta={beta!r}", "--r", repr(r), "--function", path])
+        assert code in (0, 2)
+        assert "Traceback" not in err
 
     def test_rotation_area_family(self, capsys, tmp_path):
         path = self.write_record(tmp_path, {"kind": "moebius", "a": 0.0})

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -133,6 +134,12 @@ class TestRadiusT32:
         cert = radius_t32(WeightPair(1.0, 0.5))
         assert cert.value == 1.0 / 3.0
         assert cert.regime == "linear"
+
+    def test_rounded_away_beta_is_not_certified(self):
+        # 1 - 2*beta rounds to 1, so the float quadratic is (r - 1)(r - 0.5);
+        # P(1) is exactly 0, but 1 is not its only root in (0, 1]
+        with pytest.raises(NonUniqueRootError):
+            radius_t32(WeightPair(0.5, 1e-300))
 
     def test_unit_weights_matches_t31(self):
         cert = radius_t32(WeightPair(1.0, 1.0))
@@ -376,7 +383,21 @@ class TestUniquenessProof:
             try:
                 radius(theorem, w)
             except (BracketError, ResidualError):
-                pass  # extreme weights; never NonUniqueRootError
+                pass  # extreme weights
+            except NonUniqueRootError:
+                # only a root on a bracket end where the float polynomial,
+                # its weights rounded away, has a second root in [0, 1]
+                assert any(_real_roots_in_unit_interval(poly(w)) >= 2 for poly in polys)
+
+
+def _real_roots_in_unit_interval(coeffs):
+    """Real roots in [0, 1] of the float polynomial, found by mpmath at 60 digits."""
+    coeffs = list(coeffs)
+    while coeffs[0] == 0.0:
+        coeffs.pop(0)
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=500, extraprec=300)
+        return sum(1 for z in roots if abs(mpmath.im(z)) < 1e-40 and 0 <= mpmath.re(z) <= 1)
 
 
 def assert_grid_matches_scalar(theorem, cells):
@@ -434,16 +455,30 @@ def _edge_cells():
     return cells
 
 
+def _near_edges(alpha):
+    """beta at, and one ulp either side of, each branch point and admissibility
+    edge of ``alpha``."""
+    edges = (alpha - 0.5, 0.5, 1.0 - alpha, alpha, t35_threshold(alpha), t36_threshold(alpha))
+    return st.sampled_from([b for e in edges if e > 0.0
+                            for b in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))])
+
+
+PLAIN_ALPHAS = st.floats(0.0, 1.0, exclude_min=True)
+LOG_ALPHAS = st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e)
+GRID_CELLS = st.one_of(
+    st.tuples(PLAIN_ALPHAS, st.floats(0.0, 50.0, exclude_min=True)),
+    st.tuples(LOG_ALPHAS, st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)),
+    st.one_of(PLAIN_ALPHAS, LOG_ALPHAS).flatmap(lambda a: _near_edges(a).map(lambda b: (a, b))),
+)
+
+
 class TestRadiusGrid:
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_edge_cells_match_scalar(self, theorem):
         assert_grid_matches_scalar(theorem, _edge_cells())
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(
-        st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 50.0, exclude_min=True)),
-        min_size=1, max_size=16,
-    ))
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(GRID_CELLS, min_size=1, max_size=16))
     def test_random_cells_match_scalar(self, cells):
         for theorem in Theorem:
             assert_grid_matches_scalar(theorem, cells)

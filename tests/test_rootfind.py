@@ -39,6 +39,18 @@ class TestBisectUniqueRoot:
         root = bisect_unique_root((1.0, -0.5), Bracket(0.0, 0.5))
         assert root.value == 0.5
         assert root.residual == 0.0
+        # a double root on the end, -(r - 1)^2, and a root on the lower end, r(r + 0.5)
+        assert bisect_unique_root((-1.0, 2.0, -1.0), Bracket(0.0, 1.0)).value == 1.0
+        assert bisect_unique_root((1.0, 0.5, 0.0), Bracket(0.0, 1.0)).value == 0.0
+
+    @pytest.mark.parametrize("coeffs,hi", [
+        ((1.0, -0.75, 0.125), 0.5),  # (r - 0.25)(r - 0.5): P(0.5) is exactly 0
+        ((1.0, -0.5, 0.0), 1.0),     # r(r - 0.5): P(0) is exactly 0
+        ((1.0, -0.5, 0.0, 0.0), 1.0),  # r^2(r - 0.5): a double root at 0, then 0.5
+    ])
+    def test_endpoint_root_with_a_second_root_rejected(self, coeffs, hi):
+        with pytest.raises(NonUniqueRootError):
+            bisect_unique_root(coeffs, Bracket(0.0, hi))
 
     def test_no_sign_change_rejected(self):
         with pytest.raises(BracketError):
