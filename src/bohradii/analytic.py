@@ -14,8 +14,10 @@ Every Blaschke series quantity (recentred coefficients, absolute sums at one
 center or many, the area sum) comes from one engine: closed-form factor
 series c0 + lead*u/(1 - t*u), their truncated product, and a tail equal to the
 product of the closed-form factor absolute sums minus the same product's head
-on moduli.  One center convolves; several run pipelined first-order
-recurrences with streamed sums, whose derived roundoff bound joins the slack.
+on moduli.  One function at one center convolves; several centers, or many
+products of any degrees at center 0 (padded with identity factors), run one
+stream of pipelined first-order recurrences, whose derived roundoff bounds
+join the slacks.
 """
 
 from __future__ import annotations
@@ -77,13 +79,17 @@ AnalyticFunction = Union[Polynomial, Moebius, BlaschkeProduct]
 
 
 def _stack(members):
-    """Validated Moebius maps, or Blaschke products of one degree, as one object
-    with a parameter row per member (zeros: factors first); the evaluator, the
-    Moebius closed forms and the series engine (after a unit axis) give each a row."""
+    """Validated Moebius maps, or Blaschke products, as one object with a
+    parameter row per member (zeros: factors first; lower degrees padded with
+    zeros at 0, which only ``_zero_center_sums`` turns into identity factors);
+    the evaluator (one degree), the Moebius closed forms and the series engine
+    (after a unit axis) give each a row."""
     stack = object.__new__(type(members[0]))
+    width = max(len(getattr(g, "zeros", ())) for g in members)
     for field in fields(stack):
-        rows = np.array([getattr(g, field.name) for g in members])
-        object.__setattr__(stack, field.name, np.moveaxis(rows, 0, -1)[..., None])
+        rows = [getattr(g, field.name) for g in members]
+        rows = [row + (0j,) * (width - len(row)) for row in rows] if field.name == "zeros" else rows
+        object.__setattr__(stack, field.name, np.moveaxis(np.array(rows), 0, -1)[..., None])
     return stack
 
 
@@ -244,37 +250,70 @@ def _product_tail(scale: float, sums: np.ndarray, rho: float, head: np.ndarray) 
 def _blaschke_abs_sums(
     f: BlaschkeProduct, centers: np.ndarray, rho: float, start: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{k>=start} |c_k| rho^k, truncation slack) about each center.
-
-    One product at one center convolves the factor table.  Otherwise
-    ``_pipelined_product`` runs on the factor forms and, stacked along the
-    center axis, on their moduli (the envelope, whose computed head h is within
-    gamma_(3n+3k) of the exact one), each column summed as it streams, up to
-    its member's n.  The moduli and their sum err by gamma_(5n+5k+1) of h, so
-    (Higham, Lemma 3.3) the slack adds gamma_(11(n+k)+2) h to the tail.
-    """
+    """(sum_{k>=start} |c_k| rho^k, truncation slack) about each center: one
+    product at one center convolves its factor table, else ``_streamed_sums``."""
     c0, lead, t, d = _factor_forms(f, centers, rho)
     sums, q = _factor_abs_sums(f, centers, d, rho)
     if np.isinf(sums).any():
         raise DomainError("recentred series divergent at this radius")
+    if c0.shape[1:] != (1,):
+        return _streamed_sums(f.scale, c0, lead, t, sums, q, rho, len(c0), start)[:2]
+    table = _factor_table(c0, lead, t, _adaptive_terms(q.max(initial=0.0), 2.0 ** len(c0)))
+    head = _truncated_product(f.scale, np.abs(table)).sum(axis=1)
+    terms = np.abs(_truncated_product(f.scale, table))
+    return terms[:, start:].sum(axis=1), _product_tail(f.scale, sums, rho, head)
+
+
+def _streamed_sums(scale, c0, lead, t, sums, q, rho: float, degree, start: int, m: int = 0):
+    """Per column of the factor forms at scale rho: sum_{start<=j<=n} |c_j| rho^j,
+    its slack, the area head sum_{j<=m} j |c_j|^2 rho^(2j) and its roundoff
+    bound, each stack member's n from its own reach and degree k.
+
+    The forms and, stacked along the column axis, their moduli (the envelope
+    e, whose computed head h is within gamma_(3n+3k)) stream through
+    ``_pipelined_product``, each column summed up to its member's n.  Moduli
+    and sum err by gamma_(5n+5k+1) h, so (Higham, Lemma 3.3) the slack adds
+    gamma_(11(n+k)+2) h to the tail.  Each |c_j| is within gamma_(4m+5k+2) e_j,
+    so the area head errs by gamma_(9m+10k+6) sum j e_j^2; the envelope's
+    computed area head E is within gamma_(3m+3k) and gamma_(m+2) of that sum,
+    so the error is at most gamma_(23m+22k+10) E.
+    """
+    gamma = lambda ops: ops * 2.0 ** -53 / (1.0 - ops * 2.0 ** -53)  # noqa: E731
     reach = q.max(axis=(0, -1), initial=0.0, keepdims=True)[0]  # per stack member
-    n = np.array([_adaptive_terms(x, 2.0 ** len(c0)) for x in reach.flat]).reshape(reach.shape)
-    if c0.shape[1:] == (1,):
-        table = _factor_table(c0, lead, t, int(n[0]))
-        head = _truncated_product(f.scale, np.abs(table)).sum(axis=1)
-        terms = np.abs(_truncated_product(f.scale, table))
-        return terms[:, start:].sum(axis=1), _product_tail(f.scale, sums, rho, head)
+    n = np.vectorize(lambda x, k: _adaptive_terms(x, 2.0 ** k), otypes=[int])(reach, degree)
+    cols = c0.shape[-1]
     c0, lead, t = [np.concatenate([v, abs(v)], axis=-1) for v in (c0, lead, t)]
-    steps = _pipelined_product(f.scale, c0, lead, t, int(n.max()))
+    steps = _pipelined_product(scale, c0, lead, t, max(int(n.max()), m))
     acc = np.abs(next(steps))
     if start:
-        acc[..., : centers.size] = 0.0  # the envelope head still starts at j = 0
+        acc[..., :cols] = 0.0  # the envelope head still starts at j = 0
+    area = np.zeros(acc.shape)
     for j, step in enumerate(steps, 1):
-        np.add(acc, np.abs(step), out=acc, where=j <= n)
-    values, head = acc[..., : centers.size], acc[..., centers.size :]
-    ops = (11 * (n + len(c0)) + 2) * 2.0 ** -53  # gamma = ops/(1 - ops)
-    sums = np.concatenate([np.broadcast_to(f.scale, sums.shape[1:])[None], sums])  # scale as row 0
-    return values, _product_tail(1.0, sums, rho, head) + ops / (1.0 - ops) * head
+        moduli = np.abs(step)
+        np.add(acc, moduli, out=acc, where=j <= n)
+        if j <= m:
+            area += j * moduli ** 2
+    values, head = acc[..., :cols], acc[..., cols:]
+    sums = np.concatenate([np.broadcast_to(scale, sums.shape[1:])[None], sums])  # scale as row 0
+    slack = _product_tail(1.0, sums, rho, head) + gamma(11 * (n + degree) + 2) * head
+    return values, slack, area[..., :cols], gamma(23 * m + 22 * degree + 10) * area[..., cols:]
+
+
+def _zero_center_sums(fs, r: float, start: int, area: bool):
+    """Rows of sum_{k>=start} |c_k| r^k, its slack, and with ``area`` the area head
+    and its tail plus roundoff bound, for Blaschke products of any degrees in one
+    ``_streamed_sums`` stream at center 0.  A lower degree gets identity factors
+    (c0 = 1, lead = t = 0) after its own: IEEE gives (1 + 0i) x = x, x + 0 s = x."""
+    f = _stack(fs)  # lower degrees padded with zeros at 0, replaced here
+    degree = np.array([len(g.zeros) for g in fs])[:, None]
+    pad = (np.arange(len(f.zeros))[:, None, None] >= degree)[:, None]
+    c0, lead, t, d = _factor_forms(f, np.zeros(1, dtype=complex), r)
+    sums, q = _factor_abs_sums(f, 0.0, d, r)
+    c0, sums = np.where(pad, 1.0, c0), np.where(pad, 1.0, sums)
+    lead, t = np.where(pad, 0.0, lead), np.where(pad, 0.0, t)
+    m, tail = _area_size(r) if area else (0, 0.0)
+    out = _streamed_sums(f.scale, c0, lead, t, sums, q, r, degree, start, m)
+    return out[0][0], out[1][0], out[2][0], tail + out[3][0]
 
 
 def _adaptive_terms(q: float, prefactor: float, floor: int = 16) -> int:
@@ -389,11 +428,8 @@ def recentered_abs_sums_grid(
     ``centers`` is one complex (0-d results) or an array of them; a ``_stack``
     takes a 1-d array and gives each member a row, in member order.
 
-    Blaschke products go through the one series engine.  A single center
-    (and ``series_abs_sum``, the center-0 case) convolves factor by factor;
-    several run pipelined first-order recurrences with streamed sums, and only
-    then is their roundoff bound, gamma_(11(n+k)+2) times the envelope head,
-    in the slack.
+    Blaschke products go through ``_blaschke_abs_sums``: a single center
+    convolves, several stream with a roundoff bound in the slack.
     """
     centers = np.asarray(centers, dtype=complex)
     if np.any(np.abs(centers) >= 1.0):
@@ -436,15 +472,19 @@ def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
     if isinstance(f, Moebius):
         a = f.a
         return (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2, 0.0
-    x = r * r
-    m = max(AREA_TERMS, _adaptive_terms(x, 1.0))
+    m, tail = _area_size(r)
     c0, lead, t, _ = _factor_forms(f, np.zeros(1, dtype=complex), 1.0)
     coeffs = _truncated_product(f.scale, _factor_table(c0, lead, t, m))[0]
     ks = np.arange(m + 1)
-    head = float(np.sum(ks * np.abs(coeffs) ** 2 * x ** ks))
-    # |c_k| <= 1 for any self-map of the disk, so the tail is under sum k x^k.
-    tail = x ** (m + 1) * ((m + 1) - m * x) / (1.0 - x) ** 2
-    return head, tail
+    return float(np.sum(ks * np.abs(coeffs) ** 2 * (r * r) ** ks)), tail
+
+
+def _area_size(r: float) -> tuple[int, float]:
+    """The area head's term count m and its tail: |c_k| <= 1 for any self-map
+    of the disk, so the tail is under sum_{k>m} k x^k, x = r^2."""
+    x = r * r
+    m = max(AREA_TERMS, _adaptive_terms(x, 1.0))
+    return m, x ** (m + 1) * ((m + 1) - m * x) / (1.0 - x) ** 2
 
 
 # -- boundedness certification -----------------------------------------------------
@@ -463,12 +503,9 @@ def certify_bounded(f: AnalyticFunction) -> Boundedness:
     if isinstance(f, BlaschkeProduct):
         return Boundedness(True, f.scale)
     thetas = 2.0 * math.pi * np.arange(CERTIFY_SAMPLES) / CERTIFY_SAMPLES
-    ring = np.exp(1j * thetas)
-    acc = np.zeros_like(ring)
-    for c in reversed(f.coeffs):
-        acc = acc * ring + c
+    values = _value(f, np.exp(1j * thetas))
     margin = math.pi * sum(k * abs(c) for k, c in enumerate(f.coeffs)) / CERTIFY_SAMPLES
-    sup_estimate = float(np.max(np.abs(acc))) + margin
+    sup_estimate = float(np.max(np.abs(values))) + margin
     return Boundedness(sup_estimate <= 1.0, sup_estimate)
 
 

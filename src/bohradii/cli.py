@@ -8,8 +8,10 @@ included), 3 io error, 4 uncertified function, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -35,23 +37,18 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _csv_row(
-    theorem: str, alpha: float, beta: float, value: float, regime: str, residual: float,
-    admissible: bool,
-) -> str:
-    """One grid cell of a radius sweep, numbers written as ``_fmt`` writes them;
-    an inadmissible cell carries NA fields."""
-    if not admissible:
-        return f"{alpha:.17g},{beta:.17g},{theorem},NA,inadmissible,NA"
-    return f"{alpha:.17g},{beta:.17g},{theorem},{value:.17g},{regime},{residual:.17g}"
-
-
 class _ParseExit(Exception):
     def __init__(self, message: str):
         self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's pattern for a value that looks like an option: a separate
+        # "-inf", "-nan" or "-1e308" is a value too, as "-0.5" already is
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     # The exit-code contract reserves 1 for malformed input; argparse's
     # default error path exits 2.
     def error(self, message: str):
@@ -132,15 +129,18 @@ def _cmd_sweep(args) -> int:
         raise DomainError("beta range must satisfy 0 < min <= max")
 
     # alpha-outer order; the whole grid is certified in one call
-    alphas = np.repeat(_grid(args.alpha_min, args.alpha_max, args.steps), args.steps)
-    betas = np.tile(_grid(args.beta_min, args.beta_max, args.steps), args.steps)
-    grid = radius_grid(theorem, alphas, betas)
+    alpha_axis = _grid(args.alpha_min, args.alpha_max, args.steps)
+    beta_axis = _grid(args.beta_min, args.beta_max, args.steps)
+    grid = radius_grid(theorem, np.repeat(alpha_axis, args.steps), np.tile(beta_axis, args.steps))
+    # each axis value and the family name formatted once; NA fields if inadmissible
+    alpha_text = [_fmt(a) for a in alpha_axis]
+    beta_text = [f"{_fmt(b)},{theorem.value}" for b in beta_axis]
+    cells = zip(itertools.product(alpha_text, beta_text), grid.value.tolist(),
+                grid.regime.tolist(), grid.residual.tolist(), grid.admissible.tolist())
     rows = ["alpha,beta,theorem,radius,regime,residual"]
-    cells = zip(
-        alphas.tolist(), betas.tolist(), grid.value.tolist(), grid.regime.tolist(),
-        grid.residual.tolist(), grid.admissible.tolist(),
-    )
-    rows += [_csv_row(theorem.value, *cell) for cell in cells]
+    rows += [f"{a},{b},{value:.17g},{regime},{residual:.17g}" if admissible
+             else f"{a},{b},NA,inadmissible,NA"
+             for (a, b), value, regime, residual, admissible in cells]
     try:
         with open(args.out, "w", newline="") as handle:
             handle.write("\n".join(rows) + "\n")

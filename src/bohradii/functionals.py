@@ -23,6 +23,7 @@ from .analytic import (
     BlaschkeProduct,
     Polynomial,
     _stack,
+    _zero_center_sums,
     area_sum_and_tail,
     certify_bounded,
     evaluate,
@@ -34,7 +35,7 @@ from .errors import DomainError, UncertifiedFunctionError
 from .radii import Theorem, WeightPair
 
 ENVELOPE_GRID = 512
-STACK_COLUMNS = 1024  # series-pipeline columns per Blaschke stack: members x angles x 2
+STACK_COLUMNS = 1024  # pipeline columns per stream: 2 per product (and angle, for t33/t34)
 A_CAP = 1.0 - 1e-9  # the a -> 1 boundary is removable; stay just inside
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -76,29 +77,30 @@ _SERIES_FROM_ONE = (Theorem.T31, Theorem.T32)
 _HAS_CONSTANT = (Theorem.T31, Theorem.T36)
 
 
-def _terms(theorem: Theorem, f: AnalyticFunction, w: WeightPair, r: float, centers):
+def _terms(theorem: Theorem, f, w: WeightPair, r: float, centers):
     """(constant, series, area, truncation slack) of the left-hand side at |z| = r.
 
     Only t33/t34 read the points themselves, through ``centers`` (one complex
-    or an array; 0-d arrays for one); every other family's terms are floats
-    that depend on r alone.
+    or an array; 0-d arrays for one); every other family's terms depend on r
+    alone, and for a list of Blaschke products come from one stream, a row each.
     """
     alpha, beta = w.alpha, w.beta
-    constant = area = 0.0
+    constant = 0.0
     if theorem in _RECENTERED:
         s, s_slack = recentered_abs_sums_grid(f, centers, r)
-        return constant, beta * s, area, beta * s_slack
-    if theorem in _SERIES_FROM_ONE:
-        s, s_slack = series_abs_sum(f, r, start=1)
-        series, slack = beta * s, beta * s_slack
+        return constant, beta * s, 0.0, beta * s_slack
+    start = 1 if theorem in _SERIES_FROM_ONE else 0
+    with_area = not start and r > 0.0
+    if isinstance(f, list):
+        s, s_slack, s_area, a_slack = _zero_center_sums(f, r, start, with_area)
     else:
-        s, s_slack = series_abs_sum(f, r, start=0)
-        series, slack = alpha * s, alpha * s_slack
-        if r > 0.0:
-            s_area, a_slack = area_sum_and_tail(f, r)
-            area = beta * s_area
-            slack += beta * a_slack
-    if theorem in _HAS_CONSTANT:
+        s, s_slack = series_abs_sum(f, r, start)
+        s_area, a_slack = area_sum_and_tail(f, r) if with_area else (0.0, 0.0)
+    weight = beta if start else alpha
+    series, area, slack = weight * s, beta * s_area, weight * s_slack + beta * a_slack
+    if theorem in _HAS_CONSTANT and isinstance(f, list):  # one by one, as ``bohr_lhs`` takes them
+        constant = (1.0 - alpha) * np.array([[abs(evaluate(g, 0.0))] for g in f])
+    elif theorem in _HAS_CONSTANT:
         constant = (1.0 - alpha) * abs(evaluate(f, 0.0))
     return constant, series, area, slack
 
@@ -128,12 +130,10 @@ def bohr_lhs(
 def bohr_lhs_theta_corpus(
     theorem: Theorem, fs, r: float, w: WeightPair, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``bohr_lhs_theta_grid`` of each of ``fs``, one row each, bit for bit.  All
-    are checked first, in order; then the Moebius maps, and Blaschke products of
-    one degree (up to STACK_COLUMNS pipeline columns), run ``_terms`` as one
-    ``_stack`` (Blaschke r-only terms, outside t33/t34, per member); polynomials
-    one by one.
-    """
+    """``bohr_lhs_theta_grid`` of each of ``fs``, one row each, bit for bit.  All are
+    checked first, in order; then Moebius maps run ``_terms`` as one ``_stack``,
+    polynomials one by one, Blaschke products one stack per degree (t33/t34: up to
+    STACK_COLUMNS pipeline columns) and their angle-free terms in one stream."""
     groups: dict = {}
     for i, f in enumerate(fs):
         _require(theorem, f, w)
@@ -144,18 +144,24 @@ def bohr_lhs_theta_corpus(
     thetas = np.asarray(thetas, dtype=float).ravel()
     zs = r * np.exp(1j * thetas)
     totals, slacks = np.empty((2, len(fs), thetas.size))
+    angle_free = theorem not in _RECENTERED
+    products = [i for i, f in enumerate(fs) if angle_free and isinstance(f, BlaschkeProduct)]
+    at_zero = np.empty((4, len(fs), 1))  # (constant, series, area, slack) per product
+    for lo in range(0, len(products), STACK_COLUMNS // 2):
+        part = products[lo : lo + STACK_COLUMNS // 2]
+        for row, term in zip(at_zero, _terms(theorem, [fs[i] for i in part], w, r, None)):
+            row[part] = term
     per_run = max(1, STACK_COLUMNS // max(1, 2 * thetas.size))
     for (kind, _), rows in groups.items():
-        step = per_run if kind is BlaschkeProduct else len(rows)
+        step = per_run if kind is BlaschkeProduct and not angle_free else len(rows)
         for part in (rows[lo : lo + step] for lo in range(0, len(rows), step)):
             members = [fs[i] for i in part]
             f = members[0] if len(part) == 1 else _stack(members)
             modulus = w.alpha * np.abs(evaluate_grid(f, zs)) if theorem in _HAS_MODULUS else 0.0
-            if isinstance(f, BlaschkeProduct) and theorem not in _RECENTERED:
-                terms = np.array([_terms(theorem, g, w, r, None) for g in members]).T[..., None]
+            if kind is BlaschkeProduct and angle_free:
+                constant, series, area, slack = at_zero[:, part]
             else:
-                terms = _terms(theorem, f, w, r, zs)
-            constant, series, area, slack = terms
+                constant, series, area, slack = _terms(theorem, f, w, r, zs)
             totals[part] = modulus + constant + series + area
             slacks[part] = slack
     return totals, slacks

@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -26,6 +27,7 @@ from bohradii.analytic import (
     _factor_abs_sums,
     _factor_forms,
     _pipelined_product,
+    _zero_center_sums,
 )
 from bohradii.errors import DomainError
 
@@ -275,6 +277,67 @@ class TestSeriesSums:
         d = abs(1.0 - a * z0)
         assert slack == 0.0
         assert value == pytest.approx((1.0 - a * a) * rho / (d * (d - a * rho)), abs=1e-14)
+
+
+MIXED_DEGREES = [
+    BlaschkeProduct((), 0.7),
+    *(random_test_function(800 + degree, degree) for degree in range(1, 7)),
+    REPEATED_ZEROS,
+]
+ORACLE_TERMS = 1200
+
+
+@lru_cache(maxsize=None)
+def exact_sums_at_zero(f, r):
+    """(|c_0|, sum_(j<N) |c_j| r^j, the envelope's bound on the rest, an upper
+    bound on the area sum) at 60 digits, N = ORACLE_TERMS."""
+    coeffs, _ = blaschke_series_mp(f, 0j, r, ORACLE_TERMS)
+    envelope, total = blaschke_series_mp(f, 0j, r, ORACLE_TERMS, moduli=True)
+    with mpmath.workdps(60):
+        n, x = ORACLE_TERMS, mpmath.mpf(r) ** 2
+        rest = total - mpmath.fsum(envelope)
+        # |c_j| <= 1 for a self-map of the disk: the area's rest is under sum_(j>=N) j x^j
+        area = mpmath.fsum(j * abs(c) ** 2 for j, c in enumerate(coeffs))
+        area += x ** n * (n - (n - 1) * x) / (1 - x) ** 2
+        return abs(coeffs[0]), mpmath.fsum(abs(c) for c in coeffs), rest, area
+
+
+class TestZeroCenterStream:
+    """The angle-free Blaschke terms of t31/t32/t35/t36: one stream for
+    products of mixed degrees at center 0 and scale r."""
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_against_mpmath(self, r, start):
+        values, slacks, heads, tails = _zero_center_sums(MIXED_DEGREES, r, start, area=True)
+        for i, f in enumerate(MIXED_DEGREES):
+            c0, series, rest, area = exact_sums_at_zero(f, r)
+            value, slack = values[i, 0], slacks[i, 0]
+            low = series - c0 if start else series
+            # the exact sum lies in [low, low + rest]
+            assert value - slack <= low and low + rest <= value + slack
+            assert area <= heads[i, 0] + tails[i, 0]
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_against_one_center_path(self, r, start):
+        # both lie within their slack of the exact sums
+        values, slacks, heads, tails = _zero_center_sums(MIXED_DEGREES, r, start, area=True)
+        for i, f in enumerate(MIXED_DEGREES):
+            single, single_slack = series_abs_sum(f, r, start)
+            head, tail = area_sum_and_tail(f, r)
+            assert abs(values[i, 0] - single) <= slacks[i, 0] + single_slack
+            assert abs(heads[i, 0] - head) <= tails[i, 0] + tail
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_padded_rows_equal_alone_bit_for_bit(self, r, start):
+        # identity factors pass every coefficient exactly; each member keeps
+        # its own n and degree in the slacks
+        rows = np.hstack(_zero_center_sums(MIXED_DEGREES, r, start, area=r > 0.0))
+        for f, row in zip(MIXED_DEGREES, rows):
+            alone = np.hstack(_zero_center_sums([f], r, start, area=r > 0.0))[0]
+            assert np.array_equal(row, alone)
 
 
 class TestAreaSum:

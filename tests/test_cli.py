@@ -16,9 +16,16 @@ from bohradii.rootfind import polyval
 
 
 # non-finite and extreme values for every weight and range bound, passed as
-# --name=value: argparse reads a separate "-inf" as an option, not a value
-HOSTILE = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-300, 1e308, 0.5, 1.0])
+# --name=value or as two arguments (a separate "-inf" must read as a value)
+HOSTILE = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-300, 1e308, -1e308, -0.5, 0.5, 1.0]
+)
 THEOREMS = st.sampled_from([t.value for t in Theorem])
+
+
+def option(name, value, joined):
+    """``--name=value``, or ``--name`` and ``value`` as separate arguments."""
+    return [f"{name}={value!r}"] if joined else [name, repr(value)]
 
 
 def run_quiet(argv):
@@ -33,6 +40,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e308", "-Infinity"])
+@pytest.mark.parametrize("command", ["radius", "sweep", "check"])
+def test_negative_value_as_separate_argument_exit_2(capsys, tmp_path, command, value):
+    # Python's argparse reads a separate "-inf" or "-1e308" as an option
+    # unless told otherwise, and then exits 1 with "expected one argument"
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"kind": "moebius", "a": 0.5}))
+    argv = {
+        "radius": ["--alpha", "1", "--beta", value],
+        "sweep": ["--alpha-min", "0.5", "--alpha-max", "1", "--beta-min", value,
+                  "--beta-max", "1", "--steps", "3", "--out", str(tmp_path / "x.csv")],
+        "check": ["--alpha", "1", "--beta", value, "--r", "0.1", "--function", str(path)],
+    }[command]
+    code, _, err = run(capsys, command, "--theorem", "t31", *argv)
+    assert code == 2
+    assert err.startswith("domain error:")
 
 
 class TestRadiusCommand:
@@ -59,6 +84,14 @@ class TestRadiusCommand:
         code, _, err = run(capsys, "radius", "--theorem", theorem, "--alpha", "1", "--beta", "inf")
         assert code == 2
         assert "beta" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(theorem=THEOREMS, alpha=HOSTILE, beta=HOSTILE, joined=st.booleans())
+    def test_hostile_weights_exit_0_or_2(self, theorem, alpha, beta, joined):
+        code, _, err = run_quiet(["radius", "--theorem", theorem, *option("--alpha", alpha, joined),
+                                  *option("--beta", beta, joined)])
+        assert code in (0, 2)
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("theorem", ["t31", "t33", "t35"])
     def test_residual_failure_exit_2(self, capsys, theorem):
@@ -234,13 +267,14 @@ class TestSweepCommand:
 
     @settings(max_examples=60, deadline=None)
     @given(theorem=THEOREMS, bounds=st.tuples(HOSTILE, HOSTILE, HOSTILE, HOSTILE),
-           steps=st.integers(2, 4))
-    def test_hostile_bounds_exit_0_or_2(self, theorem, bounds, steps):
+           steps=st.integers(2, 4), joined=st.booleans())
+    def test_hostile_bounds_exit_0_or_2(self, theorem, bounds, steps, joined):
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "x.csv")
             names = ("--alpha-min", "--alpha-max", "--beta-min", "--beta-max")
             code, _, err = run_quiet(
-                ["sweep", "--theorem", theorem, *[f"{n}={b!r}" for n, b in zip(names, bounds)],
+                ["sweep", "--theorem", theorem,
+                 *[x for n, b in zip(names, bounds) for x in option(n, b, joined)],
                  "--steps", str(steps), "--out", out])
             assert code in (0, 2)
             assert "Traceback" not in err
@@ -316,15 +350,17 @@ class TestCheckCommand:
         assert code == 2
 
     @settings(max_examples=60, deadline=None)
-    @given(theorem=THEOREMS, alpha=HOSTILE, beta=HOSTILE, r=st.sampled_from([0.0, 0.3, 0.99]),
-           a=st.sampled_from([0.0, 0.5, 0.99]))
-    def test_hostile_weights_exit_0_or_2(self, theorem, alpha, beta, r, a):
+    @given(theorem=THEOREMS, alpha=HOSTILE, beta=HOSTILE,
+           r=st.sampled_from([0.0, 0.3, 0.99, -1e308, -math.inf]),
+           a=st.sampled_from([0.0, 0.5, 0.99]), joined=st.booleans())
+    def test_hostile_weights_exit_0_or_2(self, theorem, alpha, beta, r, a, joined):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "fn.json")
             with open(path, "w") as handle:
                 json.dump({"kind": "moebius", "a": a}, handle)
-            code, _, err = run_quiet(["check", "--theorem", theorem, f"--alpha={alpha!r}",
-                                      f"--beta={beta!r}", "--r", repr(r), "--function", path])
+            code, _, err = run_quiet(
+                ["check", "--theorem", theorem, *option("--alpha", alpha, joined),
+                 *option("--beta", beta, joined), *option("--r", r, joined), "--function", path])
         assert code in (0, 2)
         assert "Traceback" not in err
 

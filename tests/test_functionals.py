@@ -156,6 +156,30 @@ class TestCorpusStacks:
                 alone = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
                 assert np.array_equal(total, alone[0]) and np.array_equal(slack, alone[1])
 
+    @pytest.mark.parametrize("r", [0.0, 5e-324, 1e-300, 0.999999])
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_rows_equal_one_function_calls_at_edge_radii(self, theorem, r):
+        corpus = mixed_corpus()[:15]  # every shape, and degrees 1-6 once
+        w = below_radius_grid(theorem)[0]
+        thetas = np.array([0.0, 2.0, math.pi])
+        if theorem in (Theorem.T33, Theorem.T34) and r > 0.5:
+            # the recentred series of most members diverge there
+            with pytest.raises(DomainError):
+                bohr_lhs_theta_corpus(theorem, corpus, r, w, thetas)
+            return
+        totals, slacks = bohr_lhs_theta_corpus(theorem, corpus, r, w, thetas)
+        assert np.all(np.isfinite(totals)) and np.all(np.isfinite(slacks))
+        for f, total, slack in zip(corpus, totals, slacks):
+            alone = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
+            assert np.array_equal(total, alone[0]) and np.array_equal(slack, alone[1])
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5, 1.0])
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_radius_outside_disk_rejected(self, theorem, r):
+        with pytest.raises(DomainError):
+            bohr_lhs_theta_corpus(theorem, mixed_corpus(), r, below_radius_grid(theorem)[0],
+                                  np.array([0.0, 1.0]))
+
 
 class TestMajorant:
     def test_t31_saturates_at_full_contraction(self):
