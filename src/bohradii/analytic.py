@@ -83,13 +83,13 @@ def _stack(members):
     parameter row per member (zeros: factors first; lower degrees padded with
     zeros at 0, which only ``_zero_center_sums`` turns into identity factors);
     the evaluator (one degree), the Moebius closed forms and the series engine
-    (after a unit axis) give each a row."""
+    (after a unit axis) give each a row; C order keeps their ufunc loops flat."""
     stack = object.__new__(type(members[0]))
     width = max(len(getattr(g, "zeros", ())) for g in members)
     for field in fields(stack):
         rows = [getattr(g, field.name) for g in members]
         rows = [row + (0j,) * (width - len(row)) for row in rows] if field.name == "zeros" else rows
-        object.__setattr__(stack, field.name, np.moveaxis(np.array(rows), 0, -1)[..., None])
+        object.__setattr__(stack, field.name, np.array(rows).T.copy()[..., None])
     return stack
 
 
@@ -233,7 +233,8 @@ def _pipelined_product(scale, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n
         s *= t
         s += x[:-1]
         x, y = y, x
-        y[0] = 0.0  # the input is scale at step 0 only
+        if not step:  # the input is scale at step 0 only; no stage writes row 0
+            y[0] = 0.0
 
 
 def _product_tail(scale: float, sums: np.ndarray, rho: float, head: np.ndarray) -> np.ndarray:

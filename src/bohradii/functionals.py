@@ -35,7 +35,7 @@ from .errors import DomainError, UncertifiedFunctionError
 from .radii import Theorem, WeightPair
 
 ENVELOPE_GRID = 512
-STACK_COLUMNS = 1024  # pipeline columns per stream: 2 per product (and angle, for t33/t34)
+STACK_CELLS = 8192  # per stream step: (degree + 1) x columns, 2 per product (and angle: t33/t34)
 A_CAP = 1.0 - 1e-9  # the a -> 1 boundary is removable; stay just inside
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -59,15 +59,14 @@ class FunctionalBreakdown:
     truncation_slack: float
 
 
-def _require(theorem: Theorem, f: AnalyticFunction, w: WeightPair) -> None:
-    """Certification first, then admissibility: the entry points' error order."""
+def _certify(f: AnalyticFunction) -> None:
+    """The entry points' first check, before the weights' admissibility."""
     report = certify_bounded(f)
     if not report.certified:
         raise UncertifiedFunctionError(
             f"function not certified as a disk self-map (sup estimate "
             f"{report.sup_estimate})"
         )
-    w.require(theorem)
 
 
 # family groups, built once: an enum member lookup is slow on the hot path
@@ -115,7 +114,8 @@ def bohr_lhs(
     t33/t34: alpha*|f(z)| + beta*sum_{k>=1} |f^(k)(z)/k!| r^k
     t35: alpha*sum_{k>=0} |c_k| r^k + beta*(area sum);  t36 adds (1-alpha)*|c0|
     """
-    _require(theorem, f, w)
+    _certify(f)
+    w.require(theorem)
     z = complex(z)
     r = abs(z)
     if r >= 1.0:
@@ -131,14 +131,16 @@ def bohr_lhs_theta_corpus(
     theorem: Theorem, fs, r: float, w: WeightPair, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``bohr_lhs_theta_grid`` of each of ``fs``, one row each, bit for bit.  All are
-    checked first, in order; then Moebius maps run ``_terms`` as one ``_stack``,
-    polynomials one by one, Blaschke products one stack per degree (t33/t34: up to
-    STACK_COLUMNS pipeline columns) and their angle-free terms in one stream."""
+    checked first, as one by one; then Moebius maps run ``_terms`` as one ``_stack``,
+    polynomials one by one, and Blaschke products in near-equal stacks whose steps
+    touch at most STACK_CELLS cells: per degree for t33/t34, else all angle-free terms."""
     groups: dict = {}
     for i, f in enumerate(fs):
-        _require(theorem, f, w)
-        if not (0.0 <= r < 1.0):
-            raise DomainError(f"r must lie in [0, 1), got {r}")
+        _certify(f)
+        if not i:  # the weights and r once, after the first member
+            w.require(theorem)
+            if not (0.0 <= r < 1.0):
+                raise DomainError(f"r must lie in [0, 1), got {r}")
         shape = i if isinstance(f, Polynomial) else len(getattr(f, "zeros", ()))
         groups.setdefault((type(f), shape), []).append(i)
     thetas = np.asarray(thetas, dtype=float).ravel()
@@ -146,15 +148,16 @@ def bohr_lhs_theta_corpus(
     totals, slacks = np.empty((2, len(fs), thetas.size))
     angle_free = theorem not in _RECENTERED
     products = [i for i, f in enumerate(fs) if angle_free and isinstance(f, BlaschkeProduct)]
+    width = max((len(fs[i].zeros) for i in products), default=0)
     at_zero = np.empty((4, len(fs), 1))  # (constant, series, area, slack) per product
-    for lo in range(0, len(products), STACK_COLUMNS // 2):
-        part = products[lo : lo + STACK_COLUMNS // 2]
+    for part in _parts(products, STACK_CELLS // (2 * (width + 1))):
         for row, term in zip(at_zero, _terms(theorem, [fs[i] for i in part], w, r, None)):
             row[part] = term
-    per_run = max(1, STACK_COLUMNS // max(1, 2 * thetas.size))
-    for (kind, _), rows in groups.items():
-        step = per_run if kind is BlaschkeProduct and not angle_free else len(rows)
-        for part in (rows[lo : lo + step] for lo in range(0, len(rows), step)):
+    for (kind, shape), rows in groups.items():
+        size = len(rows)
+        if kind is BlaschkeProduct and not angle_free:
+            size = STACK_CELLS // ((shape + 1) * 2 * max(1, thetas.size))
+        for part in _parts(rows, size):
             members = [fs[i] for i in part]
             f = members[0] if len(part) == 1 else _stack(members)
             modulus = w.alpha * np.abs(evaluate_grid(f, zs)) if theorem in _HAS_MODULUS else 0.0
@@ -165,6 +168,12 @@ def bohr_lhs_theta_corpus(
             totals[part] = modulus + constant + series + area
             slacks[part] = slack
     return totals, slacks
+
+
+def _parts(rows: list, size: int) -> list:
+    """``rows`` in the fewest near-equal consecutive parts of at most ``size`` (>= 1)."""
+    count = -(-len(rows) // max(1, size))
+    return [rows[i * len(rows) // count : (i + 1) * len(rows) // count] for i in range(count)]
 
 
 def bohr_lhs_theta_grid(

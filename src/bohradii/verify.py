@@ -133,20 +133,18 @@ def check_below_radius(
     r = cert.value - epsilon
     thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
     totals, slacks = bohr_lhs_theta_corpus(theorem, functions, r, w, thetas)
-    max_violation = -math.inf
-    witnesses: list[Witness] = []
-    for f, violations in zip(functions, totals - 1.0 - slacks):
-        worst = int(np.argmax(violations))
-        max_violation = max(max_violation, float(violations[worst]))
-        if violations[worst] > BELOW_RADIUS_TOL:
-            # the recorded value is the one recheck_witness reproduces
-            theta = float(thetas[worst])
-            witnesses.append(
-                Witness(
-                    theorem, w.alpha, w.beta, r, theta,
-                    function_to_record(f), _lhs_at(theorem, f, w, r, theta),
-                )
-            )
+    violations = totals - 1.0 - slacks
+    worst = violations.argmax(axis=1)  # each member's first peak (or first NaN)
+    peaks = violations[np.arange(len(worst)), worst].tolist()
+    max_violation = max([-math.inf, *peaks])  # folded in corpus order, as one by one
+    witnesses = [  # the recorded value is the one recheck_witness reproduces
+        Witness(
+            theorem, w.alpha, w.beta, r, theta,
+            function_to_record(f), _lhs_at(theorem, f, w, r, theta),
+        )
+        for f, theta, peak in zip(functions, thetas[worst].tolist(), peaks)
+        if peak > BELOW_RADIUS_TOL
+    ]
     env = envelope_sup(theorem, r, w)
     max_violation = max(max_violation, env.sup - 1.0)
     passed = max_violation <= BELOW_RADIUS_TOL

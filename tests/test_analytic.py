@@ -246,6 +246,12 @@ class TestSeriesSums:
         assert np.all(values == 0.0)
         assert np.all((0.0 <= slacks) & (slacks <= gamma(11 * 16 + 2) * 0.7))
 
+    def test_pipeline_zero_free_yields_scale_once(self):
+        # k = 0: each step yields the input row, which holds scale at step 0 only
+        empty = np.zeros((0, 1, 3), dtype=complex)
+        steps = np.array([step.copy() for step in _pipelined_product(0.7, empty, empty, empty, 4)])
+        assert np.array_equal(steps[:, 0], [[0.7] * 3] + [[0.0] * 3] * 4)
+
     @pytest.mark.parametrize("zero", [0.5, -0.3 + 0.6j])
     def test_many_centers_degree_one_closed_form(self, zero):
         rho = 0.45

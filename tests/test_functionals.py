@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bohradii import analytic
 from bohradii.analytic import (
     BlaschkeProduct,
     Moebius,
@@ -12,7 +13,7 @@ from bohradii.analytic import (
 )
 from bohradii.errors import DomainError, UncertifiedFunctionError
 from bohradii.functionals import (
-    STACK_COLUMNS,
+    STACK_CELLS,
     b1_factor,
     bohr_lhs,
     bohr_lhs_theta_corpus,
@@ -142,11 +143,27 @@ def mixed_corpus():
     ]
 
 
+UNCERTIFIED = Polynomial((0.9, 0.9))
+
+
+def spy_pipeline(monkeypatch):
+    """The (c0, lead, t) of every stream ``_pipelined_product`` runs from now on."""
+    seen, real = [], analytic._pipelined_product
+
+    def spy(scale, c0, lead, t, n):
+        seen.append((c0, lead, t))
+        return real(scale, c0, lead, t, n)
+
+    monkeypatch.setattr(analytic, "_pipelined_product", spy)
+    return seen
+
+
 class TestCorpusStacks:
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_rows_equal_one_function_calls_bit_for_bit(self, theorem):
         corpus = mixed_corpus()
-        assert STACK_COLUMNS // (2 * THETA_POINTS) < 10  # degree 1-6 stacks split
+        # t33/t34 split the ten degree-6 members: (6 + 1) cells per column
+        assert STACK_CELLS // (7 * 2 * THETA_POINTS) < 10
         thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
         for w in (below_radius_grid(theorem)[0], below_radius_grid(theorem)[-1]):
             r = radius(theorem, w).value - DEFAULT_EPSILON
@@ -155,6 +172,45 @@ class TestCorpusStacks:
             for f, total, slack in zip(corpus, totals, slacks):
                 alone = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
                 assert np.array_equal(total, alone[0]) and np.array_equal(slack, alone[1])
+
+    @pytest.mark.parametrize("theorem", [Theorem.T33, Theorem.T34])
+    def test_uneven_split_rows_equal_one_function_calls(self, theorem, monkeypatch):
+        # 17 members of one degree, as in the seed corpus, in near-equal stacks
+        corpus = [random_test_function(900 + i, 3) for i in range(17)]
+        forms = spy_pipeline(monkeypatch)
+        thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+        w = below_radius_grid(theorem)[0]
+        r = radius(theorem, w).value - DEFAULT_EPSILON
+        totals, slacks = bohr_lhs_theta_corpus(theorem, corpus, r, w, thetas)
+        sizes = [c0.shape[-2] for c0, _, _ in forms]
+        assert sum(sizes) == 17 and len(sizes) > 1 and max(sizes) - min(sizes) == 1
+        for f, total, slack in zip(corpus, totals, slacks):
+            alone = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
+            assert np.array_equal(total, alone[0]) and np.array_equal(slack, alone[1])
+
+    @pytest.mark.parametrize("theorem", [Theorem.T33, Theorem.T35])
+    def test_pipeline_forms_arrive_c_contiguous(self, theorem, monkeypatch):
+        # many centers (t33) and center 0 (t35): strided forms defeat numpy's
+        # flat loops in every step of every stream
+        forms = spy_pipeline(monkeypatch)
+        w = below_radius_grid(theorem)[0]
+        r = radius(theorem, w).value - DEFAULT_EPSILON
+        thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+        bohr_lhs_theta_corpus(theorem, mixed_corpus(), r, w, thetas)
+        assert any(c0.shape[-2] > 1 for c0, _, _ in forms)  # a stack was streamed
+        assert all(v.flags.c_contiguous for form in forms for v in form)
+
+    @pytest.mark.parametrize("first, later, w, r, error, text", [
+        (UNCERTIFIED, Moebius(0.5), WeightPair(0.3, 0.2), 1.5, UncertifiedFunctionError, "cert"),
+        (Moebius(0.5), UNCERTIFIED, WeightPair(0.3, 0.2), 1.5, DomainError, "t31 constraint"),
+        (Moebius(0.5), UNCERTIFIED, WeightPair(0.3, 0.9), 1.5, DomainError, "r must lie"),
+        (Moebius(0.5), UNCERTIFIED, WeightPair(0.3, 0.9), 0.5, UncertifiedFunctionError, "cert"),
+    ])
+    def test_checks_in_one_by_one_order(self, first, later, w, r, error, text):
+        # member 0 certified, then the weights, then r, then the other members
+        with pytest.raises(error, match=text) as err:
+            bohr_lhs_theta_corpus(Theorem.T31, [first, Moebius(0.2), later], r, w, [0.0])
+        assert type(err.value) is error
 
     @pytest.mark.parametrize("r", [0.0, 5e-324, 1e-300, 0.999999])
     @pytest.mark.parametrize("theorem", list(Theorem))
