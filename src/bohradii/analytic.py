@@ -34,6 +34,7 @@ from .errors import DomainError
 AREA_TERMS = 64  # floor on the Blaschke area sum's term count
 CERTIFY_SAMPLES = 1024  # boundary samples behind a polynomial's certificate
 _TAIL_TARGET = 1e-13
+_MIN_TERMS = 16
 _MAX_TERMS = 4096
 
 
@@ -68,9 +69,7 @@ class BlaschkeProduct:
     scale: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
-        if any(abs(z) >= 1.0 for z in self.zeros):
-            raise DomainError("all Blaschke zeros must satisfy |z| < 1")
+        object.__setattr__(self, "zeros", _require_in_disk(tuple(self.zeros), "all Blaschke zeros"))
         if not (0.0 < self.scale <= 1.0):
             raise DomainError(f"scale must lie in (0, 1], got {self.scale}")
 
@@ -113,10 +112,17 @@ class Boundedness:
     sup_estimate: float
 
 
-def _require_in_disk(z: complex, what: str = "z") -> complex:
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"{what} must lie in the open unit disk, got |{what}|={abs(z)}")
+def _require_in_disk(z, what: str):
+    """``z`` (a point, a tuple or complex array of them) if |z| < 1 holds, else DomainError."""
+    if isinstance(z, tuple):
+        return tuple(_require_in_disk(p, what) for p in z)
+    if isinstance(z, np.ndarray):
+        inside = np.all(np.abs(z) < 1.0)
+    else:
+        z = complex(z)
+        inside = abs(z) < 1.0
+    if not inside:
+        raise DomainError(f"{what} must satisfy |z| < 1")
     return z
 
 
@@ -139,7 +145,7 @@ def _value(f: AnalyticFunction, z):
 
 def evaluate(f: AnalyticFunction, z: complex) -> complex:
     """Function value at a point of the open disk, in Python complex arithmetic."""
-    return _value(f, _require_in_disk(z))
+    return _value(f, _require_in_disk(z, "z"))
 
 
 def evaluate_grid(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
@@ -148,10 +154,7 @@ def evaluate_grid(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
     numpy's complex ``*``, ``/`` and ``abs`` may round differently from
     CPython's, so a cell can differ from ``evaluate`` in the last bits.
     """
-    zs = np.asarray(zs, dtype=complex)
-    if np.any(np.abs(zs) >= 1.0):
-        raise DomainError("all evaluation points must lie in the open unit disk")
-    return _value(f, zs)
+    return _value(f, _require_in_disk(np.asarray(zs, dtype=complex), "all evaluation points"))
 
 
 # -- Blaschke series engine -----------------------------------------------------
@@ -317,14 +320,14 @@ def _zero_center_sums(fs, r: float, start: int, area: bool):
     return out[0][0], out[1][0], out[2][0], tail + out[3][0]
 
 
-def _adaptive_terms(q: float, prefactor: float, floor: int = 16) -> int:
-    """Smallest n with prefactor * q^(n+1)/(1-q) below the tail target."""
+def _adaptive_terms(q: float, prefactor: float) -> int:
+    """Smallest n >= _MIN_TERMS with prefactor * q^(n+1)/(1-q) below the tail target."""
     if q <= 0.0:
-        return floor
+        return _MIN_TERMS
     if q >= 1.0:
         return _MAX_TERMS
     need = math.log(_TAIL_TARGET * (1.0 - q) / max(prefactor, 1.0)) / math.log(q)
-    return max(floor, min(_MAX_TERMS, int(math.ceil(need)) + 1))
+    return max(_MIN_TERMS, min(_MAX_TERMS, int(math.ceil(need)) + 1))
 
 
 # -- Taylor slices --------------------------------------------------------------
@@ -432,9 +435,7 @@ def recentered_abs_sums_grid(
     Blaschke products go through ``_blaschke_abs_sums``: a single center
     convolves, several stream with a roundoff bound in the slack.
     """
-    centers = np.asarray(centers, dtype=complex)
-    if np.any(np.abs(centers) >= 1.0):
-        raise DomainError("all centers must lie in the open unit disk")
+    centers = _require_in_disk(np.asarray(centers, dtype=complex), "all centers")
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
 

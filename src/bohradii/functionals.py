@@ -22,6 +22,7 @@ from .analytic import (
     AnalyticFunction,
     BlaschkeProduct,
     Polynomial,
+    _require_in_disk,
     _stack,
     _zero_center_sums,
     area_sum_and_tail,
@@ -37,6 +38,7 @@ from .radii import Theorem, WeightPair
 ENVELOPE_GRID = 512
 STACK_CELLS = 8192  # per stream step: (degree + 1) x columns, 2 per product (and angle: t33/t34)
 A_CAP = 1.0 - 1e-9  # the a -> 1 boundary is removable; stay just inside
+_GOLDEN_TOL = 1e-12  # bracket width at which golden-section refinement stops
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -116,12 +118,9 @@ def bohr_lhs(
     """
     _certify(f)
     w.require(theorem)
-    z = complex(z)
-    r = abs(z)
-    if r >= 1.0:
-        raise DomainError(f"|z| must be below 1, got {r}")
+    z = _require_in_disk(z, "z")
     modulus = w.alpha * abs(evaluate(f, z)) if theorem in _HAS_MODULUS else 0.0
-    constant, series, area, slack = _terms(theorem, f, w, r, z)
+    constant, series, area, slack = _terms(theorem, f, w, abs(z), z)
     series, slack = float(series), float(slack)
     total = modulus + constant + series + area
     return FunctionalBreakdown(theorem, total, modulus, constant, series, area, slack)
@@ -134,16 +133,19 @@ def bohr_lhs_theta_corpus(
     checked first, as one by one; then Moebius maps run ``_terms`` as one ``_stack``,
     polynomials one by one, and Blaschke products in near-equal stacks whose steps
     touch at most STACK_CELLS cells: per degree for t33/t34, else all angle-free terms."""
+    for f in fs[:1]:  # member 0, then the weights, r and the angles, then the rest
+        _certify(f)
+    w.require(theorem)
+    if not (0.0 <= r < 1.0):
+        raise DomainError(f"r must lie in [0, 1), got {r}")
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    if not np.all(np.isfinite(thetas)):
+        raise DomainError("all angles must be finite")
     groups: dict = {}
     for i, f in enumerate(fs):
-        _certify(f)
-        if not i:  # the weights and r once, after the first member
-            w.require(theorem)
-            if not (0.0 <= r < 1.0):
-                raise DomainError(f"r must lie in [0, 1), got {r}")
+        _certify(f)  # member 0's report again comes from certify_bounded's cache
         shape = i if isinstance(f, Polynomial) else len(getattr(f, "zeros", ()))
         groups.setdefault((type(f), shape), []).append(i)
-    thetas = np.asarray(thetas, dtype=float).ravel()
     zs = r * np.exp(1j * thetas)
     totals, slacks = np.empty((2, len(fs), thetas.size))
     angle_free = theorem not in _RECENTERED
@@ -194,12 +196,11 @@ def bohr_lhs_theta_grid(
 
 def _check_ar(theorem: Theorem, a, r, w: WeightPair) -> None:
     w.require(theorem)
-    a_arr, r_arr = np.asarray(a, dtype=float), np.asarray(r, dtype=float)
-    if np.any(a_arr < 0.0) or np.any(a_arr > 1.0):
+    if not np.all((0.0 <= a) & (a <= 1.0)):
         raise DomainError("a must lie in [0, 1]")
-    if np.any(r_arr < 0.0) or np.any(r_arr >= 1.0):
+    if not np.all((0.0 <= r) & (r < 1.0)):
         raise DomainError("r must lie in [0, 1)")
-    if theorem in (Theorem.T33, Theorem.T34) and np.any(r_arr >= 0.5):
+    if theorem in (Theorem.T33, Theorem.T34) and np.any(r >= 0.5):
         raise DomainError("the derivative-series majorant requires r < 1/2")
 
 
@@ -283,12 +284,9 @@ def sharpness_fn(a, r, w: WeightPair):
     H(a, r) = [alpha*(a+r)*(1-ar) + (1-alpha)*a*(1+ar)*(1-ar)
                + beta*(1-a^2)*(1+ar)*r] / (1 - a^2 r^2).
     """
-    w.require(Theorem.T31)
-    a_arr, r_arr = np.asarray(a, dtype=float), np.asarray(r, dtype=float)
-    if np.any(a_arr < 0.0) or np.any(a_arr >= 1.0):
+    _check_ar(Theorem.T31, a, r, w)
+    if not np.all(a < 1.0):
         raise DomainError("a must lie in [0, 1)")
-    if np.any(r_arr < 0.0) or np.any(r_arr >= 1.0):
-        raise DomainError("r must lie in [0, 1)")
     alpha, beta = w.alpha, w.beta
     num = (
         alpha * (a + r) * (1.0 - a * r)
@@ -316,13 +314,13 @@ class EnvelopeSup:
     argmax_a: float
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Deterministic golden-section maximiser on [lo, hi]."""
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Deterministic golden-section maximiser on [lo, hi], to _GOLDEN_TOL."""
     h = hi - lo
-    if h <= tol:
+    if h <= _GOLDEN_TOL:
         mid = 0.5 * (lo + hi)
         return mid, fn(mid)
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    steps = int(math.ceil(math.log(_GOLDEN_TOL / h) / math.log(_INV_PHI)))
     c = lo + _INV_PHI2 * h
     d = lo + _INV_PHI * h
     yc, yd = fn(c), fn(d)

@@ -287,7 +287,7 @@ def run_below_suite(seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     return reports
 
 
-def run_sharpness_suite(seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+def run_sharpness_suite() -> list[VerificationReport]:
     """For each pair: a witness must exist just above R1, and both the analytic
     envelope and a 10^4-point extremal-family scan must stay at or below 1
     just beneath it."""
@@ -336,7 +336,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     if name == "below":
         return run_below_suite(seed)
     if name == "sharpness":
-        return run_sharpness_suite(seed)
+        return run_sharpness_suite()
     if name == "thresholds":
         return run_threshold_suite()
     if name == "lemma24":
@@ -344,7 +344,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     if name == "all":
         return (
             run_below_suite(seed)
-            + run_sharpness_suite(seed)
+            + run_sharpness_suite()
             + run_threshold_suite()
             + [lemma24_campaign(20)]
         )

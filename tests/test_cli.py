@@ -349,6 +349,17 @@ class TestCheckCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("part", [math.nan, math.inf])
+    def test_non_finite_zero_exit_2(self, capsys, tmp_path, part):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        record = {"kind": "blaschke", "zeros": [[part, 0.0]], "scale": 0.5}
+        code, out, err = run(
+            capsys, "check", "--theorem", "t31", "--alpha", "0.5", "--beta", "0.6",
+            "--r", "0.2", "--function", self.write_record(tmp_path, record),
+        )
+        assert (code, out) == (2, "")
+        assert err == "domain error: all Blaschke zeros must satisfy |z| < 1\n"
+
     @settings(max_examples=60, deadline=None)
     @given(theorem=THEOREMS, alpha=HOSTILE, beta=HOSTILE,
            r=st.sampled_from([0.0, 0.3, 0.99, -1e308, -math.inf]),

@@ -212,6 +212,34 @@ class TestCorpusStacks:
             bohr_lhs_theta_corpus(Theorem.T31, [first, Moebius(0.2), later], r, w, [0.0])
         assert type(err.value) is error
 
+    @pytest.mark.parametrize("first, error, text", [
+        (UNCERTIFIED, UncertifiedFunctionError, "cert"),
+        (Moebius(0.5), DomainError, "angles"),
+    ])
+    def test_angles_checked_after_r_before_later_members(self, first, error, text):
+        # member 0 certified, then the weights, r and the angles, then the other members
+        with pytest.raises(error, match=text):
+            bohr_lhs_theta_corpus(Theorem.T31, [first, UNCERTIFIED], 0.5, WeightPair(0.3, 0.9),
+                                  [0.0, math.nan])
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("theorem, f, r", [
+        (Theorem.T31, Moebius(0.5), 0.5),
+        (Theorem.T33, random_test_function(3, 2), 0.3),
+    ])
+    def test_non_finite_angles_rejected(self, theorem, f, r, theta):
+        with pytest.raises(DomainError, match="angles"):
+            bohr_lhs_theta_corpus(theorem, [f], r, below_radius_grid(theorem)[0], [0.0, theta])
+
+    @pytest.mark.parametrize("w, r, theta, text", [
+        (WeightPair(0.3, 0.2), 1.5, math.nan, "t31 constraint"),
+        (WeightPair(0.3, 0.9), 1.5, math.nan, "r must lie"),
+        (WeightPair(0.3, 0.9), 0.5, math.nan, "angles"),
+    ])
+    def test_empty_corpus_checks_weights_r_and_angles(self, w, r, theta, text):
+        with pytest.raises(DomainError, match=text):
+            bohr_lhs_theta_corpus(Theorem.T31, [], r, w, [theta])
+
     @pytest.mark.parametrize("r", [0.0, 5e-324, 1e-300, 0.999999])
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_rows_equal_one_function_calls_at_edge_radii(self, theorem, r):

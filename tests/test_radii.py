@@ -483,6 +483,17 @@ class TestRadiusGrid:
         for theorem in Theorem:
             assert_grid_matches_scalar(theorem, cells)
 
+    @pytest.mark.parametrize("alpha, value", [
+        (0.3266562371922701, 0.6048463406001087),
+        (0.6816887827112171, 0.42312325149843677),
+    ])
+    def test_t36_threshold_taken_on_python_floats(self, alpha, value):
+        # beta = t36_threshold(alpha) exactly, a cubic cell: numpy's alpha ** 2
+        # puts these thresholds one ulp above libm's pow, so a threshold
+        # computed on arrays would mark the cell constant
+        grid = assert_grid_matches_scalar(Theorem.T36, [(alpha, t36_threshold(alpha))])
+        assert grid.regime[0] == "cubic" and grid.value[0] == value
+
     @staticmethod
     def count_scalar_calls(monkeypatch):
         """Record every call radius_grid makes to the scalar radius."""
