@@ -184,16 +184,15 @@ def _factor_abs_sums(
     """(sum_j |c_j| rho^j, q = |zero| rho / |D|) per factor and center.
 
     The closed form is |c_0| + (1 - |zero|^2) rho / (|D| (|D| - |zero| rho));
-    the sum is inf where the series diverges (|zero| rho >= |D|).
+    DomainError where a series diverges (|zero| rho >= |D|).
     """
     zeros = np.array(f.zeros, dtype=complex)[:, None]
     mods = np.abs(zeros)
     d_abs = np.abs(d)
     reach = mods * rho
-    series = np.divide(
-        (1.0 - mods * mods) * rho, d_abs * (d_abs - reach),
-        out=np.full(d_abs.shape, math.inf), where=reach < d_abs,
-    )
+    if not np.all(reach < d_abs):
+        raise DomainError("recentred series divergent at this radius")
+    series = (1.0 - mods * mods) * rho / (d_abs * (d_abs - reach))
     return np.abs(zeros - centers) / d_abs + series, reach / d_abs
 
 
@@ -258,8 +257,6 @@ def _blaschke_abs_sums(
     product at one center convolves its factor table, else ``_streamed_sums``."""
     c0, lead, t, d = _factor_forms(f, centers, rho)
     sums, q = _factor_abs_sums(f, centers, d, rho)
-    if np.isinf(sums).any():
-        raise DomainError("recentred series divergent at this radius")
     if c0.shape[1:] != (1,):
         return _streamed_sums(f.scale, c0, lead, t, sums, q, rho, len(c0), start)[:2]
     table = _factor_table(c0, lead, t, _adaptive_terms(q.max(initial=0.0), 2.0 ** len(c0)))
@@ -343,6 +340,7 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
     Polynomial: exact binomial shift (tail 0 once n covers the degree).
     Moebius: closed form c_k = -(1-a^2) a^(k-1) (1 - a z0)^-(k+1); geometric tail.
     Blaschke: exact factor-series products; product-envelope tail.
+    DomainError where the series diverges at ``rho``.
     """
     if n < 0:
         raise ValueError("order n must be nonnegative")
@@ -368,7 +366,7 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
         if rho == 0.0 or (a == 0.0 and n >= 1):
             tail = 0.0
         elif a * rho >= d_abs:
-            tail = math.inf
+            raise DomainError("recentred series divergent at this radius")
         else:
             tail = (1.0 - a * a) * a ** n * rho ** (n + 1) / (
                 d_abs ** (n + 1) * (d_abs - a * rho)

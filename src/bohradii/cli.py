@@ -22,7 +22,7 @@ from .errors import (BracketError, DomainError, NonUniqueRootError, NotApplicabl
                      PreconditionError, ResidualError)
 from .functionals import bohr_lhs
 from .radii import Theorem, WeightPair, radius, radius_grid
-from .verify import run_suite, witnesses_to_csv_rows
+from .verify import DEFAULT_SEED, SUITES, run_suite, witnesses_to_csv_rows
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -81,11 +81,8 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--function", required=True, help="path to a JSON function record")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "--suite", required=True,
-        choices=["all", "below", "sharpness", "thresholds", "lemma24"],
-    )
-    p_verify.add_argument("--seed", type=int, default=7)
+    p_verify.add_argument("--suite", required=True, choices=["all", *SUITES])
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--witness-csv", default=None)
 
     return parser
@@ -141,12 +138,8 @@ def _cmd_sweep(args) -> int:
     rows += [f"{a},{b},{value:.17g},{regime},{residual:.17g}" if admissible
              else f"{a},{b},NA,inadmissible,NA"
              for (a, b), value, regime, residual, admissible in cells]
-    try:
-        with open(args.out, "w", newline="") as handle:
-            handle.write("\n".join(rows) + "\n")
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", newline="") as handle:
+        handle.write("\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} rows to {args.out}")
     return EXIT_OK
 
@@ -157,9 +150,6 @@ def _cmd_check(args) -> int:
     try:
         with open(args.function) as handle:
             record = json.load(handle)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except json.JSONDecodeError as exc:
         print(f"parse error in function spec: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -201,12 +191,8 @@ def _cmd_verify(args) -> int:
             print(line)
     print(f"suite={args.suite} campaigns={len(reports)} passed={'yes' if all_passed else 'no'}")
     if args.witness_csv is not None:
-        try:
-            with open(args.witness_csv, "w", newline="") as handle:
-                handle.write("\n".join(witnesses_to_csv_rows(reports)) + "\n")
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.witness_csv, "w", newline="") as handle:
+            handle.write("\n".join(witnesses_to_csv_rows(reports)) + "\n")
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
@@ -233,6 +219,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

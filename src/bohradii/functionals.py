@@ -338,16 +338,24 @@ def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     return (c, yc) if yc > yd else (d, yd)
 
 
+def _refined_max(fn, points, values, lo: float, cap: float) -> tuple[float, float]:
+    """(point, value) of the first best of ``values`` at ``points``, replaced by the
+    golden-section maximum of ``fn`` between its neighbours if that is strictly
+    higher; ``lo`` stands before the first point, ``cap`` after the last and caps
+    the upper neighbour."""
+    best = int(np.argmax(values))
+    best_x, best_v = float(points[best]), float(values[best])
+    lo = float(points[best - 1]) if best > 0 else lo
+    hi = min(float(points[best + 1]) if best + 1 < len(points) else cap, cap)
+    ref_x, ref_v = _golden_max(fn, lo, hi)
+    return (ref_x, ref_v) if ref_v > best_v else (best_x, best_v)
+
+
 def envelope_sup(theorem: Theorem, r: float, w: WeightPair) -> EnvelopeSup:
     """max over a in [0, 1 - 1e-9] of the majorant: 512-point grid scan, then
     golden-section refinement on the best cell, unchecked, in floats.  Deterministic."""
     grid = np.linspace(0.0, A_CAP, ENVELOPE_GRID)
     values = majorant(theorem, grid, r, w)
-    best = int(np.argmax(values))
-    best_a, best_v = float(grid[best]), float(values[best])
-    lo = float(grid[max(0, best - 1)])
-    hi = float(grid[min(ENVELOPE_GRID - 1, best + 1)])
-    ref_a, ref_v = _golden_max(lambda a: float(_majorant(theorem, a, r, w)), lo, hi)
-    if ref_v > best_v:
-        return EnvelopeSup(ref_v, ref_a)
+    best_a, best_v = _refined_max(lambda a: float(_majorant(theorem, a, r, w)),
+                                  grid, values, 0.0, A_CAP)
     return EnvelopeSup(best_v, best_a)

@@ -159,11 +159,6 @@ def t36_threshold(alpha: float) -> float:
     return 2.0 * alpha ** 2 * (alpha + 1.0) ** 2 / (2.0 * alpha + 1.0) ** 2
 
 
-def t36_cap(alpha: float) -> float:
-    """1/(2*alpha + 1): the t36 constant branch and the top of its cubic bracket."""
-    return 1.0 / (2.0 * alpha + 1.0)
-
-
 # beta, as a function of alpha, where a family's regime switches branch;
 # t33 and t34 have a single regime
 BRANCH_POINTS = {
@@ -174,21 +169,18 @@ BRANCH_POINTS = {
 }
 
 
-def t31_linear(alpha: float, beta: float) -> bool:
-    """beta == alpha - 1/2, where the t31 quadratic degenerates to a line."""
-    return abs(beta - BRANCH_POINTS[Theorem.T31](alpha)) <= REGIME_BOUNDARY_TOL
-
-
-def t32_linear(alpha: float, beta: float) -> bool:
-    """beta == 1/2, where the t32 quadratic degenerates to a line."""
-    return abs(beta - BRANCH_POINTS[Theorem.T32](alpha)) <= REGIME_BOUNDARY_TOL
+def _linear(theorem: Theorem, alpha, beta):
+    """beta at the t31/t32 branch point (alpha - 1/2, or 1/2), where the quadratic
+    degenerates to a line."""
+    return abs(beta - BRANCH_POINTS[theorem](alpha)) <= REGIME_BOUNDARY_TOL
 
 
 # -- one description per family, two root finders ------------------------------
 
 def _cap(theorem: Theorem, alpha):
-    """Top of the t35/t36 cubic bracket, which is also their constant branch."""
-    return 1.0 / 3.0 if theorem is Theorem.T35 else t36_cap(alpha)
+    """Top of the t35/t36 cubic bracket, which is also their constant branch:
+    1/3, or 1/(2*alpha + 1) for t36."""
+    return 1.0 / 3.0 if theorem is Theorem.T35 else 1.0 / (2.0 * alpha + 1.0)
 
 
 def _branch(theorem: Theorem, w, solve, pick):
@@ -220,10 +212,10 @@ def _closed_form(theorem: Theorem, w: WeightPair) -> Optional[RadiusCertificate]
     or alpha - (alpha + 2)*r; t35/t36 below their thresholds, pinned at the
     cap; and their cubic root colliding with the cap (roundoff P(cap) < 0)."""
     a, b = w.alpha, w.beta
-    if theorem is Theorem.T31 and t31_linear(a, b):
+    if theorem is Theorem.T31 and _linear(theorem, a, b):
         value = 1.0 / (4.0 * a - 1.0)
         return RadiusCertificate(theorem, value, "linear", abs((4.0 * a - 1.0) * value - 1.0), None)
-    if theorem is Theorem.T32 and t32_linear(a, b):
+    if theorem is Theorem.T32 and _linear(theorem, a, b):
         value = a / (a + 2.0)
         return RadiusCertificate(theorem, value, "linear", abs(-(a + 2.0) * value + a), None)
     if theorem not in (Theorem.T35, Theorem.T36):
@@ -367,7 +359,7 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
                                       _where)
         pending = ~np.all([r.ok for r in roots], axis=0)
         if theorem in (Theorem.T31, Theorem.T32):
-            pending |= (t31_linear if theorem is Theorem.T31 else t32_linear)(v.alpha, v.beta)
+            pending |= _linear(theorem, v.alpha, v.beta)
         if theorem in (Theorem.T35, Theorem.T36):
             constant = v.beta < _per_alpha(BRANCH_POINTS[theorem], v.alpha)
             closed = RootGrid(_cap(theorem, v.alpha), 0.0, math.nan, math.nan, True)

@@ -25,7 +25,7 @@ from .analytic import (
 )
 from .errors import NotApplicableError, PreconditionError
 from .functionals import (
-    _golden_max,
+    _refined_max,
     bohr_lhs,
     bohr_lhs_theta_corpus,
     envelope_sup,
@@ -169,16 +169,9 @@ def sharpness_witness_t31(w: WeightPair, r: float) -> Optional[float]:
         raise PreconditionError(
             f"r must lie in (radius={cert.value}, 1), got {r}"
         )
-    ladder = [1.0 - 2.0 ** -j for j in range(1, WITNESS_LADDER + 1)]
-    values = [float(sharpness_fn(a, r, w)) for a in ladder]
-    best = max(range(len(ladder)), key=values.__getitem__)
-    best_a, best_h = ladder[best], values[best]
-
-    lo = ladder[best - 1] if best > 0 else 0.0
-    hi = min(ladder[best + 1] if best + 1 < len(ladder) else 1.0 - 1e-12, 1.0 - 1e-12)
-    ref_a, ref_h = _golden_max(lambda a: float(sharpness_fn(a, r, w)), lo, hi)
-    if ref_h > best_h:
-        best_a, best_h = ref_a, ref_h
+    ladder = 1.0 - 0.5 ** np.arange(1, WITNESS_LADDER + 1)
+    best_a, best_h = _refined_max(lambda a: float(sharpness_fn(a, r, w)),
+                                  ladder, sharpness_fn(ladder, r, w), 0.0, 1.0 - 1e-12)
     return best_a if best_h > 1.0 else None
 
 
@@ -235,33 +228,21 @@ def lemma24_campaign(grid_n: int) -> VerificationReport:
 # -- documented default grids and suite runners ---------------------------------
 
 _BELOW_ALPHAS = (0.2, 0.4, 0.6, 0.8, 1.0)
-_T34_ALPHAS = (0.80, 0.85, 0.90, 0.95, 1.0)
+# per family: (alphas, steps, beta of (alpha, step))
+_BELOW_GRIDS = {
+    Theorem.T31: (_BELOW_ALPHAS, (0.1, 0.3, 0.6, 1.0, 1.5), lambda a, s: (1.0 - a) + s),
+    Theorem.T32: (_BELOW_ALPHAS, (0.1, 0.35, 0.5, 0.8, 2.0), lambda a, s: s),
+    Theorem.T33: (_BELOW_ALPHAS, (1.0, 1.25, 1.75, 2.5, 4.0), lambda a, s: a * s),
+    Theorem.T34: ((0.80, 0.85, 0.90, 0.95, 1.0), (0.15, 0.35, 0.55, 0.75, 0.9), lambda a, s: a * s),
+    Theorem.T35: (_BELOW_ALPHAS, (0.1, 0.4, 0.9, 1.2, 2.5), lambda a, s: s),
+    Theorem.T36: (_BELOW_ALPHAS, (0.1, 0.4, 0.9, 1.2, 2.5), lambda a, s: s),
+}
 
 
 def below_radius_grid(theorem: Theorem) -> list[WeightPair]:
     """The documented 5x5 admissible weight grid for safety campaigns."""
-    pairs: list[WeightPair] = []
-    if theorem is Theorem.T31:
-        for a in _BELOW_ALPHAS:
-            for off in (0.1, 0.3, 0.6, 1.0, 1.5):
-                pairs.append(WeightPair(a, (1.0 - a) + off))
-    elif theorem is Theorem.T32:
-        for a in _BELOW_ALPHAS:
-            for b in (0.1, 0.35, 0.5, 0.8, 2.0):
-                pairs.append(WeightPair(a, b))
-    elif theorem is Theorem.T33:
-        for a in _BELOW_ALPHAS:
-            for m in (1.0, 1.25, 1.75, 2.5, 4.0):
-                pairs.append(WeightPair(a, a * m))
-    elif theorem is Theorem.T34:
-        for a in _T34_ALPHAS:
-            for m in (0.15, 0.35, 0.55, 0.75, 0.9):
-                pairs.append(WeightPair(a, a * m))
-    else:
-        for a in _BELOW_ALPHAS:
-            for b in (0.1, 0.4, 0.9, 1.2, 2.5):
-                pairs.append(WeightPair(a, b))
-    return pairs
+    alphas, steps, beta = _BELOW_GRIDS[theorem]
+    return [WeightPair(a, beta(a, s)) for a in alphas for s in steps]
 
 
 SHARPNESS_PAIRS = (
@@ -331,24 +312,22 @@ def run_threshold_suite() -> list[VerificationReport]:
     return reports
 
 
+# each entry looks its campaign up by name when it runs, so that a tracer which
+# rebinds this module's functions sees the calls
+SUITES = {
+    "below": lambda seed: run_below_suite(seed),
+    "sharpness": lambda seed: run_sharpness_suite(),
+    "thresholds": lambda seed: run_threshold_suite(),
+    "lemma24": lambda seed: [lemma24_campaign(20)],
+}
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """Run one of the documented campaign suites; 'all' concatenates them."""
-    if name == "below":
-        return run_below_suite(seed)
-    if name == "sharpness":
-        return run_sharpness_suite()
-    if name == "thresholds":
-        return run_threshold_suite()
-    if name == "lemma24":
-        return [lemma24_campaign(20)]
-    if name == "all":
-        return (
-            run_below_suite(seed)
-            + run_sharpness_suite()
-            + run_threshold_suite()
-            + [lemma24_campaign(20)]
-        )
-    raise ValueError(f"unknown suite {name!r}")
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    names = SUITES if name == "all" else [name]
+    return [report for key in names for report in SUITES[key](seed)]
 
 
 def witnesses_to_csv_rows(reports: Sequence[VerificationReport]) -> list[str]:

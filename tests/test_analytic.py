@@ -161,6 +161,12 @@ class TestRecenter:
         with pytest.raises(DomainError):
             recenter(Moebius(0.5), 1.2, 4)
 
+    @pytest.mark.parametrize("f", [BlaschkeProduct((0.9,) * 3, 1.0), Moebius(0.9)])
+    def test_divergent_tail_rejected(self, f):
+        # |zero| rho = 0.45 exceeds |1 - zero z0| = 0.109
+        with pytest.raises(DomainError, match="divergent"):
+            recenter(f, 0.99, 2, 0.5)
+
 
 class TestSeriesSums:
     def test_moebius_closed_forms(self):

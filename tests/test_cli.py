@@ -403,6 +403,16 @@ class TestVerifyCommand:
         assert rows[0].startswith("campaign,")
         assert len(rows) == 10
 
+    def test_unwritable_witness_csv_exit_3(self):
+        both = io.StringIO()  # one stream, so the order of report and error shows
+        with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+            code = main(["verify", "--suite", "lemma24", "--witness-csv", "/nonexistent-dir/w.csv"])
+        lines = both.getvalue().splitlines()
+        assert code == 3
+        assert lines[0].startswith("campaign=lemma24")
+        assert lines[1].startswith("suite=lemma24")
+        assert lines[2].startswith("io error:") and len(lines) == 3
+
     def test_seeded_determinism(self, capsys):
         code_a, out_a, _ = run(capsys, "verify", "--suite", "sharpness", "--seed", "7")
         code_b, out_b, _ = run(capsys, "verify", "--suite", "sharpness", "--seed", "7")

@@ -442,6 +442,13 @@ class TestEnvelopeSup:
         env = envelope_sup(theorem, r, w)
         assert env.sup == float(majorant(theorem, env.argmax_a, r, w))
 
+    def test_best_scan_point_at_either_end(self):
+        # refined toward A_CAP past the last grid point, toward 0 before the first
+        last = envelope_sup(Theorem.T31, 0.0, WeightPair(0.05, 0.9815789473684211))
+        assert last.argmax_a == 0.999999999
+        first = envelope_sup(Theorem.T33, 0.45, WeightPair(0.05, 0.05))
+        assert (first.sup, first.argmax_a) == (0.14625000000000005, 0.0)
+
     def test_deterministic(self):
         w = WeightPair(0.9, 1.4)
         a = envelope_sup(Theorem.T35, 0.31, w)

@@ -3,12 +3,17 @@ or raises DomainError, never NaN and never another exception.
 
 Points, centers, zeros, a and r are built from non-finite, signed-zero,
 boundary and huge parts mixed with valid ones.  Each property carries an
-``example`` with a NaN input, so it is tried on every run.
+``example`` with a NaN input, so it is tried on every run.  Valid weights at
+extreme scales go through ``check_below_radius``, pair by pair; there a root
+may also fail the checks that the CLI maps to exit 2.
 """
 
+import itertools
 import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bohradii.analytic import (
@@ -22,10 +27,11 @@ from bohradii.analytic import (
     recenter,
     recentered_abs_sums_grid,
 )
-from bohradii.errors import DomainError
+from bohradii.errors import (BracketError, DomainError, NonUniqueRootError, PreconditionError,
+                             ResidualError)
 from bohradii.functionals import bohr_lhs, gap, majorant, sharpness_fn
-from bohradii.radii import Theorem, WeightPair
-from bohradii.verify import below_radius_grid
+from bohradii.radii import Theorem, WeightPair, admissible
+from bohradii.verify import below_radius_grid, check_below_radius, default_corpus
 
 NAN = math.nan
 HOSTILE = st.sampled_from([NAN, math.inf, -math.inf, 0.0, -0.0, 1.0, 1.0 - 2.0 ** -53, 1e308])
@@ -39,6 +45,8 @@ FUNCTIONS = st.sampled_from([
     BlaschkeProduct((0.9,) * 3, 1.0),
 ])
 SETTINGS = settings(max_examples=150, deadline=None)
+EXTREME_WEIGHTS = [5e-324, 1e-300, 1e-12, 0.5, 1.0, 1.0 - 2.0 ** -53, 1.5, 1e12, 1e300,
+                   sys.float_info.max]
 
 
 def finite(*values):
@@ -86,8 +94,7 @@ class TestAnalytic:
             sl = recenter(f, z0, n, rho)
         except DomainError:
             return
-        # inf is the tail bound of a series that diverges at rho
-        assert finite(sl.coeffs) and not math.isnan(sl.tail_bound)
+        assert finite(sl.coeffs, sl.tail_bound)
 
     @SETTINGS
     @given(f=FUNCTIONS, centers=st.lists(POINTS, max_size=3), rho=RADII)
@@ -134,3 +141,18 @@ class TestFunctionals:
         except DomainError:
             return
         assert finite(value)
+
+
+class TestVerify:
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_check_below_radius_extreme_weights(self, theorem):
+        corpus = default_corpus(7, size=12)
+        for alpha, beta in itertools.product(EXTREME_WEIGHTS, repeat=2):
+            if not (alpha <= 1.0 and admissible(theorem, alpha, beta)):
+                continue
+            try:
+                report = check_below_radius(theorem, WeightPair(alpha, beta), corpus)
+            except (DomainError, PreconditionError, BracketError, NonUniqueRootError,
+                    ResidualError):
+                continue
+            assert math.isfinite(report.max_violation)

@@ -103,6 +103,11 @@ class TestSharpnessWitness:
         a = sharpness_witness_t31(WeightPair(1.0, 0.5), 0.51)
         assert a is not None
 
+    def test_best_ladder_point_first(self):
+        # the refinement between 0 and the second ladder point a = 3/4 wins
+        a = sharpness_witness_t31(WeightPair(0.05, 1.4966666666666666), 0.5691060747263004)
+        assert a == 0.6313049423118084
+
     def test_below_radius_is_precondition_error(self):
         with pytest.raises(PreconditionError):
             sharpness_witness_t31(WeightPair(1.0, 1.0), 0.2)
