@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -94,16 +94,14 @@ def _stack(members):
 
 @dataclass(frozen=True)
 class TaylorSlice:
-    """Coefficients c_0..c_n about ``center`` plus a truncation certificate.
+    """Coefficients c_0..c_n about a center plus a truncation certificate.
 
-    ``tail_bound`` rigorously bounds sum_{k>n} |c_k| rho**k at the stated
-    ``rho`` (0.0 when the expansion is exact/finite or rho == 0).
+    ``tail_bound`` rigorously bounds sum_{k>n} |c_k| rho**k at the ``rho``
+    given to ``recenter`` (0.0 when the expansion is exact/finite or rho == 0).
     """
 
-    center: complex
     coeffs: tuple[complex, ...]
     tail_bound: float
-    rho: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -321,8 +319,6 @@ def _adaptive_terms(q: float, prefactor: float) -> int:
     """Smallest n >= _MIN_TERMS with prefactor * q^(n+1)/(1-q) below the tail target."""
     if q <= 0.0:
         return _MIN_TERMS
-    if q >= 1.0:
-        return _MAX_TERMS
     need = math.log(_TAIL_TARGET * (1.0 - q) / max(prefactor, 1.0)) / math.log(q)
     return max(_MIN_TERMS, min(_MAX_TERMS, int(math.ceil(need)) + 1))
 
@@ -340,7 +336,8 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
     Polynomial: exact binomial shift (tail 0 once n covers the degree).
     Moebius: closed form c_k = -(1-a^2) a^(k-1) (1 - a z0)^-(k+1); geometric tail.
     Blaschke: exact factor-series products; product-envelope tail.
-    DomainError where the series diverges at ``rho``.
+    DomainError where the series diverges at ``rho``, or where a coefficient or
+    the tail bound overflows.
     """
     if n < 0:
         raise ValueError("order n must be nonnegative")
@@ -351,37 +348,36 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
     if isinstance(f, Polynomial):
         deg = len(f.coeffs) - 1
         shifted = _shift_polynomial(f.coeffs, z0)
-        head = shifted[: n + 1] + (0j,) * max(0, n - deg)
-        tail = sum(abs(c) * rho ** k for k, c in enumerate(shifted) if k > n)
-        return TaylorSlice(z0, tuple(head), float(tail), rho if tail else None)
-
-    if isinstance(f, Moebius):
+        coeffs = shifted[: n + 1] + (0j,) * max(0, n - deg)
+        tail = float(sum(abs(c) * rho ** k for k, c in enumerate(shifted) if k > n))
+    elif isinstance(f, Moebius):
         a = f.a
         d = 1.0 - a * z0
+        d_abs = abs(d)
+        if a * rho >= d_abs:
+            raise DomainError("recentred series divergent at this radius")
         coeffs = [complex((a - z0) / d)]
         lead = -(1.0 - a * a) / (d * d)
-        for k in range(1, n + 1):
-            coeffs.append(lead * (a / d) ** (k - 1))
-        d_abs = abs(d)
-        if rho == 0.0 or (a == 0.0 and n >= 1):
-            tail = 0.0
-        elif a * rho >= d_abs:
-            raise DomainError("recentred series divergent at this radius")
-        else:
-            tail = (1.0 - a * a) * a ** n * rho ** (n + 1) / (
-                d_abs ** (n + 1) * (d_abs - a * rho)
-            )
-        return TaylorSlice(z0, tuple(coeffs), tail, rho if tail else None)
-
-    centers = np.array([z0])
-    c0, lead, t, d = _factor_forms(f, centers, 1.0)
-    table = _factor_table(c0, lead, t, n)
-    coeffs = _truncated_product(f.scale, table)[0]
-    sums, _ = _factor_abs_sums(f, centers, d, rho)
-    envelope = np.abs(table) * rho ** np.arange(n + 1)
-    head = _truncated_product(f.scale, envelope).sum(axis=1)
-    tail = float(_product_tail(f.scale, sums, rho, head)[0])
-    return TaylorSlice(z0, tuple(coeffs), tail, rho if tail else None)
+        try:
+            for k in range(1, n + 1):
+                coeffs.append(lead * (a / d) ** (k - 1))
+        except OverflowError:  # complex ** raises where the power overflows
+            raise DomainError("recentred Taylor data overflows") from None
+        # one power of a rho/|d| < 1: |d|^(n+1) alone can underflow to 0
+        tail = (1.0 - a * a) * rho / (d_abs * (d_abs - a * rho)) * (a * rho / d_abs) ** n
+    else:
+        centers = np.array([z0])
+        with np.errstate(all="ignore"):  # overflow is refused below
+            c0, lead, t, d = _factor_forms(f, centers, 1.0)
+            table = _factor_table(c0, lead, t, n)
+            coeffs = _truncated_product(f.scale, table)[0]
+            sums, _ = _factor_abs_sums(f, centers, d, rho)
+            envelope = np.abs(table) * rho ** np.arange(n + 1)
+            head = _truncated_product(f.scale, envelope).sum(axis=1)
+            tail = float(_product_tail(f.scale, sums, rho, head)[0])
+    if not (np.all(np.isfinite(coeffs)) and math.isfinite(tail)):
+        raise DomainError("recentred Taylor data overflows")
+    return TaylorSlice(tuple(coeffs), tail)
 
 
 def _shift_polynomial(coeffs: tuple[complex, ...], z0: complex) -> tuple[complex, ...]:

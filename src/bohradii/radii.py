@@ -311,16 +311,13 @@ class RadiusGrid(NamedTuple):
     """``radius`` over arrays of weight pairs, one array per certificate field.
 
     ``admissible`` is False where ``radius`` raises DomainError; the other
-    fields are then NaN or empty.  On every admissible cell, value, regime,
-    residual and bracket equal the scalar certificate's bit for bit; ``lo``
-    and ``hi`` are NaN where its bracket is None.
+    fields are then NaN or empty.  On every admissible cell, value, regime
+    and residual equal the scalar certificate's bit for bit.
     """
 
     value: np.ndarray
     regime: np.ndarray
     residual: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     admissible: np.ndarray
 
 
@@ -376,8 +373,6 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
         spread(root.value, math.nan),
         spread(regime, ""),
         spread(root.residual, math.nan),
-        spread(root.lo, math.nan),
-        spread(root.hi, math.nan),
         ok,
     )
     for k in map(tuple, np.argwhere(spread(pending, False))):
@@ -387,8 +382,6 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
             ok[k] = False
             cert = RadiusCertificate(theorem, math.nan, "", math.nan, None)
         grid.value[k], grid.regime[k], grid.residual[k] = cert.value, cert.regime, cert.residual
-        bracket = (cert.bracket.lo, cert.bracket.hi) if cert.bracket else (math.nan, math.nan)
-        grid.lo[k], grid.hi[k] = bracket
     return grid
 
 

@@ -117,20 +117,17 @@ def default_corpus(seed: int = DEFAULT_SEED, size: int = CORPUS_SIZE) -> list[An
 # -- campaigns ----------------------------------------------------------------
 
 def check_below_radius(
-    theorem: Theorem,
-    w: WeightPair,
-    functions: Sequence[AnalyticFunction],
-    epsilon: float = DEFAULT_EPSILON,
+    theorem: Theorem, w: WeightPair, functions: Sequence[AnalyticFunction]
 ) -> VerificationReport:
-    """Safety check at r = R - epsilon: every corpus LHS stays within
+    """Safety check at r = R - DEFAULT_EPSILON: every corpus LHS stays within
     1 + 1e-9 + slack over the theta grid, and the analytic envelope stays
     within 1 + 1e-9."""
     cert = radius(theorem, w)
-    if not (0.0 < epsilon < cert.value):
+    if not DEFAULT_EPSILON < cert.value:
         raise PreconditionError(
-            f"epsilon must lie in (0, radius={cert.value}), got {epsilon}"
+            f"epsilon must lie in (0, radius={cert.value}), got {DEFAULT_EPSILON}"
         )
-    r = cert.value - epsilon
+    r = cert.value - DEFAULT_EPSILON
     thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
     totals, slacks = bohr_lhs_theta_corpus(theorem, functions, r, w, thetas)
     violations = totals - 1.0 - slacks

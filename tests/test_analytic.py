@@ -50,6 +50,10 @@ def many_centers(r, count=64):
     return centers
 
 
+EDGE = 1.0 - 2.0 ** -53
+DISK_PARTS = st.sampled_from([0.0, -0.0, EDGE, -EDGE, 0.5 ** 0.5]) | st.floats(-1.0, 1.0)
+DISK_POINTS = st.builds(complex, DISK_PARTS, DISK_PARTS).filter(lambda z: abs(z) < 1.0)
+UNIT_RADII = st.sampled_from([0.0, EDGE]) | st.floats(0.0, 1.0, exclude_max=True)
 REPEATED_ZEROS = BlaschkeProduct((0.9,) * 12, 1.0)
 ORACLE_PRODUCTS = {
     "24 equal zeros at 0.95": BlaschkeProduct((0.95,) * 24, 1.0),
@@ -289,6 +293,21 @@ class TestSeriesSums:
         d = abs(1.0 - a * z0)
         assert slack == 0.0
         assert value == pytest.approx((1.0 - a * a) * rho / (d * (d - a * rho)), abs=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(zeros=st.lists(DISK_POINTS, min_size=1, max_size=4),
+           centers=st.lists(DISK_POINTS, min_size=1, max_size=3), rho=UNIT_RADII)
+    def test_convergent_factor_ratios_below_one(self, zeros, centers, rho):
+        # _adaptive_terms takes q < 1: a factor series that converges has
+        # |zero| rho < |D|, and fl(x/y) < 1 for doubles x < y
+        f = BlaschkeProduct(tuple(zeros), 1.0)
+        centers = np.array(centers, dtype=complex)
+        d = _factor_forms(f, centers, rho)[3]
+        try:
+            _, q = _factor_abs_sums(f, centers, d, rho)
+        except DomainError:
+            return
+        assert np.all(q < 1.0)
 
 
 MIXED_DEGREES = [

@@ -26,7 +26,7 @@ from bohradii.functionals import (
 )
 from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.rootfind import Bracket, bisect_unique_root
-from bohradii.verify import DEFAULT_EPSILON, THETA_POINTS, below_radius_grid
+from bohradii.verify import DEFAULT_EPSILON, THETA_POINTS, below_radius_grid, default_corpus
 
 RNG = np.random.default_rng(2024)
 
@@ -187,6 +187,21 @@ class TestCorpusStacks:
         for f, total, slack in zip(corpus, totals, slacks):
             alone = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
             assert np.array_equal(total, alone[0]) and np.array_equal(slack, alone[1])
+
+    @pytest.mark.parametrize("theorem, rows", [
+        *((theorem, [6]) for theorem in (Theorem.T31, Theorem.T32, Theorem.T35, Theorem.T36)),
+        *((theorem, [1, 2, 3, 3, 4, 4, 5, 5, 6, 6]) for theorem in (Theorem.T33, Theorem.T34)),
+    ])
+    def test_seed_corpus_stack_layout(self, theorem, rows, monkeypatch):
+        # the layout measured fastest: one padded stream at center 0, and
+        # many-center stacks per degree split under STACK_CELLS; padding those
+        # across degrees, or one unpadded stream per degree, was slower
+        forms = spy_pipeline(monkeypatch)
+        w = below_radius_grid(theorem)[0]
+        r = radius(theorem, w).value - DEFAULT_EPSILON
+        thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+        bohr_lhs_theta_corpus(theorem, default_corpus(7), r, w, thetas)
+        assert [len(c0) for c0, _, _ in forms] == rows
 
     @pytest.mark.parametrize("theorem", [Theorem.T33, Theorem.T35])
     def test_pipeline_forms_arrive_c_contiguous(self, theorem, monkeypatch):

@@ -87,8 +87,13 @@ class TestAnalytic:
         assert finite(values)
 
     @SETTINGS
-    @given(f=FUNCTIONS, z0=POINTS, n=st.integers(0, 6), rho=RADII)
+    @given(f=FUNCTIONS, z0=POINTS, n=st.integers(0, 400), rho=RADII)
     @example(f=random_test_function(3, 2), z0=complex(NAN, 0.0), n=2, rho=0.5)
+    # coefficients growing like 500^k: an overflow in complex ** and in numpy
+    @example(f=Moebius(0.999), z0=0.999, n=200, rho=1e-6)
+    @example(f=BlaschkeProduct((0.999,), 1.0), z0=0.999, n=200, rho=1e-6)
+    # finite coefficients, while |1 - a z0|^(n+1) and rho^(n+1) underflow
+    @example(f=Moebius(1.0 - 2.0 ** -53), z0=1.0 - 2.0 ** -53, n=19, rho=1e-16)
     def test_recenter(self, f, z0, n, rho):
         try:
             sl = recenter(f, z0, n, rho)

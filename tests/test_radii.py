@@ -428,10 +428,6 @@ def assert_grid_matches_scalar(theorem, cells):
         assert grid.value[k] == cert.value
         assert grid.regime[k] == cert.regime
         assert grid.residual[k] == cert.residual
-        if cert.bracket is None:
-            assert math.isnan(grid.lo[k]) and math.isnan(grid.hi[k])
-        else:
-            assert grid.lo[k] == cert.bracket.lo and grid.hi[k] == cert.bracket.hi
     return grid
 
 

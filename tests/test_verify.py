@@ -88,8 +88,9 @@ class TestCheckBelowRadius:
         )
 
     def test_epsilon_gate(self):
-        with pytest.raises(PreconditionError):
-            check_below_radius(Theorem.T31, WeightPair(1.0, 1.0), [], epsilon=0.9)
+        # the t32 radius at (1, 1e6) is 4.99999e-7, below the check's epsilon
+        with pytest.raises(PreconditionError, match=r"epsilon must lie in \(0, radius=4\.99999"):
+            check_below_radius(Theorem.T32, WeightPair(1.0, 1e6), [])
 
 
 class TestSharpnessWitness:
