@@ -22,6 +22,7 @@ join the slacks.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -48,6 +49,8 @@ class Polynomial:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
         if not self.coeffs:
             raise DomainError("polynomial needs at least one coefficient")
+        if not all(map(cmath.isfinite, self.coeffs)):
+            raise DomainError("all polynomial coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,8 @@ def _require_in_disk(z, what: str):
         inside = np.all(np.abs(z) < 1.0)
     else:
         z = complex(z)
-        inside = abs(z) < 1.0
+        # parts first: CPython's abs of a complex with a NaN part can raise on a stale errno
+        inside = abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
     if not inside:
         raise DomainError(f"{what} must satisfy |z| < 1")
     return z
@@ -176,22 +180,25 @@ def _factor_table(c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int) -> np
     return table
 
 
+def _factor_series(mods, d_abs, rho: float):
+    """(sum_{j>=1} |c_j| rho^j, q = |zero| rho / |D|) of (zero - z)/(1 - conj(zero) z) about z0,
+    D = 1 - conj(zero) z0, from |zero| and |D| (floats or arrays; a Moebius map has zero a):
+    (1 - |zero|^2) rho / (|D| (|D| - |zero| rho)).  DomainError where it diverges (q >= 1)."""
+    reach = mods * rho
+    converges = reach < d_abs
+    if not (converges.all() if isinstance(converges, np.ndarray) else converges):
+        raise DomainError("recentred series divergent at this radius")
+    return (1.0 - mods * mods) * rho / (d_abs * (d_abs - reach)), reach / d_abs
+
+
 def _factor_abs_sums(
     f: BlaschkeProduct, centers: np.ndarray, d: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_j |c_j| rho^j, q = |zero| rho / |D|) per factor and center.
-
-    The closed form is |c_0| + (1 - |zero|^2) rho / (|D| (|D| - |zero| rho));
-    DomainError where a series diverges (|zero| rho >= |D|).
-    """
+    """(sum_j |c_j| rho^j, q) per factor and center: |c_0| plus ``_factor_series``."""
     zeros = np.array(f.zeros, dtype=complex)[:, None]
-    mods = np.abs(zeros)
     d_abs = np.abs(d)
-    reach = mods * rho
-    if not np.all(reach < d_abs):
-        raise DomainError("recentred series divergent at this radius")
-    series = (1.0 - mods * mods) * rho / (d_abs * (d_abs - reach))
-    return np.abs(zeros - centers) / d_abs + series, reach / d_abs
+    series, q = _factor_series(np.abs(zeros), d_abs, rho)
+    return np.abs(zeros - centers) / d_abs + series, q
 
 
 def _truncated_product(scale: float, table: np.ndarray) -> np.ndarray:
@@ -246,21 +253,6 @@ def _product_tail(scale: float, sums: np.ndarray, rho: float, head: np.ndarray) 
     if rho == 0.0:
         return np.zeros(head.shape)
     return np.maximum(0.0, sums.prod(axis=0, initial=scale) - head)
-
-
-def _blaschke_abs_sums(
-    f: BlaschkeProduct, centers: np.ndarray, rho: float, start: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{k>=start} |c_k| rho^k, truncation slack) about each center: one
-    product at one center convolves its factor table, else ``_streamed_sums``."""
-    c0, lead, t, d = _factor_forms(f, centers, rho)
-    sums, q = _factor_abs_sums(f, centers, d, rho)
-    if c0.shape[1:] != (1,):
-        return _streamed_sums(f.scale, c0, lead, t, sums, q, rho, len(c0), start)[:2]
-    table = _factor_table(c0, lead, t, _adaptive_terms(q.max(initial=0.0), 2.0 ** len(c0)))
-    head = _truncated_product(f.scale, np.abs(table)).sum(axis=1)
-    terms = np.abs(_truncated_product(f.scale, table))
-    return terms[:, start:].sum(axis=1), _product_tail(f.scale, sums, rho, head)
 
 
 def _streamed_sums(scale, c0, lead, t, sums, q, rho: float, degree, start: int, m: int = 0):
@@ -349,13 +341,11 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
         deg = len(f.coeffs) - 1
         shifted = _shift_polynomial(f.coeffs, z0)
         coeffs = shifted[: n + 1] + (0j,) * max(0, n - deg)
-        tail = float(sum(abs(c) * rho ** k for k, c in enumerate(shifted) if k > n))
+        tail = _poly_sum(abs(c) * rho ** k for k, c in enumerate(shifted) if k > n)
     elif isinstance(f, Moebius):
         a = f.a
         d = 1.0 - a * z0
-        d_abs = abs(d)
-        if a * rho >= d_abs:
-            raise DomainError("recentred series divergent at this radius")
+        series, q = _factor_series(a, abs(d), rho)
         coeffs = [complex((a - z0) / d)]
         lead = -(1.0 - a * a) / (d * d)
         try:
@@ -363,8 +353,8 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
                 coeffs.append(lead * (a / d) ** (k - 1))
         except OverflowError:  # complex ** raises where the power overflows
             raise DomainError("recentred Taylor data overflows") from None
-        # one power of a rho/|d| < 1: |d|^(n+1) alone can underflow to 0
-        tail = (1.0 - a * a) * rho / (d_abs * (d_abs - a * rho)) * (a * rho / d_abs) ** n
+        # one power of q < 1: |d|^(n+1) alone can underflow to 0
+        tail = series * q ** n
     else:
         centers = np.array([z0])
         with np.errstate(all="ignore"):  # overflow is refused below
@@ -402,20 +392,7 @@ def series_abs_sum(f: AnalyticFunction, rho: float, start: int = 0) -> tuple[flo
     """
     if start not in (0, 1):
         raise ValueError("start must be 0 or 1")
-    if not (0.0 <= rho < 1.0):
-        raise DomainError(f"rho must lie in [0, 1), got {rho}")
-
-    if isinstance(f, Polynomial):
-        total = sum(abs(c) * rho ** k for k, c in enumerate(f.coeffs) if k >= start)
-        return float(total), 0.0
-
-    if isinstance(f, Moebius):
-        a = f.a
-        series = (1.0 - a * a) * rho / (1.0 - a * rho)
-        return (a + series if start == 0 else series), 0.0
-
-    values, slacks = _blaschke_abs_sums(f, np.zeros(1, dtype=complex), rho, start)
-    return float(values[0]), float(slacks[0])
+    return _abs_sums(f, 0j, rho, start)
 
 
 def recentered_abs_sums_grid(
@@ -426,31 +403,54 @@ def recentered_abs_sums_grid(
     ``centers`` is one complex (0-d results) or an array of them; a ``_stack``
     takes a 1-d array and gives each member a row, in member order.
 
-    Blaschke products go through ``_blaschke_abs_sums``: a single center
-    convolves, several stream with a roundoff bound in the slack.
+    Blaschke products go through ``_abs_sums``: a single center convolves,
+    several stream with a roundoff bound in the slack.
     """
     centers = _require_in_disk(np.asarray(centers, dtype=complex), "all centers")
-    if not (0.0 <= rho < 1.0):
-        raise DomainError(f"rho must lie in [0, 1), got {rho}")
-
-    if isinstance(f, Polynomial):
-        values = np.empty(centers.shape, dtype=float)
-        for i, z0 in np.ndenumerate(centers):
-            shifted = _shift_polynomial(f.coeffs, z0)
-            values[i] = sum(abs(c) * rho ** k for k, c in enumerate(shifted) if k >= 1)
-        return values, np.zeros_like(values)
-
-    if isinstance(f, Moebius):
-        a = f.a
-        d_abs = np.abs(1.0 - a * centers)
-        if np.any(a * rho >= d_abs):
-            raise DomainError("recentred series divergent at this radius")
-        values = (1.0 - a * a) * rho / (d_abs * (d_abs - a * rho))
-        return values, np.zeros_like(values)
-
-    values, slacks = _blaschke_abs_sums(f, centers.ravel(), rho)
+    values, slacks = _abs_sums(f, centers.ravel(), rho, 1)
     shape = values.shape[:-1] + centers.shape
     return values.reshape(shape), slacks.reshape(shape)
+
+
+def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
+    """(sum_{k>=start} |c_k(z0)| rho^k, truncation slack) about each center z0:
+    0j, the Maclaurin series, with floats (Moebius maps and polynomials in Python
+    arithmetic; a row per ``_stack`` member), or a 1-d complex array, a value per
+    center on the last axis.  DomainError where rho lies outside [0, 1), a
+    series diverges or a polynomial's sum overflows."""
+    if not (0.0 <= rho < 1.0):
+        raise DomainError(f"rho must lie in [0, 1), got {rho}")
+    one = not isinstance(centers, np.ndarray)
+    if isinstance(f, BlaschkeProduct):
+        c0, lead, t, d = _factor_forms(f, centers, rho)
+        sums, q = _factor_abs_sums(f, centers, d, rho)
+        if c0.shape[1:] != (1,):
+            return _streamed_sums(f.scale, c0, lead, t, sums, q, rho, len(c0), start)[:2]
+        table = _factor_table(c0, lead, t, _adaptive_terms(q.max(initial=0.0), 2.0 ** len(c0)))
+        head = _truncated_product(f.scale, np.abs(table)).sum(axis=1)
+        terms = np.abs(_truncated_product(f.scale, table))
+        values, slacks = terms[:, start:].sum(axis=1), _product_tail(f.scale, sums, rho, head)
+        return (float(values[0]), float(slacks[0])) if one else (values, slacks)
+    if isinstance(f, Moebius):
+        series, _ = _factor_series(f.a, abs(1.0 - f.a * centers), rho)
+        values = f.a + series if start == 0 else series
+    else:  # centers as Python complex: an overflow raises or gives inf, never warns
+        rows = [_shift_polynomial(f.coeffs, z0) if z0 else f.coeffs
+                for z0 in ([centers] if one else centers.tolist())]
+        values = [_poly_sum(abs(c) * rho ** k for k, c in enumerate(row) if k >= start)
+                  for row in rows]
+        values = values[0] if one else np.array(values)
+    return values, 0.0 * values  # no slack, in the shape of the values
+
+
+def _poly_sum(terms) -> float:
+    """A polynomial's sum of nonnegative terms; DomainError where it overflows."""
+    try:
+        if math.isfinite(total := float(sum(terms))):
+            return total
+    except OverflowError:  # float ** and abs of a complex raise where they overflow
+        pass
+    raise DomainError("polynomial sum overflows")
 
 
 # -- area functional -------------------------------------------------------------
@@ -461,10 +461,9 @@ def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
     if not (0.0 < r < 1.0):
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if isinstance(f, Polynomial):
-        total = sum(
+        return _poly_sum(
             k * abs(c) ** 2 * r ** (2 * k) for k, c in enumerate(f.coeffs) if k >= 1
-        )
-        return float(total), 0.0
+        ), 0.0
     if isinstance(f, Moebius):
         a = f.a
         return (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2, 0.0
@@ -492,16 +491,18 @@ def certify_bounded(f: AnalyticFunction) -> Boundedness:
     Moebius and scaled Blaschke products are certified analytically.  A
     polynomial is sampled on the boundary circle and padded with the rigorous
     Lipschitz margin pi * (sum_k k |a_k|) / CERTIFY_SAMPLES; conservative
-    rejections are intended (soundness over completeness).
+    rejections are intended (soundness over completeness).  DomainError where
+    the margin overflows.
     """
     if isinstance(f, Moebius):
         return Boundedness(True, 1.0)
     if isinstance(f, BlaschkeProduct):
         return Boundedness(True, f.scale)
     thetas = 2.0 * math.pi * np.arange(CERTIFY_SAMPLES) / CERTIFY_SAMPLES
-    values = _value(f, np.exp(1j * thetas))
-    margin = math.pi * sum(k * abs(c) for k, c in enumerate(f.coeffs)) / CERTIFY_SAMPLES
-    sup_estimate = float(np.max(np.abs(values))) + margin
+    margin = math.pi * _poly_sum(k * abs(c) for k, c in enumerate(f.coeffs)) / CERTIFY_SAMPLES
+    with np.errstate(all="ignore"):  # a non-finite estimate is not certified
+        values = _value(f, np.exp(1j * thetas))
+        sup_estimate = float(np.max(np.abs(values))) + margin
     return Boundedness(sup_estimate <= 1.0, sup_estimate)
 
 

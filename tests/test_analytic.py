@@ -23,10 +23,10 @@ from bohradii.analytic import (
     series_abs_sum,
     taylor_at_zero,
     _adaptive_terms,
-    _blaschke_abs_sums,
     _factor_abs_sums,
     _factor_forms,
     _pipelined_product,
+    _stack,
     _zero_center_sums,
 )
 from bohradii.errors import DomainError
@@ -61,6 +61,18 @@ ORACLE_PRODUCTS = {
     "12 zeros clustered at 0.9": BlaschkeProduct(tuple(0.9 + 0.001j * i for i in range(12)), 1.0),
     "seeded degree 24, seed 31": random_test_function(31, 24),
     "seeded degree 24, seed 32": random_test_function(32, 24),
+}
+MACLAURIN_CASES = {
+    "moebius 0": Moebius(0.0),
+    "moebius 0.55": Moebius(0.55),
+    "moebius 0.999": Moebius(0.999),
+    "moebius stack": _stack([Moebius(0.1), Moebius(0.6), Moebius(0.95)]),
+    "constant": Polynomial((0.3 - 0.1j,)),
+    "degree 4": Polynomial((0.1, -0.2j, 0.05 + 0.3j, 0.0, 0.2)),
+    "zero-free product": BlaschkeProduct((), 0.7),
+    "one zero": BlaschkeProduct((0.5,), 0.8),
+    "six zeros": random_test_function(11, 6),
+    "12 equal zeros at 0.9": REPEATED_ZEROS,
 }
 
 
@@ -226,11 +238,8 @@ class TestSeriesSums:
         forms = (np.concatenate([v, abs(v)], axis=-1) for v in (c0, lead, t))
         steps = np.array([np.abs(c) for c in _pipelined_product(f.scale, *forms, n)])
         terms = steps[:, : centers.size].T
-        sums, slacks = _blaschke_abs_sums(f, centers, r)
         values, grid_slacks = recentered_abs_sums_grid(f, centers, r)
         assert np.array_equal(values, terms[:, 1:].sum(axis=1))
-        assert np.array_equal(values, sums)
-        assert np.array_equal(slacks, grid_slacks)
         n, k = terms.shape[1] - 1, len(f.zeros)
         js = np.arange(n + 1)
         for i in (0, 40):
@@ -246,7 +255,7 @@ class TestSeriesSums:
             env = np.array([float(e) for e in envelope[: n + 1]])
             assert np.all(coeff_errors <= gamma(4 * js + 5 * k + 2) * env)
             assert error <= gamma(11 * (n + k) + 2) * env.sum()
-            assert slacks[i] >= tail + error
+            assert grid_slacks[i] >= tail + error
 
     @pytest.mark.parametrize("rho", [0.0, 0.45])
     def test_many_centers_zero_free(self, rho):
@@ -285,6 +294,25 @@ class TestSeriesSums:
         # leaves slacks near 1e-7 here
         _, slack = series_abs_sum(random_test_function(700 + seed, 24), 0.4, start=1)
         assert slack <= 1e-11
+
+    @pytest.mark.parametrize("rho", [0.0, 0.1, 0.37, 0.8])
+    @pytest.mark.parametrize("f", MACLAURIN_CASES.values(), ids=MACLAURIN_CASES)
+    def test_maclaurin_sums_are_recentred_at_zero(self, f, rho):
+        # series_abs_sum is recentered_abs_sums_grid at z0 = 0, bit for bit
+        bits = lambda x: np.asarray(x, dtype=float).ravel().tobytes()  # noqa: E731
+        value, slack = series_abs_sum(f, rho, start=1)
+        grid_value, grid_slack = recentered_abs_sums_grid(f, 0j, rho)
+        assert bits(value) == bits(grid_value) and bits(slack) == bits(grid_slack)
+        if isinstance(f, Moebius):  # start 0 adds |c_0| = a exactly
+            assert bits(series_abs_sum(f, rho, start=0)[0]) == bits(f.a + value)
+
+    def test_moebius_one_center_takes_numpy_abs(self):
+        # |1 - a z0| from np.abs, as for an array of centers; builtin abs of the
+        # numpy complex gives 0.8103490769238568 here
+        a, z0, rho = 0.014521744083449457, 0.05093078520074609 + 0.7181963903549192j, 0.8
+        value, _ = recentered_abs_sums_grid(Moebius(a), z0, rho)
+        assert float(value) == 0.8103490769238566
+        assert recentered_abs_sums_grid(Moebius(a), np.array([z0, 0.3]), rho)[0][0] == value
 
     def test_moebius_recentered_closed_form(self):
         a, rho = 0.7, 0.3

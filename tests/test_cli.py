@@ -360,6 +360,18 @@ class TestCheckCommand:
         assert (code, out) == (2, "")
         assert err == "domain error: all Blaschke zeros must satisfy |z| < 1\n"
 
+    @pytest.mark.parametrize(
+        "coeffs", [[[math.nan, 0.0], [0.1, 0.0]], [[0.1, 0.0], [math.inf, 0.0]]]
+    )
+    def test_non_finite_coefficient_exit_2(self, capsys, tmp_path, coeffs):
+        record = {"kind": "polynomial", "coeffs": coeffs}
+        code, out, err = run(
+            capsys, "check", "--theorem", "t31", "--alpha", "0.5", "--beta", "0.6",
+            "--r", "0.2", "--function", self.write_record(tmp_path, record),
+        )
+        assert (code, out) == (2, "")
+        assert err == "domain error: all polynomial coefficients must be finite\n"
+
     @settings(max_examples=60, deadline=None)
     @given(theorem=THEOREMS, alpha=HOSTILE, beta=HOSTILE,
            r=st.sampled_from([0.0, 0.3, 0.99, -1e308, -math.inf]),

@@ -1,16 +1,19 @@
 """Hostile input at the library entry points: every call returns finite numbers
 or raises DomainError, never NaN and never another exception.
 
-Points, centers, zeros, a and r are built from non-finite, signed-zero,
-boundary and huge parts mixed with valid ones.  Each property carries an
-``example`` with a NaN input, so it is tried on every run.  Valid weights at
-extreme scales go through ``check_below_radius``, pair by pair; there a root
-may also fail the checks that the CLI maps to exit 2.
+Points, centers, zeros, polynomial coefficients, a, r and rho are built from
+non-finite, signed-zero, boundary and huge parts mixed with valid ones.  Each
+property carries an ``example`` with a NaN input, so it is tried on every
+run.  Valid weights at extreme scales go through ``check_below_radius``,
+pair by pair; there a root may also fail the checks that the CLI maps to
+exit 2.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +23,14 @@ from bohradii.analytic import (
     BlaschkeProduct,
     Moebius,
     Polynomial,
+    area_sum_and_tail,
     certify_bounded,
     evaluate,
     evaluate_grid,
     random_test_function,
     recenter,
     recentered_abs_sums_grid,
+    series_abs_sum,
 )
 from bohradii.errors import (BracketError, DomainError, NonUniqueRootError, PreconditionError,
                              ResidualError)
@@ -110,6 +115,55 @@ class TestAnalytic:
         except DomainError:
             return
         assert finite(sums, slacks)
+
+    @SETTINGS
+    @given(f=FUNCTIONS, rho=RADII)
+    @example(f=Moebius(0.5), rho=NAN)
+    def test_series_and_area_sums(self, f, rho):
+        # rho feeds series_abs_sum's gate and r area_sum_and_tail's
+        for call in (lambda: series_abs_sum(f, rho, 0), lambda: series_abs_sum(f, rho, 1),
+                     lambda: area_sum_and_tail(f, rho)):
+            try:
+                value, slack = call()
+            except DomainError:
+                continue
+            assert finite(value, slack)
+
+    @SETTINGS
+    @given(coeffs=st.lists(POINTS, min_size=1, max_size=4), z0=POINTS, rho=RADII,
+           n=st.integers(0, 5))
+    @example(coeffs=[complex(NAN, 0.0)], z0=0.2, rho=0.3, n=2)
+    # finite coefficients whose sums, shifts and moduli overflow
+    @example(coeffs=[1e308, 1e308], z0=0.5, rho=0.49, n=0)
+    @example(coeffs=[0.1, complex(1e308, 1e308), 1e308j], z0=-0.7, rho=0.99, n=1)
+    def test_polynomial_coefficients(self, coeffs, z0, rho, n):
+        try:
+            f = Polynomial(tuple(coeffs))
+        except DomainError:
+            return
+        assert finite(f.coeffs)
+        calls = (
+            lambda: series_abs_sum(f, rho, 0),
+            lambda: series_abs_sum(f, rho, 1),
+            lambda: recentered_abs_sums_grid(f, np.array([0.0, z0]), rho),
+            lambda: area_sum_and_tail(f, rho),
+            lambda: dataclasses.astuple(recenter(f, z0, n, rho)),
+        )
+        for call in calls:
+            try:
+                values = call()
+            except DomainError:
+                continue
+            assert finite(*values)
+        certify_bounded.cache_clear()  # an earlier example's report would hide a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = certify_bounded(f)
+            except DomainError:
+                return
+        # a non-finite estimate is not certified
+        assert report.certified == (report.sup_estimate <= 1.0)
 
 
 class TestFunctionals:
