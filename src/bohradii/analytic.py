@@ -12,12 +12,13 @@ One evaluator body written with plain operators serves a single point
 
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
 center or many, the area sum) comes from one engine: closed-form factor
-series c0 + lead*u/(1 - t*u), their truncated product, and a tail equal to the
-product of the closed-form factor absolute sums minus the same product's head
-on moduli.  One function at one center convolves; several centers, or many
-products of any degrees at center 0 (padded with identity factors), run one
-stream of pipelined first-order recurrences, whose derived roundoff bounds
-join the slacks.
+series c0 + lead*u/(1 - t*u) and their truncated product.  One function at
+one center convolves, with a tail equal to the product of the closed-form
+factor absolute sums minus the same product's head on moduli.  Several
+centers, or many products of any degrees at center 0 (padded with identity
+factors), run one stream of pipelined first-order recurrences on the terms
+alone: its tail is a negative-binomial bound and its roundoff bounds come from
+the factor sums, all in closed form.
 """
 
 from __future__ import annotations
@@ -146,17 +147,28 @@ def _value(f: AnalyticFunction, z):
 
 
 def evaluate(f: AnalyticFunction, z: complex) -> complex:
-    """Function value at a point of the open disk, in Python complex arithmetic."""
-    return _value(f, _require_in_disk(z, "z"))
+    """Function value at a point of the open disk, in Python complex arithmetic.
+    DomainError where a polynomial's value overflows (the other kinds are bounded)."""
+    value = _value(f, _require_in_disk(z, "z"))
+    if isinstance(f, Polynomial) and not cmath.isfinite(value):
+        raise DomainError("polynomial value overflows")
+    return value
 
 
 def evaluate_grid(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
-    """``evaluate``'s operations over an array of disk points.
+    """``evaluate``'s operations over an array of disk points, with its overflow rule.
 
     numpy's complex ``*``, ``/`` and ``abs`` may round differently from
     CPython's, so a cell can differ from ``evaluate`` in the last bits.
     """
-    return _value(f, _require_in_disk(np.asarray(zs, dtype=complex), "all evaluation points"))
+    zs = _require_in_disk(np.asarray(zs, dtype=complex), "all evaluation points")
+    if not isinstance(f, Polynomial):
+        return _value(f, zs)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        values = _value(f, zs)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("polynomial value overflows")
+    return values
 
 
 # -- Blaschke series engine -----------------------------------------------------
@@ -255,39 +267,74 @@ def _product_tail(scale: float, sums: np.ndarray, rho: float, head: np.ndarray) 
     return np.maximum(0.0, sums.prod(axis=0, initial=scale) - head)
 
 
-def _streamed_sums(scale, c0, lead, t, sums, q, rho: float, degree, start: int, m: int = 0):
+def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     """Per column of the factor forms at scale rho: sum_{start<=j<=n} |c_j| rho^j,
     its slack, the area head sum_{j<=m} j |c_j|^2 rho^(2j) and its roundoff
-    bound, each stack member's n from its own reach and degree k.
+    bound, each stack member's n from ``_tail_terms``.  Only the terms stream.
 
-    The forms and, stacked along the column axis, their moduli (the envelope
-    e, whose computed head h is within gamma_(3n+3k)) stream through
-    ``_pipelined_product``, each column summed up to its member's n.  Moduli
-    and sum err by gamma_(5n+5k+1) h, so (Higham, Lemma 3.3) the slack adds
-    gamma_(11(n+k)+2) h to the tail.  Each |c_j| is within gamma_(4m+5k+2) e_j,
-    so the area head errs by gamma_(9m+10k+6) sum j e_j^2; the envelope's
-    computed area head E is within gamma_(3m+3k) and gamma_(m+2) of that sum,
-    so the error is at most gamma_(23m+22k+10) E.
+    Tail: with q >= max |t| over a member's factors and columns, a factor's
+    |c_j| = |lead| |t|^(j-1) is at most max(|c0|, |lead|/q) q^j, so the envelope e
+    (the same series on |c0|, |lead|, |t|) has e_j <= M C(j+k-1, k-1) q^j, where
+    M = scale prod max(|c0|, |lead|/q) per column.  Those terms shrink by at
+    most q(n+k+1)/(n+2) past n, so the tail beyond n is at most
+    M C(n+k, k-1) q^(n+1)/(1 - q(n+k+1)/(n+2)), and at most E(1) = scale prod sums.
+
+    Roundoff (Higham, ch. 3): moduli and sum err by gamma_(5n+5k+1) sum_(j<=n) e_j
+    <= gamma_(5n+5k+1) E(1).  Each |c_j| is within gamma_(4m+5k+2) e_j, so the area
+    head errs by gamma_(9m+10k+6) sum j e_j^2 <= gamma_(9m+10k+6) E(1) E'(1), as
+    e_j <= E(1) and sum j e_j = E'(1) = E(1) sum |lead|/(1 - |t|)^2/sums.  These
+    closed forms are evaluated in floating point and taken as exact, as the
+    factor forms and sums are.
     """
     gamma = lambda ops: ops * 2.0 ** -53 / (1.0 - ops * 2.0 ** -53)  # noqa: E731
-    reach = q.max(axis=(0, -1), initial=0.0, keepdims=True)[0]  # per stack member
-    n = np.vectorize(lambda x, k: _adaptive_terms(x, 2.0 ** k), otypes=[int])(reach, degree)
-    cols = c0.shape[-1]
-    c0, lead, t = [np.concatenate([v, abs(v)], axis=-1) for v in (c0, lead, t)]
+    lead_abs, t_abs = np.abs(lead), np.abs(t)
+    q = t_abs.max(axis=(0, -1), initial=0.0, keepdims=True)[0]  # per stack member
+    np.maximum(q, 2.0 ** -20, out=q, where=q > 0.0)  # keeps |lead|/q finite for tiny zeros
+    big = scale * np.maximum(np.abs(c0), lead_abs / np.where(q > 0.0, q, 1.0)).prod(axis=0)
+    members = (np.broadcast_to(v, q.shape).ravel().tolist()  # Python floats: faster scalars
+               for v in (big.max(axis=-1, initial=0.0, keepdims=True), q, degree))
+    n, factor = np.array([_tail_terms(*x) for x in zip(*members)]).T.reshape((2,) + q.shape)
     steps = _pipelined_product(scale, c0, lead, t, max(int(n.max()), m))
-    acc = np.abs(next(steps))
-    if start:
-        acc[..., :cols] = 0.0  # the envelope head still starts at j = 0
-    area = np.zeros(acc.shape)
-    for j, step in enumerate(steps, 1):
+    values, area = np.zeros((2,) + c0.shape[1:])
+    for j, step in enumerate(steps):
         moduli = np.abs(step)
-        np.add(acc, moduli, out=acc, where=j <= n)
-        if j <= m:
+        if j >= start:
+            np.add(values, moduli, out=values, where=j <= n)
+        if 0 < j <= m:
             area += j * moduli ** 2
-    values, head = acc[..., :cols], acc[..., cols:]
-    sums = np.concatenate([np.broadcast_to(scale, sums.shape[1:])[None], sums])  # scale as row 0
-    slack = _product_tail(1.0, sums, rho, head) + gamma(11 * (n + degree) + 2) * head
-    return values, slack, area[..., :cols], gamma(23 * m + 22 * degree + 10) * area[..., cols:]
+    e1 = scale * sums.prod(axis=0)
+    slack = np.fmin(big * factor, e1) + gamma(5 * n + 5 * degree + 1) * e1
+    if not m:  # no area head: it and its bound are zeros
+        return values, slack, area, area
+    slope = sum(x / (1.0 - y) ** 2 / s for x, y, s in zip(lead_abs, t_abs, sums))
+    return values, slack, area, gamma(9 * m + 10 * degree + 6) * e1 * e1 * slope
+
+
+def _tail_terms(big: float, q: float, k: int) -> tuple[int, float]:
+    """(n, f) for the bound big * f on the tail beyond n of big * sum_j C(j+k-1, k-1) q^j,
+    f = C(n+k, k-1) q^(n+1)/(1 - q(n+k+1)/(n+2)) (inf where the ratio test fails):
+    n is the least from _MIN_TERMS that puts big * f below the tail target, or
+    _MAX_TERMS.  big * f falls with n, so doubling and then bisection find n.  A
+    polynomial (q = 0) takes n = k and f = 0; an overflowed big takes f = inf."""
+    if q == 0.0:
+        return k, 0.0
+    if not big < math.inf:
+        return _MIN_TERMS, math.inf
+
+    def factor(n):  # inf where the ratio test fails or the binomial overflows
+        den = 1.0 - q * (n + k + 1) / (n + 2)
+        try:
+            return math.comb(n + k, k - 1) * q ** (n + 1) / den if den > 0.0 else math.inf
+        except OverflowError:
+            return math.inf
+
+    low = high = _MIN_TERMS
+    while high < _MAX_TERMS and big * factor(high) >= _TAIL_TARGET:
+        low, high = high + 1, min(_MAX_TERMS, 2 * high)
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if big * factor(mid) < _TAIL_TARGET else (mid + 1, high)
+    return high, factor(high)
 
 
 def _zero_center_sums(fs, r: float, start: int, area: bool):
@@ -299,16 +346,17 @@ def _zero_center_sums(fs, r: float, start: int, area: bool):
     degree = np.array([len(g.zeros) for g in fs])[:, None]
     pad = (np.arange(len(f.zeros))[:, None, None] >= degree)[:, None]
     c0, lead, t, d = _factor_forms(f, np.zeros(1, dtype=complex), r)
-    sums, q = _factor_abs_sums(f, 0.0, d, r)
+    sums, _ = _factor_abs_sums(f, 0.0, d, r)
     c0, sums = np.where(pad, 1.0, c0), np.where(pad, 1.0, sums)
     lead, t = np.where(pad, 0.0, lead), np.where(pad, 0.0, t)
     m, tail = _area_size(r) if area else (0, 0.0)
-    out = _streamed_sums(f.scale, c0, lead, t, sums, q, r, degree, start, m)
+    out = _streamed_sums(f.scale, c0, lead, t, sums, degree, start, m)
     return out[0][0], out[1][0], out[2][0], tail + out[3][0]
 
 
 def _adaptive_terms(q: float, prefactor: float) -> int:
-    """Smallest n >= _MIN_TERMS with prefactor * q^(n+1)/(1-q) below the tail target."""
+    """Smallest n >= _MIN_TERMS with prefactor * q^(n+1)/(1-q) below the tail target:
+    the one-center convolve path's term count (prefactor 2^k) and ``_area_size``'s."""
     if q <= 0.0:
         return _MIN_TERMS
     need = math.log(_TAIL_TARGET * (1.0 - q) / max(prefactor, 1.0)) / math.log(q)
@@ -425,7 +473,7 @@ def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
         c0, lead, t, d = _factor_forms(f, centers, rho)
         sums, q = _factor_abs_sums(f, centers, d, rho)
         if c0.shape[1:] != (1,):
-            return _streamed_sums(f.scale, c0, lead, t, sums, q, rho, len(c0), start)[:2]
+            return _streamed_sums(f.scale, c0, lead, t, sums, len(c0), start)[:2]
         table = _factor_table(c0, lead, t, _adaptive_terms(q.max(initial=0.0), 2.0 ** len(c0)))
         head = _truncated_product(f.scale, np.abs(table)).sum(axis=1)
         terms = np.abs(_truncated_product(f.scale, table))

@@ -22,11 +22,14 @@ from bohradii.analytic import (
     recentered_abs_sums_grid,
     series_abs_sum,
     taylor_at_zero,
-    _adaptive_terms,
+    _MIN_TERMS,
+    _TAIL_TARGET,
+    _area_size,
     _factor_abs_sums,
     _factor_forms,
     _pipelined_product,
     _stack,
+    _tail_terms,
     _zero_center_sums,
 )
 from bohradii.errors import DomainError
@@ -50,6 +53,15 @@ def many_centers(r, count=64):
     return centers
 
 
+def negative_binomial(f, c0, lead, t):
+    """The stream's tail data for one function's columns, restated: (n, M per
+    column, q, factor), q = max |t| and M = scale prod max(|c0|, |lead|/q)."""
+    q = float(np.abs(t).max())
+    big = f.scale * np.maximum(np.abs(c0), np.abs(lead) / q).prod(axis=0)
+    n, factor = _tail_terms(float(big.max()), q, len(c0))
+    return n, big, q, factor
+
+
 EDGE = 1.0 - 2.0 ** -53
 DISK_PARTS = st.sampled_from([0.0, -0.0, EDGE, -EDGE, 0.5 ** 0.5]) | st.floats(-1.0, 1.0)
 DISK_POINTS = st.builds(complex, DISK_PARTS, DISK_PARTS).filter(lambda z: abs(z) < 1.0)
@@ -61,6 +73,12 @@ ORACLE_PRODUCTS = {
     "12 zeros clustered at 0.9": BlaschkeProduct(tuple(0.9 + 0.001j * i for i in range(12)), 1.0),
     "seeded degree 24, seed 31": random_test_function(31, 24),
     "seeded degree 24, seed 32": random_test_function(32, 24),
+}
+BOUND_PRODUCTS = {
+    "12 equal zeros at 0.9": REPEATED_ZEROS,
+    "24 equal zeros at 0.95": ORACLE_PRODUCTS["24 equal zeros at 0.95"],
+    "12 zeros clustered at 0.9": ORACLE_PRODUCTS["12 zeros clustered at 0.9"],
+    "three zeros near the boundary": BlaschkeProduct((0.999, 0.998j, -0.997 + 0.01j), 0.9),
 }
 MACLAURIN_CASES = {
     "moebius 0": Moebius(0.0),
@@ -220,8 +238,7 @@ class TestSeriesSums:
         for z0, v, slack in zip(centers, values, slacks):
             single, single_slack = recentered_abs_sums_grid(f, z0, rho)
             assert abs(single - v) <= slack + single_slack
-        if degree != "repeated":  # its envelope tail alone is 1.2e-9 at z0 = 0.4
-            assert np.all(slacks < 1e-9)
+        assert np.all(slacks < 1e-9)
 
     @pytest.mark.parametrize("r", [0.4, 0.45])
     @pytest.mark.parametrize("name", ORACLE_PRODUCTS)
@@ -231,16 +248,14 @@ class TestSeriesSums:
         # double precision.
         f = ORACLE_PRODUCTS[name]
         centers = many_centers(r)
-        c0, lead, t, d = _factor_forms(f, centers, r)
-        n = _adaptive_terms(float(_factor_abs_sums(f, centers, d, r)[1].max()), 2.0 ** len(c0))
-        # the pipeline's per-step outputs on the columns the streamed sums
-        # consume: the terms' columns, then the envelope's
-        forms = (np.concatenate([v, abs(v)], axis=-1) for v in (c0, lead, t))
-        steps = np.array([np.abs(c) for c in _pipelined_product(f.scale, *forms, n)])
-        terms = steps[:, : centers.size].T
+        c0, lead, t, _ = _factor_forms(f, centers, r)
+        n, _, _, _ = negative_binomial(f, c0, lead, t)
+        # the pipeline's per-step outputs, which the streamed sums consume
+        steps = np.array([np.abs(c) for c in _pipelined_product(f.scale, c0, lead, t, n)])
+        terms = steps.T
         values, grid_slacks = recentered_abs_sums_grid(f, centers, r)
         assert np.array_equal(values, terms[:, 1:].sum(axis=1))
-        n, k = terms.shape[1] - 1, len(f.zeros)
+        k = len(f.zeros)
         js = np.arange(n + 1)
         for i in (0, 40):
             exact, _ = blaschke_series_mp(f, centers[i], r, n + 33)
@@ -254,16 +269,91 @@ class TestSeriesSums:
                 tail = float(mpmath.fsum(moduli[n + 1 :]) + total - mpmath.fsum(envelope))
             env = np.array([float(e) for e in envelope[: n + 1]])
             assert np.all(coeff_errors <= gamma(4 * js + 5 * k + 2) * env)
-            assert error <= gamma(11 * (n + k) + 2) * env.sum()
+            assert error <= gamma(5 * n + 5 * k + 1) * env.sum()
             assert grid_slacks[i] >= tail + error
+
+    @pytest.mark.parametrize("name", BOUND_PRODUCTS)
+    def test_negative_binomial_tail_against_mpmath(self, name):
+        # e_j <= M C(j+k-1, k-1) q^j for the envelope e, so the rest beyond m is
+        # at most M C(m+k, k-1) q^(m+1)/(1 - q(m+k+1)/(m+2)); the float forms may
+        # sit an ulp below the exact ones, hence the relative 1e-12.  Column
+        # ``far`` holds q, where the bound is tightest.
+        f = BOUND_PRODUCTS[name]
+        r = 0.45
+        centers = many_centers(r)
+        c0, lead, t, _ = _factor_forms(f, centers, r)
+        n, big, q, factor = negative_binomial(f, c0, lead, t)
+        k = len(f.zeros)
+        far = int(np.abs(t).max(axis=0).argmax())
+        for i in (0, 16, far):
+            envelope, total = blaschke_series_mp(f, centers[i], r, n + 1, moduli=True)
+            with mpmath.workdps(60):
+                q_mp = mpmath.mpf(q)
+                assert all(e <= big[i] * math.comb(j + k - 1, k - 1) * q_mp ** j * (1 + 1e-12)
+                           for j, e in enumerate(envelope))
+                for m in (n // 4, n // 2, n):
+                    den = 1 - q_mp * (m + k + 1) / (m + 2)
+                    bound = big[i] * math.comb(m + k, k - 1) * q_mp ** (m + 1) / den
+                    assert den <= 0 or total - mpmath.fsum(envelope[: m + 1]) <= bound * (1 + 1e-12)
+        # the stream's slack holds this bound at its own n, below the target
+        _, slacks = recentered_abs_sums_grid(f, centers, r)
+        assert np.all(slacks >= big * factor) and big.max() * factor < _TAIL_TARGET
+
+    @pytest.mark.parametrize("big, q, k", [
+        (1.0, 0.3, 1), (0.4, 0.3, 6), (3.0, 0.56, 12), (2.0 ** 24, 0.75, 24),
+        (1e-20, 0.5, 3), (1e300, 0.9, 2), (1.0, 0.999, 3), (1.0, 1.0 - 2.0 ** -40, 2),
+    ])
+    def test_tail_terms_least_qualifying_n(self, big, q, k):
+        # against a scan over every n from 16; n = 4096 where none qualifies
+        def factor(n):
+            den = 1.0 - q * (n + k + 1) / (n + 2)
+            return math.comb(n + k, k - 1) * q ** (n + 1) / den if den > 0.0 else math.inf
+
+        n, f = _tail_terms(big, q, k)
+        least = next((j for j in range(_MIN_TERMS, 4097) if big * factor(j) < _TAIL_TARGET), None)
+        if least is None:
+            assert n == 4096 and f == factor(4096)
+        else:
+            assert (n, f) == (least, factor(least))
+
+    @pytest.mark.parametrize("big, q, k, expected", [
+        (1.0, 0.0, 4, (4, 0.0)), (0.7, 0.0, 0, (0, 0.0)),  # a polynomial: exact at n = k
+        (math.inf, 0.5, 2, (_MIN_TERMS, math.inf)),  # M overflowed: E(1) bounds the tail
+    ])
+    def test_tail_terms_without_a_search(self, big, q, k, expected):
+        assert _tail_terms(big, q, k) == expected
+
+    def test_tiny_zeros_keep_the_tail_bound_finite(self):
+        # q = max |t| is about 2.5e-311 here, so |lead|/q would overflow M
+        f = BlaschkeProduct((1e-310, -1e-310j), 1.0)
+        centers = many_centers(0.4, count=8)
+        values, slacks = recentered_abs_sums_grid(f, centers, 0.5)
+        for z0, value, slack in zip(centers, values, slacks):
+            single, single_slack = recentered_abs_sums_grid(f, z0, 0.5)
+            assert abs(single - value) <= slack + single_slack
+        assert np.all(slacks < 1e-13)
+
+    def test_zeros_at_origin_sum_exactly(self):
+        # -0.8 z^3 about z0: q = 0, so n = 3 with no tail; the slack is roundoff alone
+        rho, centers = 0.45, many_centers(0.4)
+        values, slacks = recentered_abs_sums_grid(BlaschkeProduct((0j,) * 3, 0.8), centers, rho)
+        a = np.abs(centers)
+        closed = 0.8 * (3 * a * a * rho + 3 * a * rho * rho + rho ** 3)
+        assert np.all(np.abs(values - closed) <= slacks)
+        assert np.all(slacks <= gamma(5 * 3 + 5 * 3 + 1) * 0.8 * (a + rho) ** 3)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.45])
+    def test_no_centers(self, rho):
+        values, slacks = recentered_abs_sums_grid(random_test_function(3, 2), np.array([], complex), rho)
+        assert values.shape == slacks.shape == (0,)
 
     @pytest.mark.parametrize("rho", [0.0, 0.45])
     def test_many_centers_zero_free(self, rho):
-        # k = 0: the pipeline has no stage to index; n is the 16-term floor,
-        # the head is the scale and the tail is 0
+        # k = 0: the pipeline has no stage to index; n = 0, E(1) is the scale
+        # and the tail is 0
         values, slacks = recentered_abs_sums_grid(BlaschkeProduct((), 0.7), many_centers(0.4), rho)
         assert np.all(values == 0.0)
-        assert np.all((0.0 <= slacks) & (slacks <= gamma(11 * 16 + 2) * 0.7))
+        assert np.all((0.0 <= slacks) & (slacks <= gamma(1) * 0.7))
 
     def test_pipeline_zero_free_yields_scale_once(self):
         # k = 0: each step yields the input row, which holds scale at step 0 only
@@ -282,11 +372,11 @@ class TestSeriesSums:
         assert np.all(slacks < 1e-12)
 
     def test_many_centers_rho_zero(self):
-        # n is the 16-term floor and the head, scale * prod |c0|, is below 1
+        # q = 0, so n = 6 with no tail, and E(1) = scale * prod |c0| is below 1
         f = random_test_function(21, 6)
         values, slacks = recentered_abs_sums_grid(f, many_centers(0.4), 0.0)
         assert np.all(values == 0.0)
-        assert np.all((0.0 <= slacks) & (slacks < gamma(11 * (16 + 6) + 2)))
+        assert np.all((0.0 <= slacks) & (slacks < gamma(5 * 6 + 5 * 6 + 1)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_high_degree_slack_stays_small(self, seed):
@@ -326,7 +416,7 @@ class TestSeriesSums:
     @given(zeros=st.lists(DISK_POINTS, min_size=1, max_size=4),
            centers=st.lists(DISK_POINTS, min_size=1, max_size=3), rho=UNIT_RADII)
     def test_convergent_factor_ratios_below_one(self, zeros, centers, rho):
-        # _adaptive_terms takes q < 1: a factor series that converges has
+        # the term counts take q < 1: a factor series that converges has
         # |zero| rho < |D|, and fl(x/y) < 1 for doubles x < y
         f = BlaschkeProduct(tuple(zeros), 1.0)
         centers = np.array(centers, dtype=complex)
@@ -397,6 +487,25 @@ class TestZeroCenterStream:
         for f, row in zip(MIXED_DEGREES, rows):
             alone = np.hstack(_zero_center_sums([f], r, start, area=r > 0.0))[0]
             assert np.array_equal(row, alone)
+
+    @pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("name", BOUND_PRODUCTS)
+    def test_area_roundoff_bound_against_mpmath(self, name, r):
+        # sum j e_j^2 <= E(1) E'(1) for the envelope e, E'(1)/E(1) the sum of the
+        # factors' |lead|/(1 - |t|)^2 over their sums; the streamed head lies
+        # within the roundoff part of its slack of the exact head
+        f = BOUND_PRODUCTS[name]
+        _, _, heads, tails = _zero_center_sums([f], r, 0, area=True)
+        m, tail = _area_size(r)
+        coeffs, _ = blaschke_series_mp(f, 0j, r, m + 1)
+        envelope, total = blaschke_series_mp(f, 0j, r, m + 1, moduli=True)
+        with mpmath.workdps(60):
+            mods = [abs(mpmath.mpc(a.real, a.imag)) for a in f.zeros]
+            slope = mpmath.fsum((1 - x * x) * r / (1 - x * r) ** 2 / (x + (1 - x * x) * r / (1 - x * r))
+                                for x in mods)
+            assert mpmath.fsum(j * e ** 2 for j, e in enumerate(envelope)) <= total * total * slope
+            head = mpmath.fsum(j * abs(c) ** 2 for j, c in enumerate(coeffs))
+            assert abs(heads[0, 0] - head) <= tails[0, 0] - tail
 
 
 class TestAreaSum:

@@ -215,6 +215,17 @@ class TestCorpusStacks:
         assert any(c0.shape[-2] > 1 for c0, _, _ in forms)  # a stack was streamed
         assert all(v.flags.c_contiguous for form in forms for v in form)
 
+    @pytest.mark.parametrize("theorem, columns", [(Theorem.T33, THETA_POINTS), (Theorem.T35, 1)])
+    def test_streams_carry_only_the_terms_columns(self, theorem, columns, monkeypatch):
+        # one column per angle (t33) or per product at center 0 (t35): the tail and
+        # roundoff bounds come in closed form, with no envelope columns beside them
+        forms = spy_pipeline(monkeypatch)
+        w = below_radius_grid(theorem)[0]
+        r = radius(theorem, w).value - DEFAULT_EPSILON
+        thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+        bohr_lhs_theta_corpus(theorem, mixed_corpus(), r, w, thetas)
+        assert forms and all(v.shape[-1] == columns for form in forms for v in form)
+
     @pytest.mark.parametrize("first, later, w, r, error, text", [
         (UNCERTIFIED, Moebius(0.5), WeightPair(0.3, 0.2), 1.5, UncertifiedFunctionError, "cert"),
         (Moebius(0.5), UNCERTIFIED, WeightPair(0.3, 0.2), 1.5, DomainError, "t31 constraint"),

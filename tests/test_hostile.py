@@ -49,6 +49,7 @@ FUNCTIONS = st.sampled_from([
     random_test_function(3, 2),
     BlaschkeProduct((0.9,) * 3, 1.0),
 ])
+COEFFICIENTS = st.lists(POINTS, min_size=1, max_size=4)
 SETTINGS = settings(max_examples=150, deadline=None)
 EXTREME_WEIGHTS = [5e-324, 1e-300, 1e-12, 0.5, 1.0, 1.0 - 2.0 ** -53, 1.5, 1e12, 1e300,
                    sys.float_info.max]
@@ -71,22 +72,26 @@ class TestAnalytic:
         assert finite(f.zeros) and all(abs(z) < 1.0 for z in f.zeros)
         assert certify_bounded(f).sup_estimate == 0.8
 
+    # a list of coefficients (hostile ones too) stands for the polynomial it makes
     @SETTINGS
-    @given(f=FUNCTIONS, z=POINTS)
+    @given(f=FUNCTIONS | COEFFICIENTS, z=POINTS)
     @example(f=Moebius(0.5), z=complex(NAN, 0.0))
+    @example(f=[1e308, 1e308], z=0.9)  # a value that overflows
     def test_evaluate(self, f, z):
         try:
-            value = evaluate(f, z)
+            value = evaluate(Polynomial(tuple(f)) if isinstance(f, list) else f, z)
         except DomainError:
             return
         assert finite(value)
 
     @SETTINGS
-    @given(f=FUNCTIONS, zs=st.lists(POINTS, max_size=3))
+    @given(f=FUNCTIONS | COEFFICIENTS, zs=st.lists(POINTS, max_size=3))
     @example(f=Moebius(0.5), zs=[0.3, complex(0.0, NAN)])
+    @example(f=[1e308, 1e308], zs=[0.9, -0.9j])
     def test_evaluate_grid(self, f, zs):
         try:
-            values = evaluate_grid(f, np.array(zs, dtype=complex))
+            values = evaluate_grid(Polynomial(tuple(f)) if isinstance(f, list) else f,
+                                   np.array(zs, dtype=complex))
         except DomainError:
             return
         assert finite(values)
@@ -109,6 +114,7 @@ class TestAnalytic:
     @SETTINGS
     @given(f=FUNCTIONS, centers=st.lists(POINTS, max_size=3), rho=RADII)
     @example(f=Moebius(0.5), centers=[0.1, complex(NAN, 0.0)], rho=0.5)
+    @example(f=random_test_function(3, 2), centers=[], rho=0.0)  # no centers: no reduction to take
     def test_recentered_abs_sums_grid(self, f, centers, rho):
         try:
             sums, slacks = recentered_abs_sums_grid(f, np.array(centers, dtype=complex), rho)
@@ -130,7 +136,7 @@ class TestAnalytic:
             assert finite(value, slack)
 
     @SETTINGS
-    @given(coeffs=st.lists(POINTS, min_size=1, max_size=4), z0=POINTS, rho=RADII,
+    @given(coeffs=COEFFICIENTS, z0=POINTS, rho=RADII,
            n=st.integers(0, 5))
     @example(coeffs=[complex(NAN, 0.0)], z0=0.2, rho=0.3, n=2)
     # finite coefficients whose sums, shifts and moduli overflow
