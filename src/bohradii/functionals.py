@@ -36,7 +36,7 @@ from .errors import DomainError, UncertifiedFunctionError
 from .radii import Theorem, WeightPair
 
 ENVELOPE_GRID = 512
-STACK_CELLS = 8192  # per stream step: (degree + 1) x columns, 2 per product (and angle: t33/t34)
+STACK_CELLS = 4096  # per stream step: (degree + 1) x columns, 1 per product (and angle: t33/t34)
 A_CAP = 1.0 - 1e-9  # the a -> 1 boundary is removable; stay just inside
 _GOLDEN_TOL = 1e-12  # bracket width at which golden-section refinement stops
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -152,13 +152,13 @@ def bohr_lhs_theta_corpus(
     products = [i for i, f in enumerate(fs) if angle_free and isinstance(f, BlaschkeProduct)]
     width = max((len(fs[i].zeros) for i in products), default=0)
     at_zero = np.empty((4, len(fs), 1))  # (constant, series, area, slack) per product
-    for part in _parts(products, STACK_CELLS // (2 * (width + 1))):
+    for part in _parts(products, STACK_CELLS // (width + 1)):
         for row, term in zip(at_zero, _terms(theorem, [fs[i] for i in part], w, r, None)):
             row[part] = term
     for (kind, shape), rows in groups.items():
         size = len(rows)
         if kind is BlaschkeProduct and not angle_free:
-            size = STACK_CELLS // ((shape + 1) * 2 * max(1, thetas.size))
+            size = STACK_CELLS // ((shape + 1) * max(1, thetas.size))
         for part in _parts(rows, size):
             members = [fs[i] for i in part]
             f = members[0] if len(part) == 1 else _stack(members)

@@ -2,7 +2,9 @@
 
 Bisection to a 1e-13 bracket followed by an in-bracket Newton polish is the
 only root finder.  ``bisect_grid`` runs the same steps in lockstep over arrays
-of brackets, with the same bits per cell.
+of brackets, with the same bits per cell.  Both loops hold the sign of P(lo)
+fixed: ``lo`` moves only to a mid where P has that sign.  A mid where P is
+exactly 0 ends the bisection with the bracket clamped to WIDTH_TOL about it.
 
 Uniqueness is proven by Descartes' rule of signs: a polynomial has at most V
 positive roots, V being the number of sign changes along its coefficients
@@ -107,7 +109,7 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
         _prove_endpoint_root(coeffs, hi, lo)
         return CertifiedRoot(hi, 0.0, Bracket(max(lo, hi - WIDTH_TOL), hi), 0)
 
-    iterations = 0
+    iterations, positive = 0, flo > 0.0
     for _ in range(MAX_BISECTIONS):
         if hi - lo <= WIDTH_TOL:
             break
@@ -120,8 +122,8 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
             lo = max(lo, mid - 0.5 * WIDTH_TOL)
             hi = min(hi, mid + 0.5 * WIDTH_TOL)
             break
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+        if (fmid > 0.0) == positive:
+            lo = mid
         else:
             hi = mid
 
@@ -227,6 +229,9 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
     bisection to ``WIDTH_TOL`` (with its ``P(mid) == 0`` and unsplittable-mid
     stops), the clipped Newton polish and the residual gate.  Cells that fail
     a check, or whose root is a bracket endpoint, come back with ``ok`` False.
+    The sign of P(lo) is one mask taken before the loop, and the exact-zero
+    clamp, which few grids reach, runs only in an iteration where a live cell
+    has P(mid) == 0; every other iteration only moves lo or hi to mid.
     """
     with np.errstate(all="ignore"):
         shape = np.broadcast_shapes(*map(np.shape, coeffs), np.shape(lo), np.shape(hi))
@@ -236,22 +241,21 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
         ok = (flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) != (fhi > 0.0))
         ok &= (lo >= 0.0) & (sign_changes(coeffs) <= 2)
 
+        positive = flo > 0.0
         active = np.ones(shape, dtype=bool)
         for _ in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            active &= ~(hi - lo <= WIDTH_TOL) & ~(mid <= lo) & ~(mid >= hi)
+            active &= ~((hi - lo <= WIDTH_TOL) | (mid <= lo) | (mid >= hi))
             if not active.any():
                 break
             fmid = polyval(coeffs, mid)
             exact = active & (fmid == 0.0)
-            to_lo = active & ~exact & ((fmid > 0.0) == (flo > 0.0))
-            to_hi = active & ~exact & ~to_lo
-            lo, hi = (
-                np.where(exact, _first_max(lo, mid - 0.5 * WIDTH_TOL), np.where(to_lo, mid, lo)),
-                np.where(exact, _first_min(hi, mid + 0.5 * WIDTH_TOL), np.where(to_hi, mid, hi)),
-            )
-            flo = np.where(to_lo, fmid, flo)
-            active &= ~exact
+            if exact.any():
+                lo = np.where(exact, _first_max(lo, mid - 0.5 * WIDTH_TOL), lo)
+                hi = np.where(exact, _first_min(hi, mid + 0.5 * WIDTH_TOL), hi)
+                active &= ~exact
+            to_lo = active & ((fmid > 0.0) == positive)
+            lo, hi = np.where(to_lo, mid, lo), np.where(active ^ to_lo, mid, hi)
 
         value = _polish_grid(coeffs, lo, hi)
         residual = np.abs(polyval(coeffs, value))

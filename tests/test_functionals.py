@@ -163,7 +163,7 @@ class TestCorpusStacks:
     def test_rows_equal_one_function_calls_bit_for_bit(self, theorem):
         corpus = mixed_corpus()
         # t33/t34 split the ten degree-6 members: (6 + 1) cells per column
-        assert STACK_CELLS // (7 * 2 * THETA_POINTS) < 10
+        assert STACK_CELLS // (7 * THETA_POINTS) < 10
         thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
         for w in (below_radius_grid(theorem)[0], below_radius_grid(theorem)[-1]):
             r = radius(theorem, w).value - DEFAULT_EPSILON

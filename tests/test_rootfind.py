@@ -134,12 +134,31 @@ class TestBisectGrid:
         grid = bisect_grid((1.0, -1.3001, 0.5101, -0.063021), 0.0, np.array([1.0]))
         assert not grid.ok[0]
 
+    def test_mixed_grid_matches_scalar(self):
+        # cells that stop at different iterations, for different reasons, in one grid
+        cells = [
+            ((4.0, -1.0), 1.0),    # P(mid) == 0 at the second mid, 1/4, while the rest go on
+            ((1.0, -0.5), 0.5),    # root on the upper end
+            ((1.0, 1.0), 1.0),     # no sign change
+            ((1.0, -0.3), 1.0),
+            ((1.0, -0.3), 0.4),
+            ((-2.0, 0.7), 2.0),    # P(lo) > 0
+            ((1.0, -1e-4), 1e-3),  # fewer halvings to WIDTH_TOL
+        ]
+        coeffs = tuple(np.array([c[i] for c, _ in cells]) for i in range(2))
+        grid = bisect_grid(coeffs, 0.0, np.array([hi for _, hi in cells]))
+        for k, (cell, hi) in enumerate(cells):
+            assert_grid_cell_matches_scalar(grid, k, cell, 0.0, hi)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(
         st.tuples(*[st.floats(-10.0, 10.0)] * 4, st.floats(0.01, 1.0)),
         min_size=1, max_size=24,
-    ))
-    def test_cubics_match_scalar(self, cells):
+    ), st.lists(st.tuples(st.floats(0.5, 10.0) | st.floats(-10.0, -0.5),
+                          st.integers(1, 2**20 - 1)), max_size=8))
+    def test_cubics_match_scalar(self, cells, dyadic):
+        # c*(t - k/2^20) on [0, 1]: the root is a bisection mid, where P is exactly 0
+        cells = cells + [(0.0, 0.0, c, -c * (k / 2**20), 1.0) for c, k in dyadic]
         coeffs = tuple(np.array([c[i] for c in cells]) for i in range(4))
         his = np.array([c[4] for c in cells])
         grid = bisect_grid(coeffs, 0.0, his)
