@@ -119,7 +119,7 @@ def _require_in_disk(z, what: str):
     if isinstance(z, tuple):
         return tuple(_require_in_disk(p, what) for p in z)
     if isinstance(z, np.ndarray):
-        inside = np.all(np.abs(z) < 1.0)
+        inside = (np.abs(z) < 1.0).all()
     else:
         z = complex(z)
         # parts first: CPython's abs of a complex with a NaN part can raise on a stale errno
@@ -132,17 +132,20 @@ def _require_in_disk(z, what: str):
 # -- evaluation ---------------------------------------------------------------
 
 def _value(f: AnalyticFunction, z):
-    """f(z) by plain operators, so z may be a Python complex or a numpy array."""
+    """f(z) by plain operators, so z may be a Python complex or a numpy array.
+    The accumulator is updated in place: its first product is a new object
+    (a Python complex times z), so z itself is never written."""
     if isinstance(f, Polynomial):
         acc = 0j
         for c in reversed(f.coeffs):
-            acc = acc * z + c
+            acc *= z
+            acc += c
         return acc
     if isinstance(f, Moebius):
         return (f.a - z) / (1.0 - f.a * z)
     acc = f.scale + 0j * z  # exactly scale + 0j, in the shape of z
     for zero in f.zeros:
-        acc = acc * ((zero - z) / (1.0 - zero.conjugate() * z))
+        acc *= (zero - z) / (1.0 - zero.conjugate() * z)
     return acc
 
 
@@ -448,13 +451,16 @@ def recentered_abs_sums_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sum_{k>=1} |c_k(z0)| rho^k, truncation slack) for each center z0.
 
-    ``centers`` is one complex (0-d results) or an array of them; a ``_stack``
-    takes a 1-d array and gives each member a row, in member order.
+    ``centers`` is one complex (0-d results; numpy scalars for a Moebius map)
+    or an array of them; a ``_stack`` takes a 1-d array and gives each member a
+    row, in member order.
 
     Blaschke products go through ``_abs_sums``: a single center convolves,
     several stream with a roundoff bound in the slack.
     """
     centers = _require_in_disk(np.asarray(centers, dtype=complex), "all centers")
+    if not centers.ndim and isinstance(f, Moebius):
+        return _abs_sums(f, centers, rho, 1)  # one center: the closed form on numpy scalars
     values, slacks = _abs_sums(f, centers.ravel(), rho, 1)
     shape = values.shape[:-1] + centers.shape
     return values.reshape(shape), slacks.reshape(shape)
@@ -464,8 +470,9 @@ def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
     """(sum_{k>=start} |c_k(z0)| rho^k, truncation slack) about each center z0:
     0j, the Maclaurin series, with floats (Moebius maps and polynomials in Python
     arithmetic; a row per ``_stack`` member), or a 1-d complex array, a value per
-    center on the last axis.  DomainError where rho lies outside [0, 1), a
-    series diverges or a polynomial's sum overflows."""
+    center on the last axis (a Moebius map also takes a 0-d one: numpy scalars).
+    DomainError where rho lies outside [0, 1), a series diverges or a
+    polynomial's sum overflows."""
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     one = not isinstance(centers, np.ndarray)
@@ -479,8 +486,8 @@ def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
         terms = np.abs(_truncated_product(f.scale, table))
         values, slacks = terms[:, start:].sum(axis=1), _product_tail(f.scale, sums, rho, head)
         return (float(values[0]), float(slacks[0])) if one else (values, slacks)
-    if isinstance(f, Moebius):
-        series, _ = _factor_series(f.a, abs(1.0 - f.a * centers), rho)
+    if isinstance(f, Moebius):  # np.abs: builtin abs of a numpy complex rounds differently
+        series, _ = _factor_series(f.a, (abs if one else np.abs)(1.0 - f.a * centers), rho)
         values = f.a + series if start == 0 else series
     else:  # centers as Python complex: an overflow raises or gives inf, never warns
         rows = [_shift_polynomial(f.coeffs, z0) if z0 else f.coeffs
@@ -532,6 +539,11 @@ def _area_size(r: float) -> tuple[int, float]:
 
 # -- boundedness certification -----------------------------------------------------
 
+# the boundary samples behind every polynomial certificate, built once
+_CIRCLE = np.exp(1j * (2.0 * math.pi * np.arange(CERTIFY_SAMPLES) / CERTIFY_SAMPLES))
+_CIRCLE.flags.writeable = False
+
+
 @lru_cache(maxsize=4096)
 def certify_bounded(f: AnalyticFunction) -> Boundedness:
     """Certify sup |f| <= 1 on the disk.
@@ -546,10 +558,9 @@ def certify_bounded(f: AnalyticFunction) -> Boundedness:
         return Boundedness(True, 1.0)
     if isinstance(f, BlaschkeProduct):
         return Boundedness(True, f.scale)
-    thetas = 2.0 * math.pi * np.arange(CERTIFY_SAMPLES) / CERTIFY_SAMPLES
     margin = math.pi * _poly_sum(k * abs(c) for k, c in enumerate(f.coeffs)) / CERTIFY_SAMPLES
     with np.errstate(all="ignore"):  # a non-finite estimate is not certified
-        values = _value(f, np.exp(1j * thetas))
+        values = _value(f, _CIRCLE)
         sup_estimate = float(np.max(np.abs(values))) + margin
     return Boundedness(sup_estimate <= 1.0, sup_estimate)
 

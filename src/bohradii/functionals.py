@@ -159,11 +159,15 @@ def bohr_lhs_theta_corpus(
         size = len(rows)
         if kind is BlaschkeProduct and not angle_free:
             size = STACK_CELLS // ((shape + 1) * max(1, thetas.size))
+        from_stream = kind is BlaschkeProduct and angle_free
         for part in _parts(rows, size):
             members = [fs[i] for i in part]
-            f = members[0] if len(part) == 1 else _stack(members)
+            if from_stream and theorem not in _HAS_MODULUS:
+                f = None  # t35/t36 products: nothing reads them past the stream
+            else:
+                f = members[0] if len(part) == 1 else _stack(members)
             modulus = w.alpha * np.abs(evaluate_grid(f, zs)) if theorem in _HAS_MODULUS else 0.0
-            if kind is BlaschkeProduct and angle_free:
+            if from_stream:
                 constant, series, area, slack = at_zero[:, part]
             else:
                 constant, series, area, slack = _terms(theorem, f, w, r, zs)

@@ -109,6 +109,9 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
         _prove_endpoint_root(coeffs, hi, lo)
         return CertifiedRoot(hi, 0.0, Bracket(max(lo, hi - WIDTH_TOL), hi), 0)
 
+    # quadratics and cubics, the radius families, take polyval's operations
+    # unrolled, the leading 0.0 * mid + a included: the same bits, no call
+    size, (a, b, c, d) = len(coeffs), (coeffs + (0.0,) * 4)[:4]
     iterations, positive = 0, flo > 0.0
     for _ in range(MAX_BISECTIONS):
         if hi - lo <= WIDTH_TOL:
@@ -116,19 +119,24 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval no longer splittable at this magnitude
-        fmid = polyval(coeffs, mid)
+        if size == 4:
+            fmid = (((0.0 * mid + a) * mid + b) * mid + c) * mid + d
+        elif size == 3:
+            fmid = ((0.0 * mid + a) * mid + b) * mid + c
+        else:
+            fmid = polyval(coeffs, mid)
         iterations += 1
         if fmid == 0.0:
             lo = max(lo, mid - 0.5 * WIDTH_TOL)
             hi = min(hi, mid + 0.5 * WIDTH_TOL)
+            flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
             break
         if (fmid > 0.0) == positive:
-            lo = mid
+            lo, flo = mid, fmid
         else:
-            hi = mid
+            hi, fhi = mid, fmid
 
-    value = _polish_in_interval(coeffs, lo, hi)
-    residual = abs(polyval(coeffs, value))
+    residual, value = _polish_in_interval(coeffs, lo, hi, flo, fhi)
     if not (residual <= RESIDUAL_TOL):
         raise ResidualError(f"root {value} failed residual gate: {residual}")
     return CertifiedRoot(value, residual, Bracket(lo, hi), iterations)
@@ -158,18 +166,23 @@ def _prove_endpoint_root(coeffs: Sequence[float], end: float, other: float) -> N
         raise NonUniqueRootError(f"root at bracket end {end} not proven unique")
 
 
-def _polish_in_interval(coeffs: Sequence[float], lo: float, hi: float) -> float:
-    """Newton steps clipped to [lo, hi]; returns the minimal-residual candidate."""
+def _polish_in_interval(coeffs: Sequence[float], lo: float, hi: float,
+                        flo: float, fhi: float) -> tuple[float, float]:
+    """Newton steps from the midpoint, clipped to [lo, hi], where P(lo) = flo and
+    P(hi) = fhi; returns (|P(x)|, x) for the first minimal-residual candidate x
+    among lo, the midpoint, hi and the steps.  P is evaluated once per point."""
     der = polyder(coeffs)
     x = 0.5 * (lo + hi)
-    candidates = [lo, x, hi]
+    fx = polyval(coeffs, x)
+    candidates = [(abs(flo), lo), (abs(fx), x), (abs(fhi), hi)]
     for _ in range(3):
         dfx = polyval(der, x)
         if dfx == 0.0:
             break
-        x = min(hi, max(lo, x - polyval(coeffs, x) / dfx))
-        candidates.append(x)
-    return min(candidates, key=lambda c: abs(polyval(coeffs, c)))
+        x = min(hi, max(lo, x - fx / dfx))
+        fx = polyval(coeffs, x)
+        candidates.append((abs(fx), x))
+    return min(candidates, key=lambda candidate: candidate[0])
 
 
 class RootGrid(NamedTuple):
@@ -178,7 +191,9 @@ class RootGrid(NamedTuple):
     Where ``ok`` is True the cell's value, residual and bracket are those of
     the scalar certificate, bit for bit.  Where it is False the scalar call
     raises or returns a bracket endpoint, and the other fields are
-    meaningless: such cells must go through ``bisect_unique_root``.
+    meaningless: such cells must go through ``bisect_unique_root``.  A cell
+    that fails the endpoint-sign or Descartes test is never solved: its lo
+    and hi stay the given bracket, and its value is their polish.
     """
 
     value: np.ndarray
@@ -242,7 +257,7 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
         ok &= (lo >= 0.0) & (sign_changes(coeffs) <= 2)
 
         positive = flo > 0.0
-        active = np.ones(shape, dtype=bool)
+        active = ok.copy()  # a cell that failed a test so far never bisects
         for _ in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
             active &= ~((hi - lo <= WIDTH_TOL) | (mid <= lo) | (mid >= hi))

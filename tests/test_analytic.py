@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bohradii.analytic import (
+    CERTIFY_SAMPLES,
     BlaschkeProduct,
     Moebius,
     Polynomial,
@@ -22,6 +23,7 @@ from bohradii.analytic import (
     recentered_abs_sums_grid,
     series_abs_sum,
     taylor_at_zero,
+    _CIRCLE,
     _MIN_TERMS,
     _TAIL_TARGET,
     _area_size,
@@ -94,7 +96,50 @@ MACLAURIN_CASES = {
 }
 
 
+def out_of_place_value(f, z):
+    """The evaluator restated with a new accumulator per operation."""
+    if isinstance(f, Polynomial):
+        acc = 0j
+        for c in reversed(f.coeffs):
+            acc = acc * z + c
+        return acc
+    acc = f.scale + 0j * z
+    for zero in f.zeros:
+        acc = acc * ((zero - z) / (1.0 - zero.conjugate() * z))
+    return acc
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+COEFFS = st.lists(st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                  min_size=1, max_size=12)
+
+
 class TestEvaluate:
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=COEFFS, zeros=st.lists(DISK_POINTS, max_size=5),
+           scale=st.floats(0.0, 1.0, exclude_min=True), z=DISK_POINTS)
+    def test_in_place_evaluator_equals_out_of_place(self, coeffs, zeros, scale, z):
+        zs = 0.9 * z * np.exp(2j * np.pi * np.arange(64) / 64)
+        for f in (Polynomial(tuple(coeffs)), BlaschkeProduct(tuple(zeros), scale)):
+            assert same_bits(evaluate(f, z), out_of_place_value(f, z))
+            assert same_bits(evaluate_grid(f, zs), out_of_place_value(f, zs))
+            assert same_bits(zs, 0.9 * z * np.exp(2j * np.pi * np.arange(64) / 64))  # not written
+
+    @settings(max_examples=50, deadline=None)
+    @given(members=st.lists(st.tuples(st.lists(DISK_POINTS, min_size=3, max_size=3),
+                                      st.floats(0.0, 1.0, exclude_min=True)),
+                            min_size=2, max_size=5), r=st.floats(0.0, 0.99))
+    def test_in_place_evaluator_on_a_stack(self, members, r):
+        # (M, 1) parameters against (64,) points: one row per member
+        f = _stack([BlaschkeProduct(tuple(zeros), scale) for zeros, scale in members])
+        zs = r * np.exp(2j * np.pi * np.arange(64) / 64)
+        values = evaluate_grid(f, zs)
+        assert values.shape == (len(members), 64)
+        assert same_bits(values, out_of_place_value(f, zs))
+
     def test_moebius_fixed_points(self):
         assert evaluate(Moebius(0.5), 0.0) == 0.5
 
@@ -560,6 +605,21 @@ class TestCertifyBounded:
         report = certify_bounded(Polynomial((0.0, 2.0)))
         assert not report.certified
         assert report.sup_estimate >= 2.0
+
+    @pytest.mark.parametrize("degree", range(21))
+    def test_sup_estimate_equals_per_call_sampling(self, degree):
+        # the module's circle and in-place Horner against the angles and np.exp
+        # rebuilt per call and a new accumulator per operation, bit for bit
+        rng = np.random.default_rng([19, degree])
+        thetas = 2.0 * math.pi * np.arange(CERTIFY_SAMPLES) / CERTIFY_SAMPLES
+        for size in (0.5, 1.0, 4.0):  # mostly certified, either, never
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            f = Polynomial(tuple(size * coeffs / np.sum(np.abs(coeffs))))
+            margin = math.pi * sum(k * abs(c) for k, c in enumerate(f.coeffs)) / CERTIFY_SAMPLES
+            values = out_of_place_value(f, np.exp(1j * thetas))
+            expected = float(np.max(np.abs(values))) + margin
+            assert certify_bounded(f).sup_estimate == expected
+        assert same_bits(_CIRCLE, np.exp(1j * thetas)) and not _CIRCLE.flags.writeable
 
 
 class TestRandomTestFunction:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bohradii import analytic
+from bohradii import analytic, functionals
 from bohradii.analytic import (
     BlaschkeProduct,
     Moebius,
@@ -202,6 +202,20 @@ class TestCorpusStacks:
         thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
         bohr_lhs_theta_corpus(theorem, default_corpus(7), r, w, thetas)
         assert [len(c0) for c0, _, _ in forms] == rows
+
+    @pytest.mark.parametrize("theorem, stacks", [
+        (Theorem.T31, 6), (Theorem.T33, 10), (Theorem.T35, 0), (Theorem.T36, 0),
+    ])
+    def test_products_stacked_only_where_read(self, theorem, stacks, monkeypatch):
+        # t35/t36 take no modulus, and their terms come from the shared stream:
+        # no degree group of the seed corpus's products is stacked beside it
+        built, real = [], functionals._stack
+        monkeypatch.setattr(functionals, "_stack", lambda fs: built.append(fs) or real(fs))
+        w = below_radius_grid(theorem)[0]
+        r = radius(theorem, w).value - DEFAULT_EPSILON
+        thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+        bohr_lhs_theta_corpus(theorem, default_corpus(7), r, w, thetas)
+        assert sum(isinstance(fs[0], BlaschkeProduct) for fs in built) == stacks
 
     @pytest.mark.parametrize("theorem", [Theorem.T33, Theorem.T35])
     def test_pipeline_forms_arrive_c_contiguous(self, theorem, monkeypatch):

@@ -17,6 +17,8 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from bohradii.analytic import Moebius, Polynomial, function_to_record, random_test_function
 from bohradii.cli import main
 
@@ -49,6 +51,11 @@ CHECK_FUNCTIONS = {
     "blaschke24": random_test_function(12, 24),
 }
 
+# a seeded degree-20 polynomial with sum |a_k| = 3: `check` exits 4 and prints
+# its sup_estimate, which pins the boundary sampling byte for byte
+_COEFFS = np.array([1.0, 1j]) @ np.random.default_rng(20).normal(size=(2, 21))
+UNCERTIFIED = Polynomial(tuple(complex(c) for c in 3.0 * _COEFFS / np.abs(_COEFFS).sum()))
+
 SWEEP_RANGES = {
     "t31": (0.1, 1.0, 0.05, 2.5),
     "t32": (0.1, 1.0, 0.05, 2.5),
@@ -74,6 +81,8 @@ def commands(tmp: str) -> list[list[str]]:
                                  "--beta", repr(beta), "--r", r, "--function", path])
     cmds.append(["check", "--theorem", "t31", "--alpha", "1", "--beta", "1", "--r", "1",
                  "--function", os.path.join(tmp, "moebius.json")])
+    cmds.append(["check", "--theorem", "t31", "--alpha", "1", "--beta", "1", "--r", "0.2",
+                 "--function", os.path.join(tmp, "uncertified20.json")])
     for theorem, (a_lo, a_hi, b_lo, b_hi) in SWEEP_RANGES.items():
         cmds.append(["sweep", "--theorem", theorem, "--alpha-min", repr(a_lo),
                      "--alpha-max", repr(a_hi), "--beta-min", repr(b_lo),
@@ -88,7 +97,7 @@ def transcript() -> str:
     """Every command's exit code and output, temporary paths replaced by <tmp>."""
     blocks = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, f in CHECK_FUNCTIONS.items():
+        for name, f in [*CHECK_FUNCTIONS.items(), ("uncertified20", UNCERTIFIED)]:
             with open(os.path.join(tmp, f"{name}.json"), "w") as handle:
                 json.dump(function_to_record(f), handle)
         for argv in commands(tmp):

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from bohradii.errors import BracketError, NonUniqueRootError, ResidualError
 from bohradii.rootfind import (
     Bracket,
+    CertifiedRoot,
     bisect_grid,
     bisect_unique_root,
+    polyval,
     sign_changes,
 )
 
@@ -69,11 +71,78 @@ class TestBisectUniqueRoot:
         with pytest.raises(NonUniqueRootError):
             bisect_unique_root((1.0, -0.25), Bracket(-1.0, 1.0))
 
+    def test_bracket_error_text(self):
+        with pytest.raises(BracketError) as err:
+            bisect_unique_root((1.0, -0.5, 1.0), Bracket(0.0, 2.0))
+        assert str(err.value) == "no sign change on [0.0, 2.0]: P(lo)=1.0, P(hi)=4.0"
+
     def test_deterministic(self):
         poly = (1.0, 1.0, 3.0, -1.0)
         a = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0))
         b = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0))
         assert a == b
+
+
+def one_root_polys(degree, seed):
+    """(coefficients, hi): one root inside [0, hi] and the rest negative, or a
+    complex pair beside them from degree 3, scaled by 1, -3, 1e-300 and 1e-312
+    (where values near the root underflow to 0), as given and with a leading zero."""
+    rng = np.random.default_rng([seed, degree])
+    for scale in (1.0, -3.0, 1e-300, 1e-312):
+        hi = float(rng.uniform(0.1, 2.0))
+        factors = [[scale], [1.0, -float(rng.uniform(0.05, 0.95)) * hi]]
+        if degree >= 3:
+            factors.append([1.0, float(rng.uniform(2.0, 2.8)), 2.0])
+        while sum(len(f) - 1 for f in factors) < degree:
+            factors.append([1.0, float(rng.uniform(0.1, 3.0))])
+        poly = [1.0]
+        for f in factors:
+            poly = np.convolve(poly, f)
+        coeffs = tuple(float(c) for c in poly)
+        yield coeffs, hi
+        yield (0.0,) + coeffs, hi
+
+
+def scalar_outcome(coeffs, hi):
+    """The certificate, or the error's type and text."""
+    try:
+        return bisect_unique_root(coeffs, Bracket(0.0, hi))
+    except (BracketError, NonUniqueRootError, ResidualError) as exc:
+        return type(exc), str(exc)
+
+
+class TestScalarHorner:
+    """The scalar loop's unrolled quadratic and cubic, and ``polyval`` for other
+    degrees, pinned against ``polyval`` in a one-cell grid and in the scalar
+    loop itself: two leading zeros move a quadratic or a cubic onto polyval,
+    with the same operations on bracket points >= 0."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_one_cell_grid_and_generic_path_match(self, degree):
+        solved = 0
+        for coeffs, hi in one_root_polys(degree, 23):
+            root = scalar_outcome(coeffs, hi)
+            assert scalar_outcome((0.0, 0.0) + coeffs, hi) == root
+            grid = bisect_grid(tuple(np.array([c]) for c in coeffs), 0.0, hi)
+            assert_grid_cell_matches_scalar(grid, 0, coeffs, 0.0, hi)
+            solved += isinstance(root, CertifiedRoot) and root.iterations > 0 and grid.ok[0]
+        assert solved >= 6
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_exact_zero_at_a_mid(self, degree):
+        # the constant cancels Horner's value at the mid 5/16 exactly, so the
+        # bisection stops there; another order of the operations misses 0
+        rng = np.random.default_rng([29, degree])
+        for _ in range(20):
+            head, mid = (1.0, *rng.uniform(0.1, 3.0, degree - 1)), 5.0 / 16.0
+            coeffs = head + (-polyval(head, mid) * mid,)
+            root = bisect_unique_root(coeffs, Bracket(0.0, 1.0))
+            # mids 1/2, 1/4, 3/8, then 5/16, where the bracket closes about it
+            assert root.iterations == 4 and root.value == mid
+            assert root.bracket.lo < mid < root.bracket.hi
+            assert scalar_outcome((0.0, 0.0) + coeffs, 1.0) == root
+            grid = bisect_grid(tuple(np.array([c]) for c in coeffs), 0.0, 1.0)
+            assert_grid_cell_matches_scalar(grid, 0, coeffs, 0.0, 1.0)
 
 
 class TestSignChanges:
@@ -133,6 +202,7 @@ class TestBisectGrid:
         # roots 0.3, 0.3001 and 0.7: the endpoint signs alone look like one root
         grid = bisect_grid((1.0, -1.3001, 0.5101, -0.063021), 0.0, np.array([1.0]))
         assert not grid.ok[0]
+        assert (grid.lo[0], grid.hi[0]) == (0.0, 1.0)  # V = 3: never bisected
 
     def test_mixed_grid_matches_scalar(self):
         # cells that stop at different iterations, for different reasons, in one grid
@@ -144,11 +214,17 @@ class TestBisectGrid:
             ((1.0, -0.3), 0.4),
             ((-2.0, 0.7), 2.0),    # P(lo) > 0
             ((1.0, -1e-4), 1e-3),  # fewer halvings to WIDTH_TOL
+            ((-1.0, -0.5), 0.5),   # no sign change, both ends negative
+            ((1.0, 0.0), 1.0),     # root on the lower end
+            ((math.inf, -1.0), 1.0),  # P(lo) is NaN: bisected, then fails the residual gate
         ]
         coeffs = tuple(np.array([c[i] for c, _ in cells]) for i in range(2))
         grid = bisect_grid(coeffs, 0.0, np.array([hi for _, hi in cells]))
         for k, (cell, hi) in enumerate(cells):
             assert_grid_cell_matches_scalar(grid, k, cell, 0.0, hi)
+        # a cell that fails the endpoint-sign test is never bisected
+        for k in (1, 2, 7, 8):
+            assert not grid.ok[k] and (grid.lo[k], grid.hi[k]) == (0.0, cells[k][1])
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(
