@@ -11,14 +11,15 @@ One evaluator body written with plain operators serves a single point
 ``_stack`` of functions (``evaluate_grid``, in numpy); only the checks differ.
 
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
-center or many, the area sum) comes from one engine: closed-form factor
-series c0 + lead*u/(1 - t*u) and their truncated product.  One function at
-one center convolves, with a tail equal to the product of the closed-form
-factor absolute sums minus the same product's head on moduli.  Several
-centers, or many products of any degrees at center 0 (padded with identity
-factors), run one stream of pipelined first-order recurrences on the terms
-alone: its tail is a negative-binomial bound and its roundoff bounds come from
-the factor sums, all in closed form.
+center or many, the area sum) comes from one engine: ``_factor_forms``' closed
+forms c0 + lead*u/(1 - t*u) of the factor series, their absolute sums, and the
+series' truncated product.  One function at one center convolves, with no
+center axis (``_convolved``): its tail is the product of the factor absolute
+sums minus the same product's head on moduli.  Several centers, or many
+products of any degrees at center 0 (padded with identity factors), run one
+stream of pipelined first-order recurrences on the terms alone: its tail is a
+negative-binomial bound and its roundoff bounds come from the factor sums, all
+in closed form.
 """
 
 from __future__ import annotations
@@ -176,23 +177,19 @@ def evaluate_grid(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
 
 # -- Blaschke series engine -----------------------------------------------------
 
-def _factor_forms(f: BlaschkeProduct, centers: np.ndarray, s: float) -> tuple[np.ndarray, ...]:
-    """(c0, lead, t, D) per factor (axis 0) and center (axis 1): with w = conj(zero)
+def _factor_forms(f: BlaschkeProduct, centers, s: float, rho: float) -> tuple[np.ndarray, ...]:
+    """(c0, lead, t, sums, q) per factor (axis 0) and center (axis 1): with w = conj(zero)
     and D = 1 - w z0, (zero - z)/(1 - w z) is exactly c0 + lead*u/(1 - t*u) in
-    u = (z - z0)/s, c0 = (zero - z0)/D, lead = -(1 - |zero|^2) s/D^2, t = w s/D.
+    u = (z - z0)/s, c0 = (zero - z0)/D, lead = -(1 - |zero|^2) s/D^2, t = w s/D;
+    sums = sum_j |c_j| rho^j is |c0| plus ``_factor_series``, which also gives q.
+    DomainError where a factor series diverges at ``rho``.
     """
     zeros = np.array(f.zeros, dtype=complex)[:, None]
-    w = zeros.conj()
+    mods, w = np.abs(zeros), zeros.conj()
     d = 1.0 - w * centers
-    return (zeros - centers) / d, -(1.0 - np.abs(zeros) ** 2) * s / (d * d), w * s / d, d
-
-
-def _factor_table(c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-    """c_j s^j for j = 0..n from ``_factor_forms``, per factor and center."""
-    table = np.empty(c0.shape + (n + 1,), dtype=complex)
-    table[..., 0] = c0
-    table[..., 1:] = lead[..., None] * t[..., None] ** np.arange(n)
-    return table
+    d_abs, shift = np.abs(d), zeros - centers
+    series, q = _factor_series(mods, d_abs, rho)
+    return shift / d, -(1.0 - mods ** 2) * s / (d * d), w * s / d, np.abs(shift) / d_abs + series, q
 
 
 def _factor_series(mods, d_abs, rho: float):
@@ -206,27 +203,32 @@ def _factor_series(mods, d_abs, rho: float):
     return (1.0 - mods * mods) * rho / (d_abs * (d_abs - reach)), reach / d_abs
 
 
-def _factor_abs_sums(
-    f: BlaschkeProduct, centers: np.ndarray, d: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_j |c_j| rho^j, q) per factor and center: |c_0| plus ``_factor_series``."""
-    zeros = np.array(f.zeros, dtype=complex)[:, None]
-    d_abs = np.abs(d)
-    series, q = _factor_series(np.abs(zeros), d_abs, rho)
-    return np.abs(zeros - centers) / d_abs + series, q
+def _convolved(scale, c0, lead, t, n: int, sums=None, ratio: float = 0.0):
+    """Coefficients c_0..c_n of scale * prod_i (c0_i + lead_i u/(1 - t_i u)) at one center:
+    each factor's row c0, lead, lead t, .., lead t^(n-1) is built once, and the rows are
+    convolved in turn (order k of the product needs factor orders <= k only).  Given
+    the factor absolute sums, also a rigorous bound on sum_{k>n} |c_k| ratio^k: their
+    product minus the envelope head, the same product on |row_j| ratio^j summed over
+    j <= n.  Coefficientwise |c_k| is at most the envelope's, whose series sums to the
+    former; ratio 0 leaves c_0 alone, so no tail."""
+    rows = np.empty((len(c0), n + 1), dtype=complex)
+    rows[:, 0] = c0[:, 0]
+    rows[:, 1:] = lead * t ** np.arange(n)
 
+    def product(table):
+        acc = np.zeros(1 if len(table) else n + 1, dtype=table.dtype)  # no factors: full length
+        acc[0] = scale
+        for row in table:
+            acc = np.convolve(acc, row)[: n + 1]
+        return acc
 
-def _truncated_product(scale: float, table: np.ndarray) -> np.ndarray:
-    """scale * (product over factors of the table rows), first n+1 terms, at the
-    table's one center.  Each convolution may truncate: order k of the product
-    depends only on factor orders <= k.
-    """
-    terms = table.shape[2]
-    acc = np.zeros(1 if len(table) else terms, dtype=table.dtype)  # no factors: full length
-    acc[0] = scale
-    for row in table[:, 0]:
-        acc = np.convolve(acc, row)[:terms]
-    return acc[None, :]
+    coeffs = product(rows)
+    if sums is None:
+        return coeffs
+    if not ratio:
+        return coeffs, 0.0
+    head = product(np.abs(rows) * ratio ** np.arange(n + 1)).sum()
+    return coeffs, float(np.maximum(0.0, sums.prod(initial=scale) - head))
 
 
 def _pipelined_product(scale, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int):
@@ -259,17 +261,6 @@ def _pipelined_product(scale, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n
             y[0] = 0.0
 
 
-def _product_tail(scale: float, sums: np.ndarray, rho: float, head: np.ndarray) -> np.ndarray:
-    """Rigorous bound on sum_{k>n} |c_k| rho^k per center: the product of the
-    factor absolute sums at ``rho`` minus the envelope ``head``, the sum over
-    j <= n of the product of the factors' |c_j| rho^j.  Coefficientwise, |c_k|
-    is at most that product's coefficient, whose series sums to the former.
-    """
-    if rho == 0.0:
-        return np.zeros(head.shape)
-    return np.maximum(0.0, sums.prod(axis=0, initial=scale) - head)
-
-
 def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     """Per column of the factor forms at scale rho: sum_{start<=j<=n} |c_j| rho^j,
     its slack, the area head sum_{j<=m} j |c_j|^2 rho^(2j) and its roundoff
@@ -293,7 +284,8 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     lead_abs, t_abs = np.abs(lead), np.abs(t)
     q = t_abs.max(axis=(0, -1), initial=0.0, keepdims=True)[0]  # per stack member
     np.maximum(q, 2.0 ** -20, out=q, where=q > 0.0)  # keeps |lead|/q finite for tiny zeros
-    big = scale * np.maximum(np.abs(c0), lead_abs / np.where(q > 0.0, q, 1.0)).prod(axis=0)
+    with np.errstate(over="ignore"):  # an overflowed big takes E(1) (``_tail_terms``)
+        big = scale * np.maximum(np.abs(c0), lead_abs / np.where(q > 0.0, q, 1.0)).prod(axis=0)
     members = (np.broadcast_to(v, q.shape).ravel().tolist()  # Python floats: faster scalars
                for v in (big.max(axis=-1, initial=0.0, keepdims=True), q, degree))
     n, factor = np.array([_tail_terms(*x) for x in zip(*members)]).T.reshape((2,) + q.shape)
@@ -348,8 +340,7 @@ def _zero_center_sums(fs, r: float, start: int, area: bool):
     f = _stack(fs)  # lower degrees padded with zeros at 0, replaced here
     degree = np.array([len(g.zeros) for g in fs])[:, None]
     pad = (np.arange(len(f.zeros))[:, None, None] >= degree)[:, None]
-    c0, lead, t, d = _factor_forms(f, np.zeros(1, dtype=complex), r)
-    sums, _ = _factor_abs_sums(f, 0.0, d, r)
+    c0, lead, t, sums, _ = _factor_forms(f, np.zeros(1, dtype=complex), r, r)
     c0, sums = np.where(pad, 1.0, c0), np.where(pad, 1.0, sums)
     lead, t = np.where(pad, 0.0, lead), np.where(pad, 0.0, t)
     m, tail = _area_size(r) if area else (0, 0.0)
@@ -359,7 +350,7 @@ def _zero_center_sums(fs, r: float, start: int, area: bool):
 
 def _adaptive_terms(q: float, prefactor: float) -> int:
     """Smallest n >= _MIN_TERMS with prefactor * q^(n+1)/(1-q) below the tail target:
-    the one-center convolve path's term count (prefactor 2^k) and ``_area_size``'s."""
+    the one-center convolve path's (prefactor 2^k, at most 2^1023) and ``_area_size``'s."""
     if q <= 0.0:
         return _MIN_TERMS
     need = math.log(_TAIL_TARGET * (1.0 - q) / max(prefactor, 1.0)) / math.log(q)
@@ -407,23 +398,20 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
         # one power of q < 1: |d|^(n+1) alone can underflow to 0
         tail = series * q ** n
     else:
-        centers = np.array([z0])
         with np.errstate(all="ignore"):  # overflow is refused below
-            c0, lead, t, d = _factor_forms(f, centers, 1.0)
-            table = _factor_table(c0, lead, t, n)
-            coeffs = _truncated_product(f.scale, table)[0]
-            sums, _ = _factor_abs_sums(f, centers, d, rho)
-            envelope = np.abs(table) * rho ** np.arange(n + 1)
-            head = _truncated_product(f.scale, envelope).sum(axis=1)
-            tail = float(_product_tail(f.scale, sums, rho, head)[0])
+            c0, lead, t, sums, _ = _factor_forms(f, np.array([z0]), 1.0, rho)
+            coeffs, tail = _convolved(f.scale, c0, lead, t, n, sums, rho)
     if not (np.all(np.isfinite(coeffs)) and math.isfinite(tail)):
         raise DomainError("recentred Taylor data overflows")
     return TaylorSlice(tuple(coeffs), tail)
 
 
 def _shift_polynomial(coeffs: tuple[complex, ...], z0: complex) -> tuple[complex, ...]:
-    """Exact coefficients of f(z0 + u) in powers of u."""
+    """Exact coefficients of f(z0 + u) in powers of u.  DomainError from degree 1030
+    on, where the largest binomial, C(deg, deg // 2), no longer converts to a float."""
     deg = len(coeffs) - 1
+    if math.comb(deg, deg // 2) >> 1024:
+        raise DomainError(f"binomial shift overflows: C({deg}, {deg // 2}) exceeds a float")
     out = []
     for k in range(deg + 1):
         acc = 0j
@@ -455,8 +443,9 @@ def recentered_abs_sums_grid(
     or an array of them; a ``_stack`` takes a 1-d array and gives each member a
     row, in member order.
 
-    Blaschke products go through ``_abs_sums``: a single center convolves,
-    several stream with a roundoff bound in the slack.
+    Blaschke products go through ``_abs_sums``: a single center (0-d, or an
+    array of one) convolves with no center axis, its two floats then taking
+    the centers' shape; several stream with a roundoff bound in the slack.
     """
     centers = _require_in_disk(np.asarray(centers, dtype=complex), "all centers")
     if not centers.ndim and isinstance(f, Moebius):
@@ -477,15 +466,14 @@ def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     one = not isinstance(centers, np.ndarray)
     if isinstance(f, BlaschkeProduct):
-        c0, lead, t, d = _factor_forms(f, centers, rho)
-        sums, q = _factor_abs_sums(f, centers, d, rho)
+        c0, lead, t, sums, q = _factor_forms(f, centers, rho, rho)
         if c0.shape[1:] != (1,):
             return _streamed_sums(f.scale, c0, lead, t, sums, len(c0), start)[:2]
-        table = _factor_table(c0, lead, t, _adaptive_terms(q.max(initial=0.0), 2.0 ** len(c0)))
-        head = _truncated_product(f.scale, np.abs(table)).sum(axis=1)
-        terms = np.abs(_truncated_product(f.scale, table))
-        values, slacks = terms[:, start:].sum(axis=1), _product_tail(f.scale, sums, rho, head)
-        return (float(values[0]), float(slacks[0])) if one else (values, slacks)
+        # n only sets how many terms are summed, so 2^k stops short of overflow; rows carry rho^j
+        n = _adaptive_terms(q.max(initial=0.0), 2.0 ** min(len(c0), 1023))
+        coeffs, slack = _convolved(f.scale, c0, lead, t, n, sums, 1.0 if rho else 0.0)
+        value = float(np.abs(coeffs)[start:].sum())
+        return (value, slack) if one else (np.array([value]), np.array([slack]))
     if isinstance(f, Moebius):  # np.abs: builtin abs of a numpy complex rounds differently
         series, _ = _factor_series(f.a, (abs if one else np.abs)(1.0 - f.a * centers), rho)
         values = f.a + series if start == 0 else series
@@ -523,8 +511,8 @@ def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
         a = f.a
         return (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2, 0.0
     m, tail = _area_size(r)
-    c0, lead, t, _ = _factor_forms(f, np.zeros(1, dtype=complex), 1.0)
-    coeffs = _truncated_product(f.scale, _factor_table(c0, lead, t, m))[0]
+    c0, lead, t = _factor_forms(f, np.zeros(1, dtype=complex), 1.0, 0.0)[:3]
+    coeffs = _convolved(f.scale, c0, lead, t, m)
     ks = np.arange(m + 1)
     return float(np.sum(ks * np.abs(coeffs) ** 2 * (r * r) ** ks)), tail
 

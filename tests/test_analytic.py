@@ -27,7 +27,6 @@ from bohradii.analytic import (
     _MIN_TERMS,
     _TAIL_TARGET,
     _area_size,
-    _factor_abs_sums,
     _factor_forms,
     _pipelined_product,
     _stack,
@@ -293,7 +292,7 @@ class TestSeriesSums:
         # double precision.
         f = ORACLE_PRODUCTS[name]
         centers = many_centers(r)
-        c0, lead, t, _ = _factor_forms(f, centers, r)
+        c0, lead, t, _, _ = _factor_forms(f, centers, r, r)
         n, _, _, _ = negative_binomial(f, c0, lead, t)
         # the pipeline's per-step outputs, which the streamed sums consume
         steps = np.array([np.abs(c) for c in _pipelined_product(f.scale, c0, lead, t, n)])
@@ -326,7 +325,7 @@ class TestSeriesSums:
         f = BOUND_PRODUCTS[name]
         r = 0.45
         centers = many_centers(r)
-        c0, lead, t, _ = _factor_forms(f, centers, r)
+        c0, lead, t, _, _ = _factor_forms(f, centers, r, r)
         n, big, q, factor = negative_binomial(f, c0, lead, t)
         k = len(f.zeros)
         far = int(np.abs(t).max(axis=0).argmax())
@@ -465,9 +464,8 @@ class TestSeriesSums:
         # |zero| rho < |D|, and fl(x/y) < 1 for doubles x < y
         f = BlaschkeProduct(tuple(zeros), 1.0)
         centers = np.array(centers, dtype=complex)
-        d = _factor_forms(f, centers, rho)[3]
         try:
-            _, q = _factor_abs_sums(f, centers, d, rho)
+            q = _factor_forms(f, centers, rho, rho)[4]
         except DomainError:
             return
         assert np.all(q < 1.0)

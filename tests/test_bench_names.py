@@ -1,14 +1,18 @@
-"""The traced benchmark wraps package functions by name; each must still exist.
+"""The benchmark calls package functions by name; each must still exist.
 
 ``bench/spans.py``'s ``Tracer.install`` raises RuntimeError when a name it
-traces has lost its binding, so deleting or renaming such a function fails
-here rather than only in a traced benchmark run.
+traces has lost its binding, and ``bench/workloads.py`` reaches the program
+through module attributes (``cli.record_to_function``, ``cli.radius`` ...).
+Deleting or renaming such a function fails here rather than only in a
+benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_spans():
@@ -28,3 +32,16 @@ def test_tracer_finds_and_restores_every_binding():
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original
+
+
+def test_point_checks_queries_pass_their_check(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling oracle
+    try:
+        workloads = importlib.import_module("workloads")
+        workloads.clear_caches()
+        results = [workloads.run_query(query) for query in workloads.make_queries(7, 0, 30)]
+        attempted, failed, notes = workloads.PointChecks.check({}, results, {})
+    finally:
+        for name in ("workloads", "oracle"):
+            sys.modules.pop(name, None)
+    assert (attempted, failed) == (30, 0), notes

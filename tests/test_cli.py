@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -386,6 +387,27 @@ class TestCheckCommand:
                  *option("--beta", beta, joined), *option("--r", r, joined), "--function", path])
         assert code in (0, 2)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("theorem", ["t31", "t33", "t35"])
+    def test_blaschke_product_of_1100_zeros_exit_0(self, capsys, tmp_path, theorem):
+        # one-center sums sized n from 2**k, which overflowed from 1024 zeros on
+        zeros = 0.05 * np.exp(1j * np.arange(1100))
+        record = {"kind": "blaschke", "zeros": [[z.real, z.imag] for z in zeros], "scale": 0.9}
+        code, out, err = run(
+            capsys, "check", "--theorem", theorem, "--alpha", "0.6", "--beta", "1",
+            "--r", "0.1", "--function", self.write_record(tmp_path, record),
+        )
+        assert (code, err) == (0, "")
+        assert "satisfied=yes" in out
+
+    def test_recentred_polynomial_of_degree_1030_exit_2(self, capsys, tmp_path):
+        record = {"kind": "polynomial", "coeffs": [[1e-4, 0.0]] * 1031}
+        code, out, err = run(
+            capsys, "check", "--theorem", "t33", "--alpha", "0.5", "--beta", "0.8",
+            "--r", "0.1", "--function", self.write_record(tmp_path, record),
+        )
+        assert (code, out) == (2, "")
+        assert err == "domain error: binomial shift overflows: C(1030, 515) exceeds a float\n"
 
     def test_rotation_area_family(self, capsys, tmp_path):
         path = self.write_record(tmp_path, {"kind": "moebius", "a": 0.0})

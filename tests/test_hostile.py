@@ -51,6 +51,8 @@ FUNCTIONS = st.sampled_from([
 ])
 COEFFICIENTS = st.lists(POINTS, min_size=1, max_size=4)
 SETTINGS = settings(max_examples=150, deadline=None)
+# 1100 factors: the one-center term count's 2**k and the stream's tail prefactor M overflow
+MANY_ZEROS = BlaschkeProduct(tuple(0.05 * np.exp(1j * np.arange(1100))), 0.9)
 EXTREME_WEIGHTS = [5e-324, 1e-300, 1e-12, 0.5, 1.0, 1.0 - 2.0 ** -53, 1.5, 1e12, 1e300,
                    sys.float_info.max]
 
@@ -115,6 +117,8 @@ class TestAnalytic:
     @given(f=FUNCTIONS, centers=st.lists(POINTS, max_size=3), rho=RADII)
     @example(f=Moebius(0.5), centers=[0.1, complex(NAN, 0.0)], rho=0.5)
     @example(f=random_test_function(3, 2), centers=[], rho=0.0)  # no centers: no reduction to take
+    @example(f=MANY_ZEROS, centers=[0.3j], rho=0.3)
+    @example(f=MANY_ZEROS, centers=[0.0, 0.3j], rho=0.3)
     def test_recentered_abs_sums_grid(self, f, centers, rho):
         try:
             sums, slacks = recentered_abs_sums_grid(f, np.array(centers, dtype=complex), rho)
@@ -125,6 +129,7 @@ class TestAnalytic:
     @SETTINGS
     @given(f=FUNCTIONS, rho=RADII)
     @example(f=Moebius(0.5), rho=NAN)
+    @example(f=MANY_ZEROS, rho=0.3)
     def test_series_and_area_sums(self, f, rho):
         # rho feeds series_abs_sum's gate and r area_sum_and_tail's
         for call in (lambda: series_abs_sum(f, rho, 0), lambda: series_abs_sum(f, rho, 1),
@@ -142,6 +147,8 @@ class TestAnalytic:
     # finite coefficients whose sums, shifts and moduli overflow
     @example(coeffs=[1e308, 1e308], z0=0.5, rho=0.49, n=0)
     @example(coeffs=[0.1, complex(1e308, 1e308), 1e308j], z0=-0.7, rho=0.99, n=1)
+    # degree 1030: the shift's C(1030, 515) no longer converts to a float
+    @example(coeffs=[1e-4] * 1031, z0=0.3j, rho=0.3, n=4)
     def test_polynomial_coefficients(self, coeffs, z0, rho, n):
         try:
             f = Polynomial(tuple(coeffs))
