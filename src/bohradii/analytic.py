@@ -17,9 +17,9 @@ series' truncated product.  One function at one center convolves, with no
 center axis (``_convolved``): its tail is the product of the factor absolute
 sums minus the same product's head on moduli.  Several centers, or many
 products of any degrees at center 0 (padded with identity factors), run one
-stream of pipelined first-order recurrences on the terms alone: its tail is a
-negative-binomial bound and its roundoff bounds come from the factor sums, all
-in closed form.
+stream of pipelined first-order recurrences on the terms alone: each column's
+term count and tail come from Cauchy's estimate on the envelope, and its
+roundoff bounds from the factor sums, all in closed form.
 """
 
 from __future__ import annotations
@@ -264,14 +264,15 @@ def _pipelined_product(scale, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n
 def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     """Per column of the factor forms at scale rho: sum_{start<=j<=n} |c_j| rho^j,
     its slack, the area head sum_{j<=m} j |c_j|^2 rho^(2j) and its roundoff
-    bound, each stack member's n from ``_tail_terms``.  Only the terms stream.
+    bound, each column's n from ``_cauchy_terms``.  Only the terms stream.
 
-    Tail: with q >= max |t| over a member's factors and columns, a factor's
-    |c_j| = |lead| |t|^(j-1) is at most max(|c0|, |lead|/q) q^j, so the envelope e
-    (the same series on |c0|, |lead|, |t|) has e_j <= M C(j+k-1, k-1) q^j, where
-    M = scale prod max(|c0|, |lead|/q) per column.  Those terms shrink by at
-    most q(n+k+1)/(n+2) past n, so the tail beyond n is at most
-    M C(n+k, k-1) q^(n+1)/(1 - q(n+k+1)/(n+2)), and at most E(1) = scale prod sums.
+    Tail (Cauchy's estimate): the envelope e (the same series on |c0|, |lead|, |t|)
+    has e_j >= |c_j| and sums to E(u) = scale prod (|c0| + |lead| u/(1 - |t| u)), so
+    for 1 <= R < 1/max |t| the rest beyond n is at most R^-(n+1) sum_{j>n} e_j R^j
+    <= E(R)/R^(n+1), and at most E(1) = scale prod sums.  A column takes R = max
+    |t|^-0.9 over its factors and the least n that puts E(R)/R^(n+1) below the tail
+    target, or _MAX_TERMS; with max |t| = 0 it is a polynomial: n = degree, no tail.
+    log E(R) is summed factor by factor, so identity factors keep a member's bits.
 
     Roundoff (Higham, ch. 3): moduli and sum err by gamma_(5n+5k+1) sum_(j<=n) e_j
     <= gamma_(5n+5k+1) E(1).  Each |c_j| is within gamma_(4m+5k+2) e_j, so the area
@@ -282,14 +283,8 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     """
     gamma = lambda ops: ops * 2.0 ** -53 / (1.0 - ops * 2.0 ** -53)  # noqa: E731
     lead_abs, t_abs = np.abs(lead), np.abs(t)
-    q = t_abs.max(axis=(0, -1), initial=0.0, keepdims=True)[0]  # per stack member
-    np.maximum(q, 2.0 ** -20, out=q, where=q > 0.0)  # keeps |lead|/q finite for tiny zeros
-    with np.errstate(over="ignore"):  # an overflowed big takes E(1) (``_tail_terms``)
-        big = scale * np.maximum(np.abs(c0), lead_abs / np.where(q > 0.0, q, 1.0)).prod(axis=0)
-    members = (np.broadcast_to(v, q.shape).ravel().tolist()  # Python floats: faster scalars
-               for v in (big.max(axis=-1, initial=0.0, keepdims=True), q, degree))
-    n, factor = np.array([_tail_terms(*x) for x in zip(*members)]).T.reshape((2,) + q.shape)
-    steps = _pipelined_product(scale, c0, lead, t, max(int(n.max()), m))
+    n, tail = _cauchy_terms(scale, np.abs(c0), lead_abs, t_abs, degree)
+    steps = _pipelined_product(scale, c0, lead, t, max(int(n.max(initial=0)), m))
     values, area = np.zeros((2,) + c0.shape[1:])
     for j, step in enumerate(steps):
         moduli = np.abs(step)
@@ -298,38 +293,25 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
         if 0 < j <= m:
             area += j * moduli ** 2
     e1 = scale * sums.prod(axis=0)
-    slack = np.fmin(big * factor, e1) + gamma(5 * n + 5 * degree + 1) * e1
+    slack = np.fmin(tail, e1) + gamma(5 * n + 5 * degree + 1) * e1
     if not m:  # no area head: it and its bound are zeros
         return values, slack, area, area
     slope = sum(x / (1.0 - y) ** 2 / s for x, y, s in zip(lead_abs, t_abs, sums))
     return values, slack, area, gamma(9 * m + 10 * degree + 6) * e1 * e1 * slope
 
 
-def _tail_terms(big: float, q: float, k: int) -> tuple[int, float]:
-    """(n, f) for the bound big * f on the tail beyond n of big * sum_j C(j+k-1, k-1) q^j,
-    f = C(n+k, k-1) q^(n+1)/(1 - q(n+k+1)/(n+2)) (inf where the ratio test fails):
-    n is the least from _MIN_TERMS that puts big * f below the tail target, or
-    _MAX_TERMS.  big * f falls with n, so doubling and then bisection find n.  A
-    polynomial (q = 0) takes n = k and f = 0; an overflowed big takes f = inf."""
-    if q == 0.0:
-        return k, 0.0
-    if not big < math.inf:
-        return _MIN_TERMS, math.inf
-
-    def factor(n):  # inf where the ratio test fails or the binomial overflows
-        den = 1.0 - q * (n + k + 1) / (n + 2)
-        try:
-            return math.comb(n + k, k - 1) * q ** (n + 1) / den if den > 0.0 else math.inf
-        except OverflowError:
-            return math.inf
-
-    low = high = _MIN_TERMS
-    while high < _MAX_TERMS and big * factor(high) >= _TAIL_TARGET:
-        low, high = high + 1, min(_MAX_TERMS, 2 * high)
-    while low < high:
-        mid = (low + high) // 2
-        low, high = (low, mid) if big * factor(mid) < _TAIL_TARGET else (mid + 1, high)
-    return high, factor(high)
+def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree):
+    """(n, E(R)/R^(n+1)) per column by ``_streamed_sums``' rule; E(1) replaces an inf or NaN."""
+    peak = t_abs.max(axis=0, initial=0.0)
+    with np.errstate(all="ignore"):  # max |t| = 0 gives log 0; those columns are replaced
+        radius = peak ** -0.9
+        log_r, log_e = np.log(radius), np.log(scale)
+        for a, b, c in zip(c0_abs, lead_abs, t_abs):
+            log_e = log_e + np.log(a + b * radius / (1.0 - c * radius))
+        n = np.fmin(np.fmax(np.floor((log_e - math.log(_TAIL_TARGET)) / log_r), 0.0), _MAX_TERMS)
+        tail = np.exp(log_e - (n + 1.0) * log_r)
+    polynomial = peak == 0.0
+    return np.where(polynomial, degree, n).astype(int), np.where(polynomial, 0.0, tail)
 
 
 def _zero_center_sums(fs, r: float, start: int, area: bool):

@@ -24,13 +24,13 @@ from bohradii.analytic import (
     series_abs_sum,
     taylor_at_zero,
     _CIRCLE,
-    _MIN_TERMS,
+    _MAX_TERMS,
     _TAIL_TARGET,
     _area_size,
+    _cauchy_terms,
     _factor_forms,
     _pipelined_product,
     _stack,
-    _tail_terms,
     _zero_center_sums,
 )
 from bohradii.errors import DomainError
@@ -54,13 +54,10 @@ def many_centers(r, count=64):
     return centers
 
 
-def negative_binomial(f, c0, lead, t):
-    """The stream's tail data for one function's columns, restated: (n, M per
-    column, q, factor), q = max |t| and M = scale prod max(|c0|, |lead|/q)."""
-    q = float(np.abs(t).max())
-    big = f.scale * np.maximum(np.abs(c0), np.abs(lead) / q).prod(axis=0)
-    n, factor = _tail_terms(float(big.max()), q, len(c0))
-    return n, big, q, factor
+def cauchy(f, centers, r):
+    """The stream's term count and tail bound per column about ``centers``."""
+    c0, lead, t, _, _ = _factor_forms(f, centers, r, r)
+    return _cauchy_terms(f.scale, np.abs(c0), np.abs(lead), np.abs(t), len(c0))
 
 
 EDGE = 1.0 - 2.0 ** -53
@@ -293,82 +290,80 @@ class TestSeriesSums:
         f = ORACLE_PRODUCTS[name]
         centers = many_centers(r)
         c0, lead, t, _, _ = _factor_forms(f, centers, r, r)
-        n, _, _, _ = negative_binomial(f, c0, lead, t)
-        # the pipeline's per-step outputs, which the streamed sums consume
-        steps = np.array([np.abs(c) for c in _pipelined_product(f.scale, c0, lead, t, n)])
-        terms = steps.T
+        ns, _ = cauchy(f, centers, r)
+        # the pipeline's per-step outputs, which the streamed sums consume in
+        # order, each column up to its own n
+        steps = np.array([np.abs(c) for c in _pipelined_product(f.scale, c0, lead, t, ns.max())])
+        js = np.arange(len(steps))
         values, grid_slacks = recentered_abs_sums_grid(f, centers, r)
-        assert np.array_equal(values, terms[:, 1:].sum(axis=1))
+        assert np.array_equal(values, np.where(js[:, None] <= ns, steps, 0.0)[1:].sum(axis=0))
         k = len(f.zeros)
-        js = np.arange(n + 1)
         for i in (0, 40):
+            n = int(ns[i])
             exact, _ = blaschke_series_mp(f, centers[i], r, n + 33)
             envelope, total = blaschke_series_mp(f, centers[i], r, n + 33, moduli=True)
             with mpmath.workdps(60):
                 moduli = [abs(c) for c in exact]
                 # per coefficient, plus the modulus: |c^_j| within gamma_(4j+5k+2) e_j
-                coeff_errors = [float(abs(a - b)) for a, b in zip(terms[i], moduli)]
+                coeff_errors = [float(abs(a - b)) for a, b in zip(steps[: n + 1, i], moduli)]
                 error = float(abs(values[i] - mpmath.fsum(moduli[1 : n + 1])))
                 # the exact tail is at most its computed part plus the envelope's rest
                 tail = float(mpmath.fsum(moduli[n + 1 :]) + total - mpmath.fsum(envelope))
             env = np.array([float(e) for e in envelope[: n + 1]])
-            assert np.all(coeff_errors <= gamma(4 * js + 5 * k + 2) * env)
+            assert np.all(coeff_errors <= gamma(4 * js[: n + 1] + 5 * k + 2) * env)
             assert error <= gamma(5 * n + 5 * k + 1) * env.sum()
             assert grid_slacks[i] >= tail + error
 
     @pytest.mark.parametrize("name", BOUND_PRODUCTS)
-    def test_negative_binomial_tail_against_mpmath(self, name):
-        # e_j <= M C(j+k-1, k-1) q^j for the envelope e, so the rest beyond m is
-        # at most M C(m+k, k-1) q^(m+1)/(1 - q(m+k+1)/(m+2)); the float forms may
-        # sit an ulp below the exact ones, hence the relative 1e-12.  Column
-        # ``far`` holds q, where the bound is tightest.
+    def test_cauchy_tail_against_mpmath(self, name):
+        # e_j R^j <= E(R) for the envelope e, so the rest beyond a column's n is
+        # at most E(R)/R^(n+1); the float forms may sit an ulp below the exact
+        # ones, hence the relative 1e-12.  Column ``far`` holds the largest |t|;
+        # a column near the center takes a smaller n than it.
         f = BOUND_PRODUCTS[name]
         r = 0.45
         centers = many_centers(r)
-        c0, lead, t, _, _ = _factor_forms(f, centers, r, r)
-        n, big, q, factor = negative_binomial(f, c0, lead, t)
-        k = len(f.zeros)
-        far = int(np.abs(t).max(axis=0).argmax())
+        ns, tails = cauchy(f, centers, r)
+        far = int(np.abs(_factor_forms(f, centers, r, r)[2]).max(axis=0).argmax())
         for i in (0, 16, far):
-            envelope, total = blaschke_series_mp(f, centers[i], r, n + 1, moduli=True)
+            envelope, total = blaschke_series_mp(f, centers[i], r, int(ns[i]) + 1, moduli=True)
             with mpmath.workdps(60):
-                q_mp = mpmath.mpf(q)
-                assert all(e <= big[i] * math.comb(j + k - 1, k - 1) * q_mp ** j * (1 + 1e-12)
-                           for j, e in enumerate(envelope))
-                for m in (n // 4, n // 2, n):
-                    den = 1 - q_mp * (m + k + 1) / (m + 2)
-                    bound = big[i] * math.comb(m + k, k - 1) * q_mp ** (m + 1) / den
-                    assert den <= 0 or total - mpmath.fsum(envelope[: m + 1]) <= bound * (1 + 1e-12)
-        # the stream's slack holds this bound at its own n, below the target
+                assert total - mpmath.fsum(envelope) <= tails[i] * (1 + 1e-12)
+        assert np.all((tails < _TAIL_TARGET) | (ns == _MAX_TERMS)) and ns[0] < ns[far]
+        # the stream's slack holds this bound at each column's own n
         _, slacks = recentered_abs_sums_grid(f, centers, r)
-        assert np.all(slacks >= big * factor) and big.max() * factor < _TAIL_TARGET
+        assert np.all(slacks >= tails)
 
     @pytest.mark.parametrize("big, q, k", [
         (1.0, 0.3, 1), (0.4, 0.3, 6), (3.0, 0.56, 12), (2.0 ** 24, 0.75, 24),
         (1e-20, 0.5, 3), (1e300, 0.9, 2), (1.0, 0.999, 3), (1.0, 1.0 - 2.0 ** -40, 2),
     ])
     def test_tail_terms_least_qualifying_n(self, big, q, k):
-        # against a scan over every n from 16; n = 4096 where none qualifies
-        def factor(n):
-            den = 1.0 - q * (n + k + 1) / (n + 2)
-            return math.comb(n + k, k - 1) * q ** (n + 1) / den if den > 0.0 else math.inf
-
-        n, f = _tail_terms(big, q, k)
-        least = next((j for j in range(_MIN_TERMS, 4097) if big * factor(j) < _TAIL_TARGET), None)
-        if least is None:
-            assert n == 4096 and f == factor(4096)
-        else:
-            assert (n, f) == (least, factor(least))
+        # scale ``big`` and k factors of a zero of modulus q at center 0 (|c0| = q,
+        # |lead| = 1 - q^2, |t| = q), against a scan over every n from 0;
+        # n = _MAX_TERMS where none qualifies
+        col = lambda x: np.full((k, 1), x)  # noqa: E731
+        ns, tails = _cauchy_terms(big, col(q), col(1.0 - q * q), col(q), k)
+        radius = q ** -0.9
+        log_e = math.log(big) + k * math.log(q + (1.0 - q * q) * radius / (1.0 - q * radius))
+        factor = lambda n: math.exp(log_e - (n + 1) * math.log(radius))  # noqa: E731
+        least = next((j for j in range(_MAX_TERMS + 1) if factor(j) < _TAIL_TARGET), _MAX_TERMS)
+        assert int(ns[0]) == least
+        assert tails[0] == pytest.approx(factor(least), rel=1e-12)
+        assert tails[0] < _TAIL_TARGET or least == _MAX_TERMS
 
     @pytest.mark.parametrize("big, q, k, expected", [
         (1.0, 0.0, 4, (4, 0.0)), (0.7, 0.0, 0, (0, 0.0)),  # a polynomial: exact at n = k
-        (math.inf, 0.5, 2, (_MIN_TERMS, math.inf)),  # M overflowed: E(1) bounds the tail
+        (math.inf, 0.5, 2, (_MAX_TERMS, math.inf)),  # E(R) overflowed: E(1) bounds the tail
     ])
     def test_tail_terms_without_a_search(self, big, q, k, expected):
-        assert _tail_terms(big, q, k) == expected
+        col = lambda x: np.full((k, 1), x)  # noqa: E731
+        ns, tails = _cauchy_terms(big, col(q), col(1.0 - q * q), col(q), k)
+        assert (int(ns[0]), float(tails[0])) == expected
 
     def test_tiny_zeros_keep_the_tail_bound_finite(self):
-        # q = max |t| is about 2.5e-311 here, so |lead|/q would overflow M
+        # max |t| is 5e-311 here, so R = max |t|^-0.9 is about 2e279 and E(R)
+        # overflows unless taken in logs
         f = BlaschkeProduct((1e-310, -1e-310j), 1.0)
         centers = many_centers(0.4, count=8)
         values, slacks = recentered_abs_sums_grid(f, centers, 0.5)

@@ -1,4 +1,4 @@
-"""The one-center Blaschke series engine, bit for bit, against a recorded transcript.
+"""The Blaschke series engines, bit for bit, against a recorded transcript.
 
 ``golden_series.txt`` holds, in ``float.hex``, ``recenter``'s coefficients
 and tail, ``series_abs_sum`` from orders 0 and 1, ``recentered_abs_sums_grid``
@@ -6,7 +6,10 @@ at a 0-d center and at a one-element array of centers, and
 ``area_sum_and_tail``, on seeded products plus the empty product, twelve
 equal zeros and a zero at 0.  Each runs at rho = 0, at a middle rho, just
 inside the radius where a recentred factor series diverges, and just outside
-it, about a center toward the largest zero.  A call that raises records the exception's ``repr``.  Rewrite it only for
+it, about a center toward the largest zero.  The stream follows: the sums and
+slacks of ``recentered_abs_sums_grid`` at eight centers, and ``_zero_center_sums``
+(sums, slacks, area heads and bounds) of all the products as one stack of mixed
+degrees.  A call that raises records the exception's ``repr``.  Rewrite it only for
 a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_series.py
@@ -26,6 +29,7 @@ from bohradii.analytic import (
     recenter,
     recentered_abs_sums_grid,
     series_abs_sum,
+    _zero_center_sums,
 )
 
 GOLDEN = Path(__file__).with_name("golden_series.txt")
@@ -37,6 +41,7 @@ PRODUCTS = [
     *((f"seed{seed}", random_test_function(seed, 1 + seed % 8)) for seed in range(2000, 2008)),
 ]
 RECENTER_ORDER = 12
+STREAM_CENTERS = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
 
 
 def _hex(value) -> str:
@@ -84,6 +89,15 @@ def transcript() -> str:
         for r in (1e-3, 0.5, 0.99):
             lines.append(_line(f"area_sum_and_tail {name} r={_hex(r)}",
                                lambda: area_sum_and_tail(f, r)))
+    for name, f in PRODUCTS:
+        for rho in (0.0, 0.3, 0.5):
+            lines.append(_line(f"recentered_abs_sums_grid 8 centers {name} rho={_hex(rho)}",
+                               lambda: recentered_abs_sums_grid(f, STREAM_CENTERS, rho)))
+    stack = [f for _, f in PRODUCTS]
+    for r in (1e-3, 0.3, 0.9):
+        for start in (0, 1):
+            lines.append(_line(f"_zero_center_sums stack r={_hex(r)} start={start}",
+                               lambda: _zero_center_sums(stack, r, start, area=True)))
     return "\n".join(lines) + "\n"
 
 

@@ -51,7 +51,7 @@ FUNCTIONS = st.sampled_from([
 ])
 COEFFICIENTS = st.lists(POINTS, min_size=1, max_size=4)
 SETTINGS = settings(max_examples=150, deadline=None)
-# 1100 factors: the one-center term count's 2**k and the stream's tail prefactor M overflow
+# 1100 factors: the one-center term count's 2**k overflows, and the stream's E(R) unless in logs
 MANY_ZEROS = BlaschkeProduct(tuple(0.05 * np.exp(1j * np.arange(1100))), 0.9)
 EXTREME_WEIGHTS = [5e-324, 1e-300, 1e-12, 0.5, 1.0, 1.0 - 2.0 ** -53, 1.5, 1e12, 1e300,
                    sys.float_info.max]
