@@ -88,7 +88,7 @@ def commands(tmp: str) -> list[list[str]]:
                      "--alpha-max", repr(a_hi), "--beta-min", repr(b_lo),
                      "--beta-max", repr(b_hi), "--steps", "10",
                      "--out", os.path.join(tmp, f"sweep_{theorem}.csv")])
-    for suite in ("sharpness", "thresholds", "lemma24"):
+    for suite in ("sharpness", "thresholds", "lemma24", "below"):
         cmds.append(["verify", "--suite", suite])
     return cmds
 
