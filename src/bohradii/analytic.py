@@ -11,19 +11,18 @@ One evaluator body written with plain operators serves a single point
 ``_stack`` of functions (``evaluate_grid``, in numpy); only the checks differ.
 
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
-center or many, the area sum) comes from one engine: ``_factor_forms``' closed
-forms c0 + lead*u/(1 - t*u) of the factor series, their absolute sums, and the
-series' truncated product.  One function at one center convolves, with no
-center axis (``_convolved``): its tail is the product of the factor absolute
-sums minus the same product's head on moduli.  Several centers, or many
-products of any degrees at center 0 (padded with identity factors), run one
-stream of pipelined first-order recurrences on the terms alone: each column's
-term count and tail come from Cauchy's estimate on the envelope, and its
-roundoff bounds from the factor sums, all in closed form.
+center or many, the area sum) comes from ``_factor_forms``' closed forms
+c0 + lead*u/(1 - t*u) of the factor series, their absolute sums, and the series'
+truncated product: convolved for one function at one center (``_convolved``),
+streamed by pipelined recurrences for several centers or for many products at
+center 0.  Both take each term count and tail from Cauchy's estimate on the
+envelope (``_cauchy_terms``), their roundoff bounds from the factor sums, and
+the series and area head from one product.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, fields
@@ -34,11 +33,11 @@ import numpy as np
 
 from .errors import DomainError
 
-AREA_TERMS = 64  # floor on the Blaschke area sum's term count
 CERTIFY_SAMPLES = 1024  # boundary samples behind a polynomial's certificate
 _TAIL_TARGET = 1e-13
-_MIN_TERMS = 16
 _MAX_TERMS = 4096
+# Higham's gamma_ops = ops u/(1 - ops u), u = 2^-53: the bound after ops roundings
+_gamma = lambda ops: ops * 2.0 ** -53 / (1.0 - ops * 2.0 ** -53)  # noqa: E731
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,9 @@ class Boundedness:
 
 def _require_in_disk(z, what: str):
     """``z`` (a point, a tuple or complex array of them) if |z| < 1 holds, else DomainError."""
-    if isinstance(z, tuple):
-        return tuple(_require_in_disk(p, what) for p in z)
-    if isinstance(z, np.ndarray):
-        inside = (np.abs(z) < 1.0).all()
+    if isinstance(z, (tuple, np.ndarray)):  # a tuple in one pass, as the array it makes
+        z = tuple(map(complex, z)) if isinstance(z, tuple) else z
+        inside = (np.abs(np.asarray(z, dtype=complex)) < 1.0).all()
     else:
         z = complex(z)
         # parts first: CPython's abs of a complex with a NaN part can raise on a stale errno
@@ -178,18 +176,18 @@ def evaluate_grid(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
 # -- Blaschke series engine -----------------------------------------------------
 
 def _factor_forms(f: BlaschkeProduct, centers, s: float, rho: float) -> tuple[np.ndarray, ...]:
-    """(c0, lead, t, sums, q) per factor (axis 0) and center (axis 1): with w = conj(zero)
+    """(c0, lead, t, sums) per factor (axis 0) and center (axis 1): with w = conj(zero)
     and D = 1 - w z0, (zero - z)/(1 - w z) is exactly c0 + lead*u/(1 - t*u) in
     u = (z - z0)/s, c0 = (zero - z0)/D, lead = -(1 - |zero|^2) s/D^2, t = w s/D;
-    sums = sum_j |c_j| rho^j is |c0| plus ``_factor_series``, which also gives q.
+    sums = sum_j |c_j| rho^j is |c0| plus ``_factor_series``.
     DomainError where a factor series diverges at ``rho``.
     """
     zeros = np.array(f.zeros, dtype=complex)[:, None]
     mods, w = np.abs(zeros), zeros.conj()
     d = 1.0 - w * centers
     d_abs, shift = np.abs(d), zeros - centers
-    series, q = _factor_series(mods, d_abs, rho)
-    return shift / d, -(1.0 - mods ** 2) * s / (d * d), w * s / d, np.abs(shift) / d_abs + series, q
+    series, _ = _factor_series(mods, d_abs, rho)
+    return shift / d, -(1.0 - mods ** 2) * s / (d * d), w * s / d, np.abs(shift) / d_abs + series
 
 
 def _factor_series(mods, d_abs, rho: float):
@@ -203,32 +201,23 @@ def _factor_series(mods, d_abs, rho: float):
     return (1.0 - mods * mods) * rho / (d_abs * (d_abs - reach)), reach / d_abs
 
 
-def _convolved(scale, c0, lead, t, n: int, sums=None, ratio: float = 0.0):
+def _convolved(scale, c0, lead, t, n: int):
     """Coefficients c_0..c_n of scale * prod_i (c0_i + lead_i u/(1 - t_i u)) at one center:
-    each factor's row c0, lead, lead t, .., lead t^(n-1) is built once, and the rows are
-    convolved in turn (order k of the product needs factor orders <= k only).  Given
-    the factor absolute sums, also a rigorous bound on sum_{k>n} |c_k| ratio^k: their
-    product minus the envelope head, the same product on |row_j| ratio^j summed over
-    j <= n.  Coefficientwise |c_k| is at most the envelope's, whose series sums to the
-    former; ratio 0 leaves c_0 alone, so no tail."""
+    each factor's row c0, lead, lead t, .., lead t^(n-1) is a running product, and the rows
+    are convolved in turn, each product cut to n + 1 terms.  Roundoff (Higham, ch. 3; e the
+    same product on |c0|, |lead|, |t|, done exactly): row entry j takes j - 1 complex
+    products, each within sqrt(2) gamma_2 <= gamma_3 (Lemma 3.5); order j of a convolution,
+    a complex dot product of at most j + 1 terms, errs in any order by at most
+    sqrt(2) gamma_(2(j+1)) <= gamma_(3(j+1)) times the sum of its terms' moduli.  By
+    induction, i factors are within gamma_(3ij+3(i-1)) e_j, all k within gamma_(3k(j+1)) e_j."""
     rows = np.empty((len(c0), n + 1), dtype=complex)
-    rows[:, 0] = c0[:, 0]
-    rows[:, 1:] = lead * t ** np.arange(n)
-
-    def product(table):
-        acc = np.zeros(1 if len(table) else n + 1, dtype=table.dtype)  # no factors: full length
-        acc[0] = scale
-        for row in table:
-            acc = np.convolve(acc, row)[: n + 1]
-        return acc
-
-    coeffs = product(rows)
-    if sums is None:
-        return coeffs
-    if not ratio:
-        return coeffs, 0.0
-    head = product(np.abs(rows) * ratio ** np.arange(n + 1)).sum()
-    return coeffs, float(np.maximum(0.0, sums.prod(initial=scale) - head))
+    rows[:, :1], rows[:, 1:2], rows[:, 2:] = c0, lead, t
+    np.multiply.accumulate(rows[:, 1:], axis=1, out=rows[:, 1:])
+    acc = np.zeros(1 if len(rows) else n + 1, dtype=complex)  # no factors: full length
+    acc[0] = scale
+    for row in rows:
+        acc = np.convolve(acc, row)[: n + 1]
+    return acc
 
 
 def _pipelined_product(scale, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int):
@@ -264,15 +253,7 @@ def _pipelined_product(scale, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n
 def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     """Per column of the factor forms at scale rho: sum_{start<=j<=n} |c_j| rho^j,
     its slack, the area head sum_{j<=m} j |c_j|^2 rho^(2j) and its roundoff
-    bound, each column's n from ``_cauchy_terms``.  Only the terms stream.
-
-    Tail (Cauchy's estimate): the envelope e (the same series on |c0|, |lead|, |t|)
-    has e_j >= |c_j| and sums to E(u) = scale prod (|c0| + |lead| u/(1 - |t| u)), so
-    for 1 <= R < 1/max |t| the rest beyond n is at most R^-(n+1) sum_{j>n} e_j R^j
-    <= E(R)/R^(n+1), and at most E(1) = scale prod sums.  A column takes R = max
-    |t|^-0.9 over its factors and the least n that puts E(R)/R^(n+1) below the tail
-    target, or _MAX_TERMS; with max |t| = 0 it is a polynomial: n = degree, no tail.
-    log E(R) is summed factor by factor, so identity factors keep a member's bits.
+    bound, each column's n and tail from ``_cauchy_terms``.  Only the terms stream.
 
     Roundoff (Higham, ch. 3): moduli and sum err by gamma_(5n+5k+1) sum_(j<=n) e_j
     <= gamma_(5n+5k+1) E(1).  Each |c_j| is within gamma_(4m+5k+2) e_j, so the area
@@ -281,7 +262,6 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     closed forms are evaluated in floating point and taken as exact, as the
     factor forms and sums are.
     """
-    gamma = lambda ops: ops * 2.0 ** -53 / (1.0 - ops * 2.0 ** -53)  # noqa: E731
     lead_abs, t_abs = np.abs(lead), np.abs(t)
     n, tail = _cauchy_terms(scale, np.abs(c0), lead_abs, t_abs, degree)
     steps = _pipelined_product(scale, c0, lead, t, max(int(n.max(initial=0)), m))
@@ -293,50 +273,81 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
         if 0 < j <= m:
             area += j * moduli ** 2
     e1 = scale * sums.prod(axis=0)
-    slack = np.fmin(tail, e1) + gamma(5 * n + 5 * degree + 1) * e1
+    slack = np.fmin(tail, e1) + _gamma(5 * n + 5 * degree + 1) * e1
     if not m:  # no area head: it and its bound are zeros
         return values, slack, area, area
     slope = sum(x / (1.0 - y) ** 2 / s for x, y, s in zip(lead_abs, t_abs, sums))
-    return values, slack, area, gamma(9 * m + 10 * degree + 6) * e1 * e1 * slope
+    return values, slack, area, _gamma(9 * m + 10 * degree + 6) * e1 * e1 * slope
 
 
-def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree):
-    """(n, E(R)/R^(n+1)) per column by ``_streamed_sums``' rule; E(1) replaces an inf or NaN."""
+def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None):
+    """(n, tail bound) per column (factors on axis 0): Cauchy's estimate on the envelope e,
+    the series on |c0|, |lead|, |t|, which has e_j >= |c_j| and sums to E(u) = scale prod
+    (|c0| + |lead| u/(1 - |t| u)).  For 1 <= R < 1/max |t| the rest beyond n is at most
+    R^-(n+1) sum_{j>n} e_j R^j <= E(R)/R^(n+1), and at most E(1) = scale prod sums, by which
+    callers cap it (E(1) replaces an inf or NaN too).  A column takes R = max |t|^-0.9 and,
+    unless n is given, the least n with E(R)/R^(n+1) below the tail target, or _MAX_TERMS;
+    with max |t| = 0 it is a polynomial: n = degree, and the bound is 0 from there on, else
+    inf.  Logs accumulate in factor order, so identity factors keep a member's bits."""
     peak = t_abs.max(axis=0, initial=0.0)
     with np.errstate(all="ignore"):  # max |t| = 0 gives log 0; those columns are replaced
         radius = peak ** -0.9
-        log_r, log_e = np.log(radius), np.log(scale)
-        for a, b, c in zip(c0_abs, lead_abs, t_abs):
-            log_e = log_e + np.log(a + b * radius / (1.0 - c * radius))
-        n = np.fmin(np.fmax(np.floor((log_e - math.log(_TAIL_TARGET)) / log_r), 0.0), _MAX_TERMS)
+        log_r, logs = np.log(radius), np.log(c0_abs + lead_abs * radius / (1.0 - t_abs * radius))
+        log_e = np.add.accumulate(np.concatenate(([np.log(scale) + 0.0 * peak], logs)))[-1]
+        if n is None:
+            n = np.floor((log_e - math.log(_TAIL_TARGET)) / log_r)
+            n = np.where(peak == 0.0, degree, np.fmin(np.fmax(n, 0.0), _MAX_TERMS)).astype(int)
         tail = np.exp(log_e - (n + 1.0) * log_r)
-    polynomial = peak == 0.0
-    return np.where(polynomial, degree, n).astype(int), np.where(polynomial, 0.0, tail)
+    return n, np.where(peak == 0.0, np.where(n >= degree, 0.0, np.inf), tail)
+
+
+def _one_center_sums(scale, c0, lead, t, sums, start: int, m: int = 0):
+    """``_streamed_sums`` on one column of factor forms (shape (k, 1)), in floats: the sum
+    to n and the area head to m from one ``_convolved`` product; n and the tail by
+    ``_cauchy_terms``' rule, its factor logs in one call.  Roundoff: each c_j is within
+    gamma_(3k(j+1)) e_j, its modulus two roundings, and the sum of n + 1 terms give
+    gamma_((3k+1)(n+1)+1) E(1); squared, weighted and added, the area head errs by
+    gamma_(6k(m+1)+m+6) E(1) E'(1)."""
+    c0_abs, lead_abs, t_abs = np.abs(c0), np.abs(lead), np.abs(t)
+    n, tail = np.count_nonzero(lead_abs), 0.0  # a polynomial (max |t| = 0): exact at its degree
+    if peak := float(t_abs.max(initial=0.0)):
+        with np.errstate(all="ignore"):  # 1 - |t| R rounds to 0 as max |t| -> 1: E(1) caps it
+            radius = peak ** -0.9
+            terms = np.log(c0_abs + lead_abs * radius / (1.0 - t_abs * radius))
+            log_r, log_e = math.log(radius), math.log(scale) + terms.sum()
+            n = int(np.fmin(np.fmax((log_e - math.log(_TAIL_TARGET)) // log_r, 0.0), _MAX_TERMS))
+            tail = float(np.exp(log_e - (n + 1.0) * log_r))
+    moduli = np.abs(_convolved(scale, c0, lead, t, max(n, m)))
+    e1 = float(sums.prod(initial=scale))
+    value = float(moduli[start : n + 1].sum())
+    slack = float(np.fmin(tail, e1) + _gamma((3 * len(c0) + 1) * (n + 1) + 1) * e1)
+    if not m:
+        return value, slack, 0.0, 0.0
+    slope = float((lead_abs / (1.0 - t_abs) ** 2 / sums).sum())
+    area = float(np.arange(m + 1) @ moduli[: m + 1] ** 2)
+    return value, slack, area, _gamma(6 * len(c0) * (m + 1) + m + 6) * e1 * e1 * slope
 
 
 def _zero_center_sums(fs, r: float, start: int, area: bool):
-    """Rows of sum_{k>=start} |c_k| r^k, its slack, and with ``area`` the area head
-    and its tail plus roundoff bound, for Blaschke products of any degrees in one
-    ``_streamed_sums`` stream at center 0.  A lower degree gets identity factors
-    (c0 = 1, lead = t = 0) after its own: IEEE gives (1 + 0i) x = x, x + 0 s = x."""
-    f = _stack(fs)  # lower degrees padded with zeros at 0, replaced here
-    degree = np.array([len(g.zeros) for g in fs])[:, None]
-    pad = (np.arange(len(f.zeros))[:, None, None] >= degree)[:, None]
-    c0, lead, t, sums, _ = _factor_forms(f, np.zeros(1, dtype=complex), r, r)
-    c0, sums = np.where(pad, 1.0, c0), np.where(pad, 1.0, sums)
-    lead, t = np.where(pad, 0.0, lead), np.where(pad, 0.0, t)
+    """Rows of sum_{k>=start} |c_k| r^k, its slack, and with ``area`` the area head and its
+    tail plus roundoff bound, for Blaschke products of any degrees in one ``_streamed_sums``
+    stream at center 0; for one function (not a list) the same four terms, a product's from
+    ``_one_center_sums``.  A lower degree gets identity factors (c0 = 1, lead = t = 0)
+    after its own: IEEE gives (1 + 0i) x = x, x + 0 s = x."""
+    if not isinstance(fs, (list, BlaschkeProduct)):  # closed forms and exact sums
+        return *series_abs_sum(fs, r, start), *(area_sum_and_tail(fs, r) if area else (0.0, 0.0))
     m, tail = _area_size(r) if area else (0, 0.0)
-    out = _streamed_sums(f.scale, c0, lead, t, sums, degree, start, m)
-    return out[0][0], out[1][0], out[2][0], tail + out[3][0]
-
-
-def _adaptive_terms(q: float, prefactor: float) -> int:
-    """Smallest n >= _MIN_TERMS with prefactor * q^(n+1)/(1-q) below the tail target:
-    the one-center convolve path's (prefactor 2^k, at most 2^1023) and ``_area_size``'s."""
-    if q <= 0.0:
-        return _MIN_TERMS
-    need = math.log(_TAIL_TARGET * (1.0 - q) / max(prefactor, 1.0)) / math.log(q)
-    return max(_MIN_TERMS, min(_MAX_TERMS, int(math.ceil(need)) + 1))
+    if isinstance(fs, BlaschkeProduct):
+        out = _one_center_sums(fs.scale, *_factor_forms(fs, 0j, r, r), start, m)
+    else:
+        f = _stack(fs)  # lower degrees padded with zeros at 0, replaced here
+        degree = np.array([len(g.zeros) for g in fs])[:, None]
+        pad = (np.arange(len(f.zeros))[:, None, None] >= degree)[:, None]
+        c0, lead, t, sums = _factor_forms(f, np.zeros(1, dtype=complex), r, r)
+        c0, sums = np.where(pad, 1.0, c0), np.where(pad, 1.0, sums)
+        lead, t = np.where(pad, 0.0, lead), np.where(pad, 0.0, t)
+        out = [row[0] for row in _streamed_sums(f.scale, c0, lead, t, sums, degree, start, m)]
+    return out[0], out[1], out[2], tail + out[3]
 
 
 # -- Taylor slices --------------------------------------------------------------
@@ -351,7 +362,8 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
 
     Polynomial: exact binomial shift (tail 0 once n covers the degree).
     Moebius: closed form c_k = -(1-a^2) a^(k-1) (1 - a z0)^-(k+1); geometric tail.
-    Blaschke: exact factor-series products; product-envelope tail.
+    Blaschke: the factor series' truncated product (``_convolved``); the tail is
+    ``_cauchy_terms``' bound at this n on the envelope at scale ``rho``, capped by E(1).
     DomainError where the series diverges at ``rho``, or where a coefficient or
     the tail bound overflows.
     """
@@ -381,8 +393,11 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
         tail = series * q ** n
     else:
         with np.errstate(all="ignore"):  # overflow is refused below
-            c0, lead, t, sums, _ = _factor_forms(f, np.array([z0]), 1.0, rho)
-            coeffs, tail = _convolved(f.scale, c0, lead, t, n, sums, rho)
+            c0, lead, t, sums = _factor_forms(f, np.array([z0]), 1.0, rho)
+            coeffs = _convolved(f.scale, c0, lead, t, n)
+            _, (tail,) = _cauchy_terms(f.scale, np.abs(c0), np.abs(lead) * rho, np.abs(t) * rho,
+                                       np.count_nonzero(lead) if rho else 0, n)  # envelope at rho
+            tail = float(np.fmin(tail, sums.prod(initial=f.scale)))
     if not (np.all(np.isfinite(coeffs)) and math.isfinite(tail)):
         raise DomainError("recentred Taylor data overflows")
     return TaylorSlice(tuple(coeffs), tail)
@@ -408,8 +423,8 @@ def _shift_polynomial(coeffs: tuple[complex, ...], z0: complex) -> tuple[complex
 def series_abs_sum(f: AnalyticFunction, rho: float, start: int = 0) -> tuple[float, float]:
     """(sum_{k>=start} |c_k| rho^k, truncation slack) for the Maclaurin series.
 
-    Closed form for Moebius, exact for polynomials, adaptively truncated with
-    a rigorous tail for Blaschke products.  ``start`` is 0 or 1.
+    Closed form for Moebius, exact for polynomials, one truncated product with a
+    tail and roundoff bound for Blaschke products.  ``start`` is 0 or 1.
     """
     if start not in (0, 1):
         raise ValueError("start must be 0 or 1")
@@ -425,37 +440,32 @@ def recentered_abs_sums_grid(
     or an array of them; a ``_stack`` takes a 1-d array and gives each member a
     row, in member order.
 
-    Blaschke products go through ``_abs_sums``: a single center (0-d, or an
-    array of one) convolves with no center axis, its two floats then taking
-    the centers' shape; several stream with a roundoff bound in the slack.
+    Blaschke products go through ``_abs_sums``: a single center (0-d, or an array
+    of one) convolves (``_one_center_sums``), several stream (``_streamed_sums``).
     """
     centers = _require_in_disk(np.asarray(centers, dtype=complex), "all centers")
     if not centers.ndim and isinstance(f, Moebius):
         return _abs_sums(f, centers, rho, 1)  # one center: the closed form on numpy scalars
     values, slacks = _abs_sums(f, centers.ravel(), rho, 1)
-    shape = values.shape[:-1] + centers.shape
-    return values.reshape(shape), slacks.reshape(shape)
+    shape = np.shape(values)[:-1] + centers.shape  # one Blaschke center: floats
+    return np.reshape(values, shape), np.reshape(slacks, shape)
 
 
 def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
-    """(sum_{k>=start} |c_k(z0)| rho^k, truncation slack) about each center z0:
-    0j, the Maclaurin series, with floats (Moebius maps and polynomials in Python
-    arithmetic; a row per ``_stack`` member), or a 1-d complex array, a value per
-    center on the last axis (a Moebius map also takes a 0-d one: numpy scalars).
+    """(sum_{k>=start} |c_k(z0)| rho^k, truncation slack) about each center z0: 0j, the
+    Maclaurin series, with floats (Moebius maps and polynomials in Python arithmetic; a row
+    per ``_stack`` member), or a 1-d complex array, a value per center on the last axis (a
+    Moebius map also takes a 0-d one: numpy scalars; one product at one center gives floats).
     DomainError where rho lies outside [0, 1), a series diverges or a
     polynomial's sum overflows."""
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     one = not isinstance(centers, np.ndarray)
     if isinstance(f, BlaschkeProduct):
-        c0, lead, t, sums, q = _factor_forms(f, centers, rho, rho)
+        c0, lead, t, sums = _factor_forms(f, centers, rho, rho)
         if c0.shape[1:] != (1,):
             return _streamed_sums(f.scale, c0, lead, t, sums, len(c0), start)[:2]
-        # n only sets how many terms are summed, so 2^k stops short of overflow; rows carry rho^j
-        n = _adaptive_terms(q.max(initial=0.0), 2.0 ** min(len(c0), 1023))
-        coeffs, slack = _convolved(f.scale, c0, lead, t, n, sums, 1.0 if rho else 0.0)
-        value = float(np.abs(coeffs)[start:].sum())
-        return (value, slack) if one else (np.array([value]), np.array([slack]))
+        return _one_center_sums(f.scale, c0, lead, t, sums, start)[:2]
     if isinstance(f, Moebius):  # np.abs: builtin abs of a numpy complex rounds differently
         series, _ = _factor_series(f.a, (abs if one else np.abs)(1.0 - f.a * centers), rho)
         values = f.a + series if start == 0 else series
@@ -486,25 +496,21 @@ def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
     if not (0.0 < r < 1.0):
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if isinstance(f, Polynomial):
-        return _poly_sum(
-            k * abs(c) ** 2 * r ** (2 * k) for k, c in enumerate(f.coeffs) if k >= 1
-        ), 0.0
+        return _poly_sum(k * abs(c) ** 2 * r ** (2 * k) for k, c in enumerate(f.coeffs) if k), 0.0
     if isinstance(f, Moebius):
         a = f.a
         return (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2, 0.0
-    m, tail = _area_size(r)
-    c0, lead, t = _factor_forms(f, np.zeros(1, dtype=complex), 1.0, 0.0)[:3]
-    coeffs = _convolved(f.scale, c0, lead, t, m)
-    ks = np.arange(m + 1)
-    return float(np.sum(ks * np.abs(coeffs) ** 2 * (r * r) ** ks)), tail
+    return _zero_center_sums(f, r, 1, area=True)[2:]
 
 
 def _area_size(r: float) -> tuple[int, float]:
-    """The area head's term count m and its tail: |c_k| <= 1 for any self-map
-    of the disk, so the tail is under sum_{k>m} k x^k, x = r^2."""
+    """The area head's term count m and its tail T(m) = sum_{k>m} k x^k, x = r^2, which
+    bounds it as |c_k| <= 1 for a self-map: T decreases, so bisection finds the least m
+    with T(m) below the tail target, or _MAX_TERMS."""
     x = r * r
-    m = max(AREA_TERMS, _adaptive_terms(x, 1.0))
-    return m, x ** (m + 1) * ((m + 1) - m * x) / (1.0 - x) ** 2
+    tail = lambda m: x ** (m + 1) * ((m + 1) - m * x) / (1.0 - x) ** 2  # noqa: E731
+    m = bisect.bisect_left(range(_MAX_TERMS), True, key=lambda m: tail(m) < _TAIL_TARGET)
+    return m, tail(m)
 
 
 # -- boundedness certification -----------------------------------------------------

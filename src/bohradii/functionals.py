@@ -25,12 +25,10 @@ from .analytic import (
     _require_in_disk,
     _stack,
     _zero_center_sums,
-    area_sum_and_tail,
     certify_bounded,
     evaluate,
     evaluate_grid,
     recentered_abs_sums_grid,
-    series_abs_sum,
 )
 from .errors import DomainError, UncertifiedFunctionError
 from .radii import Theorem, WeightPair
@@ -91,12 +89,7 @@ def _terms(theorem: Theorem, f, w: WeightPair, r: float, centers):
         s, s_slack = recentered_abs_sums_grid(f, centers, r)
         return constant, beta * s, 0.0, beta * s_slack
     start = 1 if theorem in _SERIES_FROM_ONE else 0
-    with_area = not start and r > 0.0
-    if isinstance(f, list):
-        s, s_slack, s_area, a_slack = _zero_center_sums(f, r, start, with_area)
-    else:
-        s, s_slack = series_abs_sum(f, r, start)
-        s_area, a_slack = area_sum_and_tail(f, r) if with_area else (0.0, 0.0)
+    s, s_slack, s_area, a_slack = _zero_center_sums(f, r, start, not start and r > 0.0)
     weight = beta if start else alpha
     series, area, slack = weight * s, beta * s_area, weight * s_slack + beta * a_slack
     if theorem in _HAS_CONSTANT and isinstance(f, list):  # one by one, as ``bohr_lhs`` takes them

@@ -29,6 +29,7 @@ from bohradii.analytic import (
     _area_size,
     _cauchy_terms,
     _factor_forms,
+    _factor_series,
     _pipelined_product,
     _stack,
     _zero_center_sums,
@@ -56,7 +57,7 @@ def many_centers(r, count=64):
 
 def cauchy(f, centers, r):
     """The stream's term count and tail bound per column about ``centers``."""
-    c0, lead, t, _, _ = _factor_forms(f, centers, r, r)
+    c0, lead, t, _ = _factor_forms(f, centers, r, r)
     return _cauchy_terms(f.scale, np.abs(c0), np.abs(lead), np.abs(t), len(c0))
 
 
@@ -289,7 +290,7 @@ class TestSeriesSums:
         # double precision.
         f = ORACLE_PRODUCTS[name]
         centers = many_centers(r)
-        c0, lead, t, _, _ = _factor_forms(f, centers, r, r)
+        c0, lead, t, _ = _factor_forms(f, centers, r, r)
         ns, _ = cauchy(f, centers, r)
         # the pipeline's per-step outputs, which the streamed sums consume in
         # order, each column up to its own n
@@ -455,12 +456,12 @@ class TestSeriesSums:
     @given(zeros=st.lists(DISK_POINTS, min_size=1, max_size=4),
            centers=st.lists(DISK_POINTS, min_size=1, max_size=3), rho=UNIT_RADII)
     def test_convergent_factor_ratios_below_one(self, zeros, centers, rho):
-        # the term counts take q < 1: a factor series that converges has
-        # |zero| rho < |D|, and fl(x/y) < 1 for doubles x < y
-        f = BlaschkeProduct(tuple(zeros), 1.0)
-        centers = np.array(centers, dtype=complex)
+        # recenter's Moebius tail takes a power of q < 1: a factor series that
+        # converges has |zero| rho < |D|, and fl(x/y) < 1 for doubles x < y
+        zeros = np.array(zeros, dtype=complex)[:, None]
+        d_abs = np.abs(1.0 - zeros.conj() * np.array(centers, dtype=complex))
         try:
-            q = _factor_forms(f, centers, rho, rho)[4]
+            q = _factor_series(np.abs(zeros), d_abs, rho)[1]
         except DomainError:
             return
         assert np.all(q < 1.0)
@@ -475,18 +476,25 @@ ORACLE_TERMS = 1200
 
 
 @lru_cache(maxsize=None)
+def exact_moduli(f, r, z0=0j):
+    """(|c_j| r^j for j < N about z0, the envelope's bound on the rest) at 60 digits,
+    N = ORACLE_TERMS."""
+    coeffs, _ = blaschke_series_mp(f, z0, r, ORACLE_TERMS)
+    envelope, total = blaschke_series_mp(f, z0, r, ORACLE_TERMS, moduli=True)
+    with mpmath.workdps(60):
+        return [abs(c) for c in coeffs], total - mpmath.fsum(envelope)
+
+
+@lru_cache(maxsize=None)
 def exact_sums_at_zero(f, r):
-    """(|c_0|, sum_(j<N) |c_j| r^j, the envelope's bound on the rest, an upper
-    bound on the area sum) at 60 digits, N = ORACLE_TERMS."""
-    coeffs, _ = blaschke_series_mp(f, 0j, r, ORACLE_TERMS)
-    envelope, total = blaschke_series_mp(f, 0j, r, ORACLE_TERMS, moduli=True)
+    """(|c_0|, sum_(j<N) |c_j| r^j, the envelope's bound on the rest, the area head
+    sum_(j<N) j |c_j|^2 r^(2j), a bound on the area's rest) at 60 digits, N = ORACLE_TERMS."""
+    moduli, rest = exact_moduli(f, r)
     with mpmath.workdps(60):
         n, x = ORACLE_TERMS, mpmath.mpf(r) ** 2
-        rest = total - mpmath.fsum(envelope)
+        head = mpmath.fsum(j * c ** 2 for j, c in enumerate(moduli))
         # |c_j| <= 1 for a self-map of the disk: the area's rest is under sum_(j>=N) j x^j
-        area = mpmath.fsum(j * abs(c) ** 2 for j, c in enumerate(coeffs))
-        area += x ** n * (n - (n - 1) * x) / (1 - x) ** 2
-        return abs(coeffs[0]), mpmath.fsum(abs(c) for c in coeffs), rest, area
+        return moduli[0], mpmath.fsum(moduli), rest, head, x ** n * (n - (n - 1) * x) / (1 - x) ** 2
 
 
 class TestZeroCenterStream:
@@ -498,12 +506,12 @@ class TestZeroCenterStream:
     def test_against_mpmath(self, r, start):
         values, slacks, heads, tails = _zero_center_sums(MIXED_DEGREES, r, start, area=True)
         for i, f in enumerate(MIXED_DEGREES):
-            c0, series, rest, area = exact_sums_at_zero(f, r)
+            c0, series, rest, head, area_rest = exact_sums_at_zero(f, r)
             value, slack = values[i, 0], slacks[i, 0]
             low = series - c0 if start else series
             # the exact sum lies in [low, low + rest]
             assert value - slack <= low and low + rest <= value + slack
-            assert area <= heads[i, 0] + tails[i, 0]
+            assert head + area_rest <= heads[i, 0] + tails[i, 0]
 
     @pytest.mark.parametrize("r", [0.05, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("start", [0, 1])
@@ -544,6 +552,58 @@ class TestZeroCenterStream:
             assert mpmath.fsum(j * e ** 2 for j, e in enumerate(envelope)) <= total * total * slope
             head = mpmath.fsum(j * abs(c) ** 2 for j, c in enumerate(coeffs))
             assert abs(heads[0, 0] - head) <= tails[0, 0] - tail
+
+
+class TestOneCenterAgainstMpmath:
+    """Every one-center Blaschke slack against the exact sums at 60 digits: the
+    convolved product's Cauchy tail and roundoff bound."""
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_series_and_area_bracket_the_exact_sums(self, r, start):
+        for f in MIXED_DEGREES:
+            c0, series, rest, head, area_rest = exact_sums_at_zero(f, r)
+            value, slack = series_abs_sum(f, r, start)
+            low = series - c0 if start else series
+            # the exact sum lies in [low, low + rest], the area in [head, head + area_rest]
+            assert value - slack <= low and low + rest <= value + slack
+            area, bound = area_sum_and_tail(f, r)
+            assert area - bound <= head and head + area_rest <= area + bound
+
+    def test_large_product_carries_its_roundoff(self):
+        # E(1) = 13,454 here: a slack taken as E(1) minus the envelope head read 0.0,
+        # although the sum is a float computation
+        f = random_test_function(31, 20)
+        _, series, rest, _, _ = exact_sums_at_zero(f, 0.9)
+        value, slack = series_abs_sum(f, 0.9, 0)
+        assert value - slack <= series and series + rest <= value + slack
+        assert slack > 0.0
+
+    def test_repeated_zeros_about_a_center(self):
+        # a term count from 2**k left a slack of 1.2e-9 here, against an exact
+        # tail of 2.5e-14
+        moduli, rest = exact_moduli(REPEATED_ZEROS, 0.4, 0.4 + 0j)
+        exact = mpmath.fsum(moduli[1:])
+        value, slack = recentered_abs_sums_grid(REPEATED_ZEROS, 0.4, 0.4)
+        assert value - slack <= exact and exact + rest <= value + slack
+        assert slack <= 1e-11
+
+    @pytest.mark.parametrize("f, z0, n, rho", [
+        (random_test_function(20, 5), 0.3j, 12, 0.35),
+        (random_test_function(20, 5), 0.3j, 40, 0.35),
+        (REPEATED_ZEROS, 0.4 + 0j, 30, 0.4),
+        (REPEATED_ZEROS, 0.4 + 0j, 120, 0.4),
+        (BlaschkeProduct((0j,) * 3, 0.8), 0.5 + 0j, 2, 0.3),  # a polynomial of degree 3
+        (BlaschkeProduct((0j,) * 3, 0.8), 0.5 + 0j, 3, 0.3),
+    ])
+    def test_recenter_tail_bound(self, f, z0, n, rho):
+        # Cauchy's estimate at the given n, capped by E(1) = scale prod sums: at least
+        # the exact rest beyond n, 0 where the product is a polynomial of degree <= n
+        moduli, rest = exact_moduli(f, rho, z0)
+        tail = recenter(f, z0, n, rho).tail_bound
+        assert mpmath.fsum(moduli[n + 1:]) + rest <= tail
+        sums = _factor_forms(f, np.array([z0]), rho, rho)[3]
+        assert tail <= f.scale * sums.prod() and (tail == 0.0) == (len(f.zeros) <= n and not any(f.zeros))
 
 
 class TestAreaSum:
