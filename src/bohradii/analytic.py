@@ -11,18 +11,19 @@ One evaluator body written with plain operators serves a single point
 ``_stack`` of functions (``evaluate_grid``, in numpy); only the checks differ.
 
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
-center or many, the area sum) comes from ``_factor_forms``' closed forms
-c0 + lead*u/(1 - t*u) of the factor series, their absolute sums, and the series'
-truncated product: convolved for one function at one center (``_convolved``),
-streamed by pipelined recurrences for several centers or for many products at
-center 0.  Both take each term count and tail from Cauchy's estimate on the
-envelope (``_cauchy_terms``), their roundoff bounds from the factor sums, and
-the series and area head from one product.
+center or many, the area sum) has two engines.  Pipelined recurrences
+(``_pipelined_product``) stream the truncated product of ``_factor_forms``'
+closed forms c0 + lead*u/(1 - t*u) for several centers, for many products at
+center 0 and for ``recenter``'s raw coefficients.  One function at one center
+is sampled on the circle |z - z0| = r, and one FFT gives its c_j r^j
+(``_one_center_sums``: Cauchy's integral by the trapezoidal rule).  Both take
+each term count and tail from Cauchy's estimate on the envelope of the factor
+forms (``_cauchy_terms``' rule), state their roundoff bounds, and read the
+series and area head from one set of coefficients.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass, fields
@@ -36,6 +37,9 @@ from .errors import DomainError
 CERTIFY_SAMPLES = 1024  # boundary samples behind a polynomial's certificate
 _TAIL_TARGET = 1e-13
 _MAX_TERMS = 4096
+_MAX_SAMPLES = 4 * _MAX_TERMS  # circle samples of one center: a power of two
+_SAMPLE_CELLS = 1 << 14  # factor values per block of the sampled product
+_TINY = 2.0 ** -1074  # the least subnormal: gradual underflow errs by at most half of it
 # Higham's gamma_ops = ops u/(1 - ops u), u = 2^-53: the bound after ops roundings
 _gamma = lambda ops: ops * 2.0 ** -53 / (1.0 - ops * 2.0 ** -53)  # noqa: E731
 
@@ -201,28 +205,10 @@ def _factor_series(mods, d_abs, rho: float):
     return (1.0 - mods * mods) * rho / (d_abs * (d_abs - reach)), reach / d_abs
 
 
-def _convolved(scale, c0, lead, t, n: int):
-    """Coefficients c_0..c_n of scale * prod_i (c0_i + lead_i u/(1 - t_i u)) at one center:
-    each factor's row c0, lead, lead t, .., lead t^(n-1) is a running product, and the rows
-    are convolved in turn, each product cut to n + 1 terms.  Roundoff (Higham, ch. 3; e the
-    same product on |c0|, |lead|, |t|, done exactly): row entry j takes j - 1 complex
-    products, each within sqrt(2) gamma_2 <= gamma_3 (Lemma 3.5); order j of a convolution,
-    a complex dot product of at most j + 1 terms, errs in any order by at most
-    sqrt(2) gamma_(2(j+1)) <= gamma_(3(j+1)) times the sum of its terms' moduli.  By
-    induction, i factors are within gamma_(3ij+3(i-1)) e_j, all k within gamma_(3k(j+1)) e_j."""
-    rows = np.empty((len(c0), n + 1), dtype=complex)
-    rows[:, :1], rows[:, 1:2], rows[:, 2:] = c0, lead, t
-    np.multiply.accumulate(rows[:, 1:], axis=1, out=rows[:, 1:])
-    acc = np.zeros(1 if len(rows) else n + 1, dtype=complex)  # no factors: full length
-    acc[0] = scale
-    for row in rows:
-        acc = np.convolve(acc, row)[: n + 1]
-    return acc
-
-
 def _pipelined_product(scale, c0: np.ndarray, lead: np.ndarray, t: np.ndarray, n: int):
     """Coefficients 0..n of scale * prod_i (c0_i + lead_i u/(1 - t_i u)) per
-    column, yielded one index at a time in a buffer that the next step reuses.
+    column, yielded one index at a time in a buffer that the next step reuses:
+    the streams' engine, and ``recenter``'s on one column (raw coefficients).
 
     Stage i multiplies the running series A by factor i: S_j = A_j + t_i S_(j-1)
     and B_j = c0_i A_j + lead_i S_(j-1).  It reads stage i-1's output of the
@@ -263,7 +249,8 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     factor forms and sums are.
     """
     lead_abs, t_abs = np.abs(lead), np.abs(t)
-    n, tail = _cauchy_terms(scale, np.abs(c0), lead_abs, t_abs, degree)
+    e1 = scale * sums.prod(axis=0)
+    n, tail = _cauchy_terms(scale, np.abs(c0), lead_abs, t_abs, degree, e1=e1)
     steps = _pipelined_product(scale, c0, lead, t, max(int(n.max(initial=0)), m))
     values, area = np.zeros((2,) + c0.shape[1:])
     for j, step in enumerate(steps):
@@ -272,23 +259,23 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
             np.add(values, moduli, out=values, where=j <= n)
         if 0 < j <= m:
             area += j * moduli ** 2
-    e1 = scale * sums.prod(axis=0)
-    slack = np.fmin(tail, e1) + _gamma(5 * n + 5 * degree + 1) * e1
+    slack = tail + _gamma(5 * n + 5 * degree + 1) * e1
     if not m:  # no area head: it and its bound are zeros
         return values, slack, area, area
     slope = sum(x / (1.0 - y) ** 2 / s for x, y, s in zip(lead_abs, t_abs, sums))
     return values, slack, area, _gamma(9 * m + 10 * degree + 6) * e1 * e1 * slope
 
 
-def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None):
+def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None, e1=math.inf):
     """(n, tail bound) per column (factors on axis 0): Cauchy's estimate on the envelope e,
     the series on |c0|, |lead|, |t|, which has e_j >= |c_j| and sums to E(u) = scale prod
     (|c0| + |lead| u/(1 - |t| u)).  For 1 <= R < 1/max |t| the rest beyond n is at most
-    R^-(n+1) sum_{j>n} e_j R^j <= E(R)/R^(n+1), and at most E(1) = scale prod sums, by which
-    callers cap it (E(1) replaces an inf or NaN too).  A column takes R = max |t|^-0.9 and,
-    unless n is given, the least n with E(R)/R^(n+1) below the tail target, or _MAX_TERMS;
-    with max |t| = 0 it is a polynomial: n = degree, and the bound is 0 from there on, else
-    inf.  Logs accumulate in factor order, so identity factors keep a member's bits."""
+    R^-(n+1) sum_{j>n} e_j R^j <= E(R)/R^(n+1), and at most E(1) = scale prod sums, which
+    caps the bound where given (E(1) replaces an inf or NaN too).  A column takes R = max
+    |t|^-0.9 and, unless n is given, the least n with E(R)/R^(n+1) below the tail target, or
+    _MAX_TERMS; where E(1) is below the target, R = 1 does better: n = 0.  With max |t| = 0
+    it is a polynomial: n = degree, and the bound is 0 from there on, else inf.  Logs
+    accumulate in factor order, so identity factors keep a member's bits."""
     peak = t_abs.max(axis=0, initial=0.0)
     with np.errstate(all="ignore"):  # max |t| = 0 gives log 0; those columns are replaced
         radius = peak ** -0.9
@@ -296,36 +283,151 @@ def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None):
         log_e = np.add.accumulate(np.concatenate(([np.log(scale) + 0.0 * peak], logs)))[-1]
         if n is None:
             n = np.floor((log_e - math.log(_TAIL_TARGET)) / log_r)
-            n = np.where(peak == 0.0, degree, np.fmin(np.fmax(n, 0.0), _MAX_TERMS)).astype(int)
+            n = np.where(peak == 0.0, degree, np.fmin(np.fmax(n, 0.0), _MAX_TERMS))
+            n = np.where((e1 < _TAIL_TARGET) & (peak > 0.0), 0, n).astype(int)
         tail = np.exp(log_e - (n + 1.0) * log_r)
-    return n, np.where(peak == 0.0, np.where(n >= degree, 0.0, np.inf), tail)
+    return n, np.fmin(np.where(peak == 0.0, np.where(n >= degree, 0.0, np.inf), tail), e1)
 
 
-def _one_center_sums(scale, c0, lead, t, sums, start: int, m: int = 0):
-    """``_streamed_sums`` on one column of factor forms (shape (k, 1)), in floats: the sum
-    to n and the area head to m from one ``_convolved`` product; n and the tail by
-    ``_cauchy_terms``' rule, its factor logs in one call.  Roundoff: each c_j is within
-    gamma_(3k(j+1)) e_j, its modulus two roundings, and the sum of n + 1 terms give
-    gamma_((3k+1)(n+1)+1) E(1); squared, weighted and added, the area head errs by
-    gamma_(6k(m+1)+m+6) E(1) E'(1)."""
-    c0_abs, lead_abs, t_abs = np.abs(c0), np.abs(lead), np.abs(t)
-    n, tail = np.count_nonzero(lead_abs), 0.0  # a polynomial (max |t| = 0): exact at its degree
-    if peak := float(t_abs.max(initial=0.0)):
-        with np.errstate(all="ignore"):  # 1 - |t| R rounds to 0 as max |t| -> 1: E(1) caps it
-            radius = peak ** -0.9
-            terms = np.log(c0_abs + lead_abs * radius / (1.0 - t_abs * radius))
-            log_r, log_e = math.log(radius), math.log(scale) + terms.sum()
-            n = int(np.fmin(np.fmax((log_e - math.log(_TAIL_TARGET)) // log_r, 0.0), _MAX_TERMS))
-            tail = float(np.exp(log_e - (n + 1.0) * log_r))
-    moduli = np.abs(_convolved(scale, c0, lead, t, max(n, m)))
-    e1 = float(sums.prod(initial=scale))
-    value = float(moduli[start : n + 1].sum())
-    slack = float(np.fmin(tail, e1) + _gamma((3 * len(c0) + 1) * (n + 1) + 1) * e1)
+@lru_cache(maxsize=None)
+def _roots(count: int) -> np.ndarray:
+    """The count-th roots of unity e^(2 pi i m/count), m = 0..count-1, read-only and built
+    once per count: powers of two up to _MAX_SAMPLES, and CERTIFY_SAMPLES."""
+    roots = np.exp(1j * (2.0 * math.pi * np.arange(count) / count))
+    roots.flags.writeable = False
+    return roots
+
+
+def _sampled(scale, zeros: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """scale prod (zero - z)/(1 - conj(zero) z) at the 1-d ``points``: ``_value``'s factor
+    formula over a factor axis, at most _SAMPLE_CELLS factor values at a time."""
+    acc = np.full(len(points), complex(scale))
+    step = max(1, _SAMPLE_CELLS // len(points))
+    for i in range(0, len(zeros), step):
+        w = zeros[i : i + step, None]
+        den = w.conj() * points
+        np.subtract(1.0, den, out=den)
+        num = w - points
+        num /= den
+        acc *= num.prod(axis=0)
+    return acc
+
+
+def _one_center_sums(f: BlaschkeProduct, z0: complex, r: float, start: int, m: int = 0):
+    """(sum_{start<=j<=n} |c_j| r^j about z0, its slack, the area head
+    sum_{1<=j<=m} j |c_j|^2 r^(2j), its bound) from N samples x_i of f at
+    z0 + r w^i, w = e^(2 pi i/N), and one FFT: by Cauchy's integral and the
+    trapezoidal rule, a_j = sum_i x_i w^(-ij)/N = sum_(l>=0) c_(j+lN) r^(j+lN).
+
+    n and the tail take ``_cauchy_terms``' rule, in floats, on the envelope e of the
+    factors' moduli in real closed form (|c0| = |zeta - z0|/|D|, |lead| = (1 - |zeta|^2)
+    r/|D|^2, |t| = |zeta| r/|D|; e_j >= |c_j| r^j), with R = 1 also where max |t| R
+    rounds to 1.  N is the least power of two above max(n, m) whose aliasing bound
+    A = E(R) R^-N/((1 - R^-N)(1 - 1/R)) is below the tail target over 1 + 3m, or
+    _MAX_SAMPLES: as e_i <= E(R)/R^i and each i >= N aliases onto one j < N,
+    sum_j |a_j - c_j r^j| <= min(A, E(1)); that is 0 for a polynomial of degree below
+    N, and E(1) with R = 1.
+
+    Roundoff (Higham, 2nd ed., ch. 3 and 24; u = 2^-53), as a bound Delta on the
+    2-norm of the error in (a_0, .., a_(N-1)):
+    - sample points: fl(2 pi i/N) is within gamma_2 2 pi of the angle, and libm's cos
+      and sin are taken within one ulp, so w^i is within 16u and z0 + r w^i within
+      dz = 16u r + gamma_3 (|z0| + 2r) + 2 tiny (tiny = 2^-1074 for underflow); there
+      f moves by at most L dz, L = scale/(1 - rho^2) inside the unit disk, rho =
+      |z0| + r + dz (Schwarz-Pick), and L = E'(1 + dz/r)/r beyond it, as f(z0 + r u)
+      = sum c_j r^j u^j;
+    - factors and product: 1 - conj(zeta) z is computed within u |1 - conj(zeta) z|
+      + gamma_4 |zeta| rho (a product within sqrt 2 gamma_2, then a difference), and
+      |1 - conj(zeta) z| >= lo = |D| - |zeta| (r + dz); so while every lo > 0 and
+      sum theta <= 1/2, theta = u + gamma_4 |zeta| rho/lo, dividing by it errs by at
+      most 2 theta.  The difference zeta - z (u), the quotient (sqrt 2 gamma_8 by
+      Smith's algorithm, as numpy divides; sqrt 2 gamma_4 by the textbook formula)
+      and one product (sqrt 2 gamma_2) are gamma_16 a factor: a sample is within
+      rel = (1 + gamma_(16k+1)) exp(2 sum theta) - 1 of f at its point, f there
+      within big/(1 - rel), big the largest computed modulus (times 1 + gamma_2);
+    - the FFT (Theorem 24.2, with pocketfft's twiddles assumed within mu = 4u and a
+      radix-4 pass taken as two radix-2 levels): within eps = p eta/(1 - p eta),
+      p = log2 N, eta = mu + gamma_4 (sqrt 2 + mu), of the exact transform, whose
+      2-norm over N is the samples' over sqrt(N); 1/N scales exactly;
+    - underflow adds at most tiny/2 per operation: 16k + 4 on a sample's path, each
+      carried by factors of modulus at most G (1 inside the disk, else prod max(1,
+      sums)), and 4 per FFT level.
+    So Delta = (rel + eps (1 + rel)) big/(1 - rel) + L dz + tiny ((16k + 4) G + 2p),
+    and n + 1 coefficients err by at most sqrt(n + 1) Delta in sum, the DFT over
+    sqrt(N) being unitary.  Moduli and the sum take gamma_2 and gamma_n, so
+    gamma_(n+3) of the value, plus (n + 2) tiny for underflow.
+    Slack: min(tail, E(1)) + min(A, E(1)) + sqrt(n + 1) Delta + gamma_(n+3) value
+    + (n + 2) tiny.
+
+    Area: the head H = sum_(1<=j<=m) j |c_j r^j|^2 and its computed coefficients'
+    errors d_j have sum j |d_j|^2 <= m d^2 = D^2, d = Delta + min(A, E(1));
+    | |x|^2 - |y|^2 | <= |x - y| (2 |y| + |x - y|), Cauchy-Schwarz in the weights j
+    and sqrt(H) <= sqrt(H^) + D give |H^ - H| <= 2 D sqrt(H^) + 3 D^2; the moduli,
+    squares, weights and the dot product add gamma_(m+7) of the head (inside the
+    root too) and (m + 2)^2 tiny.  The closed forms of the bounds are evaluated in
+    floating point and taken as exact.  DomainError where a factor series diverges
+    at r or the slack is not finite."""
+    zeros = np.array(f.zeros, dtype=complex)
+    mods = np.abs(zeros)
+    d_abs, shift_abs = (np.abs(1.0 - zeros.conj() * z0), np.abs(zeros - z0)) if z0 else (1.0, mods)
+    series, t_abs = _factor_series(mods, d_abs, r)
+    c0_abs, lead_abs = shift_abs / d_abs, (1.0 - mods * mods) * (r / (d_abs * d_abs))
+    e1, peak = float((c0_abs + series).prod(initial=f.scale)), float(t_abs.max(initial=0.0))
+    inverse, n, tail, alias = peak ** 0.9, 0, 0.0, 0.0  # 1/R, R = max |t|^-0.9
+    if not peak:  # a polynomial: exact at its degree
+        n, inverse = int(np.count_nonzero(lead_abs)), 1.0
+    elif e1 < _TAIL_TARGET or not peak < inverse < 1.0:
+        n, tail, alias, inverse = 0, e1, e1, 1.0  # R = 1, also where max |t| R rounds to 1
+    else:  # E(R) = scale prod (|c0| + |lead|/(1/R - |t|))
+        log_r = -math.log(inverse)
+        log_e = math.log(f.scale) + float(np.log(c0_abs + lead_abs / (inverse - t_abs)).sum())
+        n = min(max(int((log_e - math.log(_TAIL_TARGET)) / log_r), 0), _MAX_TERMS)
+        log_tail = log_e - (n + 1) * log_r
+        tail = math.exp(log_tail) if log_tail < math.log(e1) else e1
+    count = 1 << max(n, m).bit_length()
+    if inverse < 1.0:  # the least N whose log A(N) is below log(target/(1 + 3m))
+        log_alias = lambda size: (log_e - size * log_r - math.log(-math.expm1(-log_r))  # noqa: E731
+                                  - math.log(-math.expm1(-size * log_r)))
+        while count < _MAX_SAMPLES and log_alias(count) >= math.log(_TAIL_TARGET / (1.0 + 3.0 * m)):
+            count *= 2
+        alias = math.exp(log_alias(count)) if log_alias(count) < math.log(e1) else e1
+    values = _sampled(f.scale, zeros, z0 + r * _roots(count) if z0 else r * _roots(count))
+    moduli = np.abs(np.fft.fft(values)[: max(n, m) + 1])
+    value = float(moduli[start : n + 1].sum()) / count
+
+    k, u = len(zeros), 2.0 ** -53
+    dz = 16.0 * u * r + _gamma(3) * (abs(z0) + 2.0 * r) + 2.0 * _TINY if r else 0.0
+    reach = abs(z0) + r + dz
+    lo, rel = d_abs - mods * (r + dz), math.inf
+    if (1.0 - peak) * (1.0 - abs(z0)) > dz or lo.min(initial=math.inf) > 0.0:  # |D| >= 1 - |z0|
+        theta = k * u + _gamma(4) * reach * float((mods / lo).sum())
+        rel = math.expm1(math.log1p(_gamma(16 * k + 1)) + 2.0 * theta) if theta <= 0.5 else rel
+    levels = count.bit_length() - 1
+    eta = 4.0 * u + _gamma(4) * (math.sqrt(2.0) + 4.0 * u)
+    eps = levels * eta / (1.0 - levels * eta)
+    if reach < 1.0:  # Schwarz-Pick; every factor has modulus <= 1
+        lip, grow = f.scale / (1.0 - reach * reach), 1.0
+    else:
+        with np.errstate(all="ignore"):  # a circle within rounding of a pole: inf
+            v = 1.0 + dz / r
+            den = 1.0 - t_abs * v
+            fac = c0_abs + lead_abs * v / den
+            lip = float(np.where(den > 0.0, fac, np.inf).prod(initial=f.scale)
+                        * (lead_abs / (den * den) / fac).sum()) / r
+            grow = float(np.fmax(c0_abs + series, 1.0).prod())
+    big = float(np.abs(values).max(initial=0.0)) * (1.0 + _gamma(2))
+    size = big / (1.0 - rel) if rel < 1.0 else math.inf  # |f| at the sample points
+    under = _TINY * ((16 * k + 4) * grow + 2.0 * levels)
+    delta = (rel + eps * (1.0 + rel)) * size + lip * dz + under
+    slack = tail + alias + math.sqrt(n + 1) * delta + _gamma(n + 3) * value + (n + 2) * _TINY
+    if not math.isfinite(slack):
+        raise DomainError("one-center series slack is not finite")
     if not m:
         return value, slack, 0.0, 0.0
-    slope = float((lead_abs / (1.0 - t_abs) ** 2 / sums).sum())
-    area = float(np.arange(m + 1) @ moduli[: m + 1] ** 2)
-    return value, slack, area, _gamma(6 * len(c0) * (m + 1) + m + 6) * e1 * e1 * slope
+    head = float(np.arange(m + 1) @ moduli[: m + 1] ** 2) / (count * count)
+    off = math.sqrt(m) * (delta + alias)
+    bound = 2.0 * off * math.sqrt(head * (1.0 + _gamma(m + 7))) + 3.0 * off * off
+    return value, slack, head, bound + _gamma(m + 7) * head + (m + 2) ** 2 * _TINY
 
 
 def _zero_center_sums(fs, r: float, start: int, area: bool):
@@ -337,8 +439,9 @@ def _zero_center_sums(fs, r: float, start: int, area: bool):
     if not isinstance(fs, (list, BlaschkeProduct)):  # closed forms and exact sums
         return *series_abs_sum(fs, r, start), *(area_sum_and_tail(fs, r) if area else (0.0, 0.0))
     m, tail = _area_size(r) if area else (0, 0.0)
+    m = max(m, int(area))  # the head reads c_1 or more, so T(0)'s rounding never decides
     if isinstance(fs, BlaschkeProduct):
-        out = _one_center_sums(fs.scale, *_factor_forms(fs, 0j, r, r), start, m)
+        out = _one_center_sums(fs, 0j, r, start, m)
     else:
         f = _stack(fs)  # lower degrees padded with zeros at 0, replaced here
         degree = np.array([len(g.zeros) for g in fs])[:, None]
@@ -362,7 +465,9 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
 
     Polynomial: exact binomial shift (tail 0 once n covers the degree).
     Moebius: closed form c_k = -(1-a^2) a^(k-1) (1 - a z0)^-(k+1); geometric tail.
-    Blaschke: the factor series' truncated product (``_convolved``); the tail is
+    Blaschke: the factor series' truncated product, one column of
+    ``_pipelined_product`` (raw high-order coefficients need its recurrences: circle
+    samples give c_j r^j to within a bound on the whole circle); the tail is
     ``_cauchy_terms``' bound at this n on the envelope at scale ``rho``, capped by E(1).
     DomainError where the series diverges at ``rho``, or where a coefficient or
     the tail bound overflows.
@@ -394,10 +499,11 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
     else:
         with np.errstate(all="ignore"):  # overflow is refused below
             c0, lead, t, sums = _factor_forms(f, np.array([z0]), 1.0, rho)
-            coeffs = _convolved(f.scale, c0, lead, t, n)
+            coeffs = [complex(step[0]) for step in _pipelined_product(f.scale, c0, lead, t, n)]
             _, (tail,) = _cauchy_terms(f.scale, np.abs(c0), np.abs(lead) * rho, np.abs(t) * rho,
-                                       np.count_nonzero(lead) if rho else 0, n)  # envelope at rho
-            tail = float(np.fmin(tail, sums.prod(initial=f.scale)))
+                                       np.count_nonzero(lead) if rho else 0, n,  # envelope at rho
+                                       sums.prod(axis=0) * f.scale)
+            tail = float(tail)
     if not (np.all(np.isfinite(coeffs)) and math.isfinite(tail)):
         raise DomainError("recentred Taylor data overflows")
     return TaylorSlice(tuple(coeffs), tail)
@@ -423,8 +529,9 @@ def _shift_polynomial(coeffs: tuple[complex, ...], z0: complex) -> tuple[complex
 def series_abs_sum(f: AnalyticFunction, rho: float, start: int = 0) -> tuple[float, float]:
     """(sum_{k>=start} |c_k| rho^k, truncation slack) for the Maclaurin series.
 
-    Closed form for Moebius, exact for polynomials, one truncated product with a
-    tail and roundoff bound for Blaschke products.  ``start`` is 0 or 1.
+    Closed form for Moebius, exact for polynomials; for Blaschke products the
+    coefficients c_k rho^k from samples on the circle |z| = rho and one FFT, with a
+    tail, aliasing and roundoff bound (``_one_center_sums``).  ``start`` is 0 or 1.
     """
     if start not in (0, 1):
         raise ValueError("start must be 0 or 1")
@@ -441,7 +548,8 @@ def recentered_abs_sums_grid(
     row, in member order.
 
     Blaschke products go through ``_abs_sums``: a single center (0-d, or an array
-    of one) convolves (``_one_center_sums``), several stream (``_streamed_sums``).
+    of one) samples f on the circle |z - z0| = rho and takes one FFT
+    (``_one_center_sums``), several stream (``_streamed_sums``).
     """
     centers = _require_in_disk(np.asarray(centers, dtype=complex), "all centers")
     if not centers.ndim and isinstance(f, Moebius):
@@ -462,10 +570,10 @@ def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     one = not isinstance(centers, np.ndarray)
     if isinstance(f, BlaschkeProduct):
+        if isinstance(f.zeros, tuple) and np.size(centers) == 1:  # one product, one center
+            return _one_center_sums(f, complex(centers if one else centers[0]), rho, start)[:2]
         c0, lead, t, sums = _factor_forms(f, centers, rho, rho)
-        if c0.shape[1:] != (1,):
-            return _streamed_sums(f.scale, c0, lead, t, sums, len(c0), start)[:2]
-        return _one_center_sums(f.scale, c0, lead, t, sums, start)[:2]
+        return _streamed_sums(f.scale, c0, lead, t, sums, len(c0), start)[:2]
     if isinstance(f, Moebius):  # np.abs: builtin abs of a numpy complex rounds differently
         series, _ = _factor_series(f.a, (abs if one else np.abs)(1.0 - f.a * centers), rho)
         values = f.a + series if start == 0 else series
@@ -505,19 +613,28 @@ def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
 
 def _area_size(r: float) -> tuple[int, float]:
     """The area head's term count m and its tail T(m) = sum_{k>m} k x^k, x = r^2, which
-    bounds it as |c_k| <= 1 for a self-map: T decreases, so bisection finds the least m
-    with T(m) below the tail target, or _MAX_TERMS."""
+    bounds it as |c_k| <= 1 for a self-map: the least m with T(m) below the tail target,
+    or _MAX_TERMS.  T(m) >= x^(m+1) p/(1 - x)^2 while p <= (m + 1) - m x, which grows with
+    m: two passes of that log bound from p = 1 land at or just below m, and steps finish."""
     x = r * r
     tail = lambda m: x ** (m + 1) * ((m + 1) - m * x) / (1.0 - x) ** 2  # noqa: E731
-    m = bisect.bisect_left(range(_MAX_TERMS), True, key=lambda m: tail(m) < _TAIL_TARGET)
+    m = 0
+    if tail(0) >= _TAIL_TARGET:
+        room = math.log(_TAIL_TARGET) + 2.0 * math.log1p(-x)
+        for _ in range(2):
+            m = max(m, math.ceil((room - math.log((m + 1) - m * x)) / math.log(x)) - 1)
+            m = min(m, _MAX_TERMS)
+        while m < _MAX_TERMS and tail(m) >= _TAIL_TARGET:
+            m += 1
+        while m and tail(m - 1) < _TAIL_TARGET:
+            m -= 1
     return m, tail(m)
 
 
 # -- boundedness certification -----------------------------------------------------
 
 # the boundary samples behind every polynomial certificate, built once
-_CIRCLE = np.exp(1j * (2.0 * math.pi * np.arange(CERTIFY_SAMPLES) / CERTIFY_SAMPLES))
-_CIRCLE.flags.writeable = False
+_CIRCLE = _roots(CERTIFY_SAMPLES)
 
 
 @lru_cache(maxsize=4096)

@@ -284,6 +284,11 @@ def sharpness_fn(a, r, w: WeightPair):
     _check_ar(Theorem.T31, a, r, w)
     if not np.all(a < 1.0):
         raise DomainError("a must lie in [0, 1)")
+    return _sharpness(a, r, w)
+
+
+def _sharpness(a, r, w: WeightPair):
+    """``sharpness_fn`` without its checks, for refinement inside a checked bracket."""
     alpha, beta = w.alpha, w.beta
     num = (
         alpha * (a + r) * (1.0 - a * r)

@@ -26,6 +26,7 @@ from .analytic import (
 from .errors import NotApplicableError, PreconditionError
 from .functionals import (
     _refined_max,
+    _sharpness,
     bohr_lhs,
     bohr_lhs_theta_corpus,
     envelope_sup,
@@ -158,8 +159,9 @@ def check_below_radius(
 def sharpness_witness_t31(w: WeightPair, r: float) -> Optional[float]:
     """An a in [0, 1) whose extremal-family LHS exceeds 1 at radius r > R1.
 
-    Scans a = 1 - 2**-j for j = 1..40, then refines around the best scan point
-    by golden section.  Returns None only if no scanned value qualifies.
+    Scans a = 1 - 2**-j for j = 1..40 in one checked call, then refines around
+    the best scan point by golden section on the unchecked body, as
+    ``envelope_sup`` does.  Returns None only if no scanned value qualifies.
     """
     cert = radius_t31(w)
     if not (cert.value < r < 1.0):
@@ -167,7 +169,7 @@ def sharpness_witness_t31(w: WeightPair, r: float) -> Optional[float]:
             f"r must lie in (radius={cert.value}, 1), got {r}"
         )
     ladder = 1.0 - 0.5 ** np.arange(1, WITNESS_LADDER + 1)
-    best_a, best_h = _refined_max(lambda a: float(sharpness_fn(a, r, w)),
+    best_a, best_h = _refined_max(lambda a: float(_sharpness(a, r, w)),
                                   ladder, sharpness_fn(ladder, r, w), 0.0, 1.0 - 1e-12)
     return best_a if best_h > 1.0 else None
 

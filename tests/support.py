@@ -1,13 +1,17 @@
-"""Independent numeric oracles used to derive expected test values.
+"""Numeric oracles used to derive expected test values.
 
 Plain midpoint bisection, DFT-based Cauchy coefficients and 60-digit mpmath
-Blaschke series only; nothing here shares code with the library paths under
-test.
+Blaschke series; nothing here shares code with the library.  The DFT oracle
+takes the library's own method for one center (samples on a circle and an
+FFT), so it checks ``recenter``'s recurrences, not that engine; the mpmath
+series, expanded in exact rational form and divided out, is independent of
+both engines.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -54,6 +58,7 @@ def cauchy_coeffs(evaluate_fn, z0: complex, n: int, radius: float, samples: int 
     return [spectrum[k] / radius ** k for k in range(n + 1)]
 
 
+@lru_cache(maxsize=64)
 def blaschke_series_mp(f, z0: complex, rho: float, count: int, moduli: bool = False):
     """(c_j rho^j for j < count about z0, the envelope's full sum) at 60
     digits, for f = scale * prod (a - z)/(1 - conj(a) z).
@@ -66,12 +71,8 @@ def blaschke_series_mp(f, z0: complex, rho: float, count: int, moduli: bool = Fa
     sum is scale * prod (|c0| + |lead|/(1 - |t|)).
     """
     with mpmath.workdps(60):
-        z0 = mpmath.mpc(z0.real, z0.imag)
         p, q, total = [mpmath.mpf(f.scale)], [mpmath.mpf(1)], mpmath.mpf(f.scale)
-        for a in f.zeros:
-            a = mpmath.mpc(a.real, a.imag)
-            d = 1 - mpmath.conj(a) * z0
-            c0, lead, t = (a - z0) / d, -(1 - abs(a) ** 2) * rho / d ** 2, mpmath.conj(a) * rho / d
+        for c0, lead, t in factor_forms_mp(f, z0, rho):
             if moduli:
                 c0, lead, t = abs(c0), abs(lead), abs(t)
             total *= abs(c0) + abs(lead) / (1 - abs(t))
@@ -83,3 +84,38 @@ def blaschke_series_mp(f, z0: complex, rho: float, count: int, moduli: bool = Fa
             recur = mpmath.fdot(q[1:back + 1], coeffs[m - 1::-1][:back]) if back else 0
             coeffs.append((p[m] if m < len(p) else 0) - recur)
         return coeffs, total
+
+
+def factor_forms_mp(f, z0: complex, rho: float):
+    """(c0, lead, t) of each factor of f about z0 at scale rho, at the working precision."""
+    z0 = mpmath.mpc(z0.real, z0.imag)
+    for a in f.zeros:
+        a = mpmath.mpc(a.real, a.imag)
+        d = 1 - mpmath.conj(a) * z0
+        yield (a - z0) / d, -(1 - abs(a) ** 2) * rho / d ** 2, mpmath.conj(a) * rho / d
+
+
+def blaschke_sums_mp(f, z0: complex, rho: float, start: int, count: int):
+    """Brackets [low, high] at 60 digits of sum_(j>=start) |c_j| rho^j and of the area
+    sum sum_j j |c_j|^2 rho^(2j) about z0, from the first ``count`` coefficients (none:
+    the envelope alone, cheap for any degree).
+
+    The envelope e (the same series on the moduli) has e_j >= |c_j| rho^j, so the
+    series' rest is at most rest = E(1) - sum_(j<count) e_j, and the area's at most
+    rest (E'(1) - sum_(j<count) j e_j), with E(1) = scale prod (|c0| + |lead|/(1 - |t|))
+    and E'(1) = E(1) sum |lead|/(1 - |t|)^2/(|c0| + |lead|/(1 - |t|)).
+    """
+    coeffs, _ = blaschke_series_mp(f, z0, rho, count) if count else ([], None)
+    envelope, _ = blaschke_series_mp(f, z0, rho, count, moduli=True) if count else ([], None)
+    with mpmath.workdps(60):
+        total, slope = mpmath.mpf(f.scale), mpmath.mpf(0)
+        for c0, lead, t in factor_forms_mp(f, z0, rho):  # E and E' at 1, by the product rule
+            c0, lead, t = abs(c0), abs(lead), abs(t)
+            factor = c0 + lead / (1 - t)
+            total, slope = total * factor, slope * factor + total * lead / (1 - t) ** 2
+        moduli = [abs(c) for c in coeffs]
+        rest = total - mpmath.fsum(envelope)
+        series = mpmath.fsum(moduli[start:])
+        area = mpmath.fsum(j * c ** 2 for j, c in enumerate(moduli))
+        area_rest = rest * (slope - mpmath.fsum(j * e for j, e in enumerate(envelope)))
+        return (series, series + rest), (area, area + area_rest)

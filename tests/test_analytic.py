@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 from functools import lru_cache
@@ -5,8 +6,9 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bohradii import analytic
 from bohradii.analytic import (
     CERTIFY_SAMPLES,
     BlaschkeProduct,
@@ -36,7 +38,7 @@ from bohradii.analytic import (
 )
 from bohradii.errors import DomainError
 
-from support import blaschke_series_mp, cauchy_coeffs
+from support import blaschke_series_mp, blaschke_sums_mp, cauchy_coeffs
 
 
 def corpus_sample(n=24):
@@ -270,8 +272,8 @@ class TestSeriesSums:
 
     @pytest.mark.parametrize("degree", [1, 6, 12, 24, "repeated"])
     def test_recentered_grid_matches_scalar(self, degree):
-        # the grid takes the pipelined recurrences, each scalar call the
-        # convolution; both lie within their slack of the exact sum, so they
+        # the grid takes the pipelined recurrences, each scalar call circle samples
+        # and an FFT; both lie within their slack of the exact sum, so they
         # differ by at most the two slacks (the grid's holds its roundoff bound)
         f = REPEATED_ZEROS if degree == "repeated" else random_test_function(9, degree)
         rho = 0.4
@@ -534,6 +536,17 @@ class TestZeroCenterStream:
             alone = np.hstack(_zero_center_sums([f], r, start, area=r > 0.0))[0]
             assert np.array_equal(row, alone)
 
+    def test_area_below_the_least_radius_with_a_head(self):
+        # at r = 1.2e-10 the least m is 0, and T(0) = fl(r^2) sat below the exact area r^2 of
+        # -z; both engines now read c_1, so the head and its bound carry it
+        f, r = BlaschkeProduct((0j,), 1.0), 1.197592778335005e-10
+        _, _, heads, bounds = _zero_center_sums([f], r, 0, area=True)
+        head, bound = area_sum_and_tail(f, r)
+        with mpmath.workdps(60):
+            exact = mpmath.mpf(r) ** 2
+            for h, b in ((heads[0, 0], bounds[0, 0]), (head, bound)):
+                assert h - mpmath.mpf(b) <= exact <= h + mpmath.mpf(b)
+
     @pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
     @pytest.mark.parametrize("name", BOUND_PRODUCTS)
     def test_area_roundoff_bound_against_mpmath(self, name, r):
@@ -556,7 +569,7 @@ class TestZeroCenterStream:
 
 class TestOneCenterAgainstMpmath:
     """Every one-center Blaschke slack against the exact sums at 60 digits: the
-    convolved product's Cauchy tail and roundoff bound."""
+    sampled engine's Cauchy tail, aliasing and roundoff bound."""
 
     @pytest.mark.parametrize("r", [0.05, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("start", [0, 1])
@@ -606,6 +619,78 @@ class TestOneCenterAgainstMpmath:
         assert tail <= f.scale * sums.prod() and (tail == 0.0) == (len(f.zeros) <= n and not any(f.zeros))
 
 
+# the 1100 zeros of modulus 0.05 that tests/test_hostile.py uses: E(1) is about 1e-495
+TINY_ZEROS = BlaschkeProduct(tuple(0.05 * np.exp(1j * np.arange(1100))), 0.9)
+ZEROS_TO_095 = st.lists(st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)),
+                        max_size=8)
+
+
+def one_center_brackets(f, z0, r, start):
+    """The exact series about z0 and the area sum at 60 digits, as brackets: from
+    twice the stream's n plus 40 coefficients, whose rest lies far below any slack
+    here, or for more than 64 zeros (E(1) below the tail target) from the envelope
+    alone, as their expansion would take too long."""
+    c0, lead, t, sums = _factor_forms(f, np.array([z0]), r, r)
+    e1 = f.scale * sums.prod()
+    n, _ = _cauchy_terms(f.scale, np.abs(c0), np.abs(lead), np.abs(t), len(c0), e1=e1)
+    return blaschke_sums_mp(f, z0, r, start, 2 * int(n[0]) + 40 if len(f.zeros) <= 64 else 0)
+
+
+def within(bracket, value, slack):
+    """Every point of the exact sum's bracket lies within slack of value."""
+    low, high = bracket
+    return value - slack <= low and high <= value + slack
+
+
+class TestOneCenterProperty:
+    """|exact - value| <= slack for every one-center Blaschke sum: circle samples,
+    their FFT and the stated tail, aliasing and roundoff bounds."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(f=st.builds(BlaschkeProduct, ZEROS_TO_095.map(tuple), st.floats(0.3, 1.0)),
+           z0=st.builds(cmath.rect, st.floats(0.0, 0.9), st.floats(0.0, 2.0 * math.pi)),
+           r=st.floats(0.0, 0.9))
+    # a convolution's roundoff term gave slack 7.2e-7 here, against an error of 1.2e-17
+    @example(f=random_test_function(12, 24), z0=0j, r=0.9)
+    # E(1) below the tail target: n = 0 (R = max |t|^-0.9 took n = 1072)
+    @example(f=TINY_ZEROS, z0=0.3j, r=0.3)
+    # the circle |z - z0| = 0.8 leaves the unit disk (|z0| + r = 1.38)
+    @example(f=BlaschkeProduct((0.5, -0.3 + 0.4j, 0.2j), 0.9), z0=0.5 + 0.3j, r=0.8)
+    def test_sums_within_their_slack(self, f, z0, r):
+        for start in (0, 1):
+            value, slack = series_abs_sum(f, r, start)
+            assert within(one_center_brackets(f, 0j, r, start)[0], value, slack)
+            # the circle |z| = r <= 0.9 lies inside the disk, with zeros of modulus <= 0.95
+            assert slack <= 1e-10
+        try:
+            value, slack = recentered_abs_sums_grid(f, z0, r)
+        except DomainError:  # a factor series diverges at r about z0
+            pass
+        else:
+            assert within(one_center_brackets(f, z0, r, 1)[0], value, slack)
+        if r > 0.0:
+            head, bound = area_sum_and_tail(f, r)
+            assert within(one_center_brackets(f, 0j, r, 0)[1], head, bound)
+
+    def test_tiny_envelope_takes_no_terms(self, monkeypatch):
+        # E(1) < the tail target: R = 1 gives n = 0 on both engines, where R = max |t|^-0.9
+        # gave 1072; the one-center engine then samples one point for the series alone
+        r, centers = 0.3, np.array([0.0, 0.3j])
+        c0, lead, t, sums = _factor_forms(TINY_ZEROS, centers, r, r)
+        forms = (TINY_ZEROS.scale, np.abs(c0), np.abs(lead), np.abs(t), len(c0))
+        e1 = TINY_ZEROS.scale * sums.prod(axis=0)
+        n, tail = _cauchy_terms(*forms, e1=e1)
+        assert np.array_equal(n, [0, 0]) and np.array_equal(tail, e1)
+        assert _cauchy_terms(*forms)[0].min() > 1000
+        counts = []
+        real = analytic._roots
+        monkeypatch.setattr(analytic, "_roots", lambda size: (counts.append(size), real(size))[1])
+        series_abs_sum(TINY_ZEROS, r, 0)
+        recentered_abs_sums_grid(TINY_ZEROS, 0.3j, r)
+        area_sum_and_tail(TINY_ZEROS, r)
+        assert counts == [1, 1, 1 << _area_size(r)[0].bit_length()]
+
+
 class TestAreaSum:
     def test_identity_map(self):
         assert area_sum_and_tail(Polynomial((0.0, 1.0)), 0.37)[0] == pytest.approx(0.37 ** 2, abs=1e-15)
@@ -635,6 +720,17 @@ class TestAreaSum:
     def test_domain_gate(self):
         with pytest.raises(DomainError):
             area_sum_and_tail(Moebius(0.5), 1.0)
+
+    def test_area_size_is_the_least_qualifying_m(self):
+        # the closed form against bisection over range(_MAX_TERMS) on the same tail, over a
+        # dense grid of r and toward both ends (m = 0 for tiny r, _MAX_TERMS as r -> 1)
+        grid = np.concatenate([np.linspace(0.0, 1.0, 20001)[1:-1], np.geomspace(1e-300, 1e-2, 200),
+                               1.0 - np.geomspace(2.0 ** -53, 1e-2, 200)])
+        for r in grid.tolist():
+            x = r * r
+            tail = lambda m: x ** (m + 1) * ((m + 1) - m * x) / (1.0 - x) ** 2  # noqa: E731
+            m = bisect.bisect_left(range(_MAX_TERMS), True, key=lambda m: tail(m) < _TAIL_TARGET)
+            assert _area_size(r) == (m, tail(m)), r
 
 
 class TestCertifyBounded:

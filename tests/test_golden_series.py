@@ -13,13 +13,26 @@ degrees.  A call that raises records the exception's ``repr``.  Rewrite it only 
 a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_series.py
+
+and first give the evidence for that change:
+
+    PYTHONPATH=src python tests/test_golden_series.py --evidence
+
+prints, for every line of this transcript and every Blaschke ``check`` block of
+``golden_cli.txt`` that differs from its recorded file, how far the new value
+lies from the exact sum at 60 digits (``support.blaschke_sums_mp``) as a
+fraction of its slack; ``recenter`` lines give the exact rest over
+``tail_bound`` and the largest coefficient error over the envelope coefficient.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import astuple
+from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from bohradii.analytic import (
@@ -31,6 +44,8 @@ from bohradii.analytic import (
     series_abs_sum,
     _zero_center_sums,
 )
+
+from support import blaschke_series_mp, blaschke_sums_mp
 
 GOLDEN = Path(__file__).with_name("golden_series.txt")
 
@@ -66,9 +81,9 @@ def _divergence(f: BlaschkeProduct, z0: complex) -> float:
     return min((abs(1.0 - z.conjugate() * z0) / abs(z) for z in f.zeros if z), default=1.0)
 
 
-def transcript() -> str:
+def cases():
+    """(label, call, judge) per transcript line; ``judge(result)`` gives its evidence."""
     rng = np.random.default_rng(20)
-    lines = []
     for name, f in PRODUCTS:
         # a center toward the largest zero, where the factor series diverge soonest
         far = max(f.zeros, key=abs, default=1.0)
@@ -76,29 +91,124 @@ def transcript() -> str:
         edge = _divergence(f, z0)
         for rho in (0.0, 0.3, 0.97 * min(edge, 1.0), 1.01 * edge):
             head = f"{name} z0={_hex(z0)} rho={_hex(rho)}"
-            lines.append(_line(f"recenter {head}",
-                               lambda: astuple(recenter(f, z0, RECENTER_ORDER, rho))))
-            lines.append(_line(f"recentered_abs_sums_grid 0-d {head}",
-                               lambda: recentered_abs_sums_grid(f, z0, rho)))
-            lines.append(_line(f"recentered_abs_sums_grid 1-element {head}",
-                               lambda: recentered_abs_sums_grid(f, np.array([z0]), rho)))
+            yield (f"recenter {head}", lambda: astuple(recenter(f, z0, RECENTER_ORDER, rho)),
+                   lambda out: _recenter_evidence(f, z0, rho, *out))
+            yield (f"recentered_abs_sums_grid 0-d {head}",
+                   lambda: recentered_abs_sums_grid(f, z0, rho),
+                   lambda out: _sum_ratio(f, z0, rho, 1, *out))
+            yield (f"recentered_abs_sums_grid 1-element {head}",
+                   lambda: recentered_abs_sums_grid(f, np.array([z0]), rho),
+                   lambda out: _sum_ratio(f, z0, rho, 1, *out))
         for rho in (0.0, 0.3, 0.99):
             for start in (0, 1):
-                lines.append(_line(f"series_abs_sum {name} rho={_hex(rho)} start={start}",
-                                   lambda: series_abs_sum(f, rho, start)))
+                yield (f"series_abs_sum {name} rho={_hex(rho)} start={start}",
+                       lambda: series_abs_sum(f, rho, start),
+                       lambda out: _sum_ratio(f, 0j, rho, start, *out))
         for r in (1e-3, 0.5, 0.99):
-            lines.append(_line(f"area_sum_and_tail {name} r={_hex(r)}",
-                               lambda: area_sum_and_tail(f, r)))
+            yield (f"area_sum_and_tail {name} r={_hex(r)}", lambda: area_sum_and_tail(f, r),
+                   lambda out: _sum_ratio(f, 0j, r, "area", *out))
     for name, f in PRODUCTS:
         for rho in (0.0, 0.3, 0.5):
-            lines.append(_line(f"recentered_abs_sums_grid 8 centers {name} rho={_hex(rho)}",
-                               lambda: recentered_abs_sums_grid(f, STREAM_CENTERS, rho)))
+            yield (f"recentered_abs_sums_grid 8 centers {name} rho={_hex(rho)}",
+                   lambda: recentered_abs_sums_grid(f, STREAM_CENTERS, rho),
+                   lambda out: max(_sum_ratio(f, z, rho, 1, v, s)
+                                   for z, v, s in zip(STREAM_CENTERS, *out)))
     stack = [f for _, f in PRODUCTS]
     for r in (1e-3, 0.3, 0.9):
         for start in (0, 1):
-            lines.append(_line(f"_zero_center_sums stack r={_hex(r)} start={start}",
-                               lambda: _zero_center_sums(stack, r, start, area=True)))
-    return "\n".join(lines) + "\n"
+            yield (f"_zero_center_sums stack r={_hex(r)} start={start}",
+                   lambda: _zero_center_sums(stack, r, start, area=True),
+                   lambda out: max(max(_sum_ratio(f, 0j, r, start, v, s),
+                                       _sum_ratio(f, 0j, r, "area", h, b))
+                                   for f, v, s, h, b in zip(stack, *(np.ravel(x) for x in out))))
+
+
+def transcript() -> str:
+    return "".join(_line(label, call) + "\n" for label, call, _ in cases())
+
+
+# -- evidence: new values against the exact sums --------------------------------------
+
+@lru_cache(maxsize=None)
+def _exact(f, z0, rho, start, width):
+    """``blaschke_sums_mp``'s bracket, series or area (start "area"), from 64 terms up
+    by fours until it is at most ``width`` wide, or 16384 terms."""
+    count = 64
+    while True:
+        series, area = blaschke_sums_mp(f, z0, rho, 0 if start == "area" else start, count)
+        low, high = area if start == "area" else series
+        if high - low <= width or count >= 16384:
+            return low, high
+        count *= 4
+
+
+def _sum_ratio(f, z0, rho, start, value, slack) -> float:
+    """max |exact - value| over the exact sum's bracket, over the slack (start "area": the
+    area sum against its bound)."""
+    value, slack = (float(np.ravel(x)[0]) for x in (value, slack))  # one center: 0-d or 1-element
+    low, high = _exact(f, complex(z0), float(rho), start, 1e-3 * slack)
+    with mpmath.workdps(60):
+        worst = max(abs(low - value), abs(high - value))
+        return float(worst / slack) if slack else (0.0 if not worst else float("inf"))
+
+
+def _recenter_evidence(f, z0, rho, coeffs, tail) -> str:
+    """The exact rest beyond n over ``tail_bound``, and the largest coefficient error over
+    the envelope's coefficient (both at scale 1 for the coefficients)."""
+    n = len(coeffs) - 1
+    exact, _ = blaschke_series_mp(f, z0, 1.0, n + 1)
+    envelope, _ = blaschke_series_mp(f, z0, 1.0, n + 1, moduli=True)
+    with mpmath.workdps(60):
+        errors = [abs(mpmath.mpc(c.real, c.imag) - e) / m
+                  for c, e, m in zip(coeffs, exact, envelope) if m]
+        low, high = _exact(f, z0, rho, 0, 1e-3 * tail) if tail else (0, 0)
+        head = mpmath.fsum(abs(c) * mpmath.mpf(rho) ** j for j, c in enumerate(exact))
+        rest = f"rest/tail_bound={float((high - head) / tail):.3g}" if tail else "tail_bound=0"
+        return f"{rest} coefficient error/envelope={float(max(errors, default=0)):.3g}"
+
+
+def _check_ratio(block: list[str]) -> float:
+    """A Blaschke ``check`` block: |exact - (series_term + area_term)| over truncation_slack."""
+    from test_golden_cli import CHECK_FUNCTIONS
+
+    argv = block[0].split()[1:]
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    f = CHECK_FUNCTIONS[Path(opts["--function"]).stem]
+    out = dict(line.split("=") for line in block if line.count("=") == 1)
+    theorem = opts["--theorem"]
+    alpha, beta, r = (float(opts[key]) for key in ("--alpha", "--beta", "--r"))
+    slack = float(out["truncation_slack"])
+    weighted = {"t31": [(beta, 0j, 1)], "t32": [(beta, 0j, 1)], "t33": [(beta, complex(-r), 1)],
+                "t34": [(beta, complex(-r), 1)], "t35": [(alpha, 0j, 0), (beta, 0j, "area")],
+                "t36": [(alpha, 0j, 0), (beta, 0j, "area")]}[theorem]
+    with mpmath.workdps(60):
+        low = high = mpmath.mpf(0)
+        for weight, z0, start in weighted:
+            lo, hi = _exact(f, z0, r, start, 1e-3 * slack / weight)
+            low, high = low + weight * lo, high + weight * hi
+        value = mpmath.mpf(float(out["series_term"])) + mpmath.mpf(float(out["area_term"]))
+        return float(max(abs(low - value), abs(high - value)) / slack)
+
+
+def evidence() -> None:
+    from test_golden_cli import GOLDEN as CLI_GOLDEN, transcript as cli_transcript
+
+    recorded = GOLDEN.read_text().splitlines()
+    for number, (label, call, judge) in enumerate(cases(), start=1):
+        line = _line(label, call)
+        if number > len(recorded) or line != recorded[number - 1]:
+            try:
+                result = judge(call())
+            except (ValueError, ArithmeticError) as exc:
+                result = repr(exc)
+            shown = result if isinstance(result, str) else f"{result:.3g}"
+            print(f"golden_series.txt:{number} {label}: {shown}")
+    blocks = lambda text: ["$ " + b for b in ("\n" + text).split("\n$ ")[1:]]  # noqa: E731
+    old, new = blocks(CLI_GOLDEN.read_text()), blocks(cli_transcript())
+    for block, before in zip(new, old + [""] * len(new)):
+        lines = block.splitlines()
+        if block != before and lines[0].startswith("$ check") and "blaschke" in lines[0]:
+            print(f"golden_cli.txt {lines[0][2:]}: {_check_ratio(lines):.3g}")
 
 
 def test_series_engine_matches_golden_transcript():
@@ -110,4 +220,7 @@ def test_series_engine_matches_golden_transcript():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(transcript())
+    if sys.argv[1:] == ["--evidence"]:
+        evidence()
+    else:
+        GOLDEN.write_text(transcript())

@@ -130,6 +130,7 @@ class TestAnalytic:
     @given(f=FUNCTIONS, rho=RADII)
     @example(f=Moebius(0.5), rho=NAN)
     @example(f=MANY_ZEROS, rho=0.3)
+    @example(f=random_test_function(1, 1100), rho=0.9)  # 1100 zeros at a large radius: 8192 samples
     def test_series_and_area_sums(self, f, rho):
         # rho feeds series_abs_sum's gate and r area_sum_and_tail's
         for call in (lambda: series_abs_sum(f, rho, 0), lambda: series_abs_sum(f, rho, 1),

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bohradii import verify
+from bohradii import functionals, verify
 from bohradii.analytic import Moebius, Polynomial
 from bohradii.errors import NotApplicableError, PreconditionError, UncertifiedFunctionError
 from bohradii.functionals import sharpness_fn
@@ -112,6 +112,15 @@ class TestSharpnessWitness:
     def test_below_radius_is_precondition_error(self):
         with pytest.raises(PreconditionError):
             sharpness_witness_t31(WeightPair(1.0, 1.0), 0.2)
+
+    def test_refinement_skips_the_checks(self, monkeypatch):
+        # the 40-point ladder is one checked call; the golden-section steps take the
+        # unchecked body, whose value is the checked function's
+        w, r, calls = WeightPair(1.0, 1.0), 0.24, []
+        real = functionals._check_ar
+        monkeypatch.setattr(functionals, "_check_ar", lambda *a: (calls.append(a), real(*a))[1])
+        a = sharpness_witness_t31(w, r)
+        assert len(calls) == 1 and sharpness_fn(a, r, w) == functionals._sharpness(a, r, w) > 1.0
 
 
 class TestThresholdContinuity:
