@@ -8,7 +8,9 @@ and pin the many-center series engine.  A report's maximum violation is set by
 the Moebius members and the envelope, so each report is followed by the sum of
 the Blaschke members' totals over the campaign's angles, which the
 many-center sums do reach; the other four families also get the Moebius
-members' sum.
+members' sum.  Those sums keep 12 digits, so each campaign also gets the
+sha256 of the ``float.hex`` of every corpus total and slack that
+``bohr_lhs_theta_corpus`` returns, which pins the corpus path bit for bit.
 Rewrite ``golden_below.txt`` only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_below.py
@@ -16,13 +18,14 @@ Rewrite ``golden_below.txt`` only for a deliberate output change:
 
 from __future__ import annotations
 
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 
 from bohradii.analytic import BlaschkeProduct, Moebius
-from bohradii.functionals import bohr_lhs_theta_grid
+from bohradii.functionals import bohr_lhs_theta_corpus, bohr_lhs_theta_grid
 from bohradii.radii import Theorem, radius
 from bohradii.verify import (
     DEFAULT_EPSILON,
@@ -37,10 +40,16 @@ SEED = 7
 KINDS = (("moebius", Moebius), ("blaschke", BlaschkeProduct))
 
 
+def digest(values: np.ndarray) -> str:
+    """sha256 of the values' ``float.hex``, one line each, in C order."""
+    return hashlib.sha256("\n".join(map(float.hex, values.ravel().tolist())).encode()).hexdigest()
+
+
 def transcript() -> str:
     """to_lines() of each report, the first and last pair of each family's
     grid, then the members' totals summed per kind to 12 digits
-    (roundoff-level changes of the series engine leave those digits alone)."""
+    (roundoff-level changes of the series engine leave those digits alone),
+    then the digests of the corpus totals and slacks."""
     corpus = default_corpus(SEED)
     thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
     lines = []
@@ -56,6 +65,9 @@ def transcript() -> str:
                     for f in corpus if isinstance(f, kind)
                 )
                 lines.append(f"  {name} totals_sum={total:.12g}")
+            totals, slacks = bohr_lhs_theta_corpus(theorem, corpus, r, w, thetas)
+            lines.append(f"  corpus totals_sha256={digest(totals)}")
+            lines.append(f"  corpus slacks_sha256={digest(slacks)}")
     return "\n".join(lines) + "\n"
 
 
