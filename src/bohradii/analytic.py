@@ -13,8 +13,9 @@ One evaluator body written with plain operators serves a single point
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
 center or many, the area sum) has two engines.  Pipelined recurrences
 (``_pipelined_product``) stream the truncated product of ``_factor_forms``'
-closed forms c0 + lead*u/(1 - t*u) for several centers, for many products at
-center 0 and for ``recenter``'s raw coefficients.  One function at one center
+closed forms c0 + lead*u/(1 - t*u) for several centers (``_many_center_sums``,
+whose quotients c0 also give |f| there), for many products at center 0 and for
+``recenter``'s raw coefficients.  One function at one center
 is sampled on the circle |z - z0| = r, and one FFT gives its c_j r^j
 (``_one_center_sums``: Cauchy's integral by the trapezoidal rule).  Both take
 each term count and tail from Cauchy's estimate on the envelope of the factor
@@ -266,6 +267,19 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     return values, slack, area, _gamma(9 * m + 10 * degree + 6) * e1 * e1 * slope
 
 
+def _many_center_sums(f: BlaschkeProduct, centers: np.ndarray, rho: float, start: int):
+    """(|f|, sum_{k>=start} |c_k(z0)| rho^k, its slack) at each of the 1-d ``centers`` (a
+    row per ``_stack`` member), from one set of ``_factor_forms``: the factor quotients c0
+    are ``_value``'s, so |scale prod c0|, multiplied in its order, is
+    ``np.abs(evaluate_grid(f, centers))`` bit for bit; the sums are one stream."""
+    c0, lead, t, sums = _factor_forms(f, centers, rho, rho)
+    value = f.scale + np.zeros(c0.shape[1:], dtype=complex)  # scale + 0j, as ``_value`` starts
+    for quotient in c0:
+        value *= quotient
+    value = np.abs(value)  # before the stream, which holds its own buffers
+    return (value, *_streamed_sums(f.scale, c0, lead, t, sums, len(c0), start)[:2])
+
+
 def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None, e1=math.inf):
     """(n, tail bound) per column (factors on axis 0): Cauchy's estimate on the envelope e,
     the series on |c0|, |lead|, |t|, which has e_j >= |c_j| and sums to E(u) = scale prod
@@ -335,7 +349,7 @@ def _one_center_sums(f: BlaschkeProduct, z0: complex, r: float, start: int, m: i
       dz = 16u r + gamma_3 (|z0| + 2r) + 2 tiny (tiny = 2^-1074 for underflow); there
       f moves by at most L dz, L = scale/(1 - rho^2) inside the unit disk, rho =
       |z0| + r + dz (Schwarz-Pick), and L = E'(1 + dz/r)/r beyond it, as f(z0 + r u)
-      = sum c_j r^j u^j;
+      = sum c_j r^j u^j; L = 0 with no zeros, where f is the constant scale;
     - factors and product: 1 - conj(zeta) z is computed within u |1 - conj(zeta) z|
       + gamma_4 |zeta| rho (a product within sqrt 2 gamma_2, then a difference), and
       |1 - conj(zeta) z| >= lo = |D| - |zeta| (r + dz); so while every lo > 0 and
@@ -405,8 +419,8 @@ def _one_center_sums(f: BlaschkeProduct, z0: complex, r: float, start: int, m: i
     levels = count.bit_length() - 1
     eta = 4.0 * u + _gamma(4) * (math.sqrt(2.0) + 4.0 * u)
     eps = levels * eta / (1.0 - levels * eta)
-    if reach < 1.0:  # Schwarz-Pick; every factor has modulus <= 1
-        lip, grow = f.scale / (1.0 - reach * reach), 1.0
+    if reach < 1.0:  # Schwarz-Pick; every factor has modulus <= 1; no zeros: f is constant
+        lip, grow = (f.scale / (1.0 - reach * reach) if k else 0.0), 1.0
     else:
         with np.errstate(all="ignore"):  # a circle within rounding of a pole: inf
             v = 1.0 + dz / r
@@ -510,16 +524,20 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
 
 
 def _shift_polynomial(coeffs: tuple[complex, ...], z0: complex) -> tuple[complex, ...]:
-    """Exact coefficients of f(z0 + u) in powers of u.  DomainError from degree 1030
+    """Coefficients of f(z0 + u) in powers of u: c_k = sum_(j>=k) a_j C(j, k) z0^(j-k),
+    summed in j order, each power z0**m taken once and each binomial by the exact
+    integer step C(j + 1, k) = C(j, k) (j + 1)/(j + 1 - k).  DomainError from degree 1030
     on, where the largest binomial, C(deg, deg // 2), no longer converts to a float."""
     deg = len(coeffs) - 1
     if math.comb(deg, deg // 2) >> 1024:
         raise DomainError(f"binomial shift overflows: C({deg}, {deg // 2}) exceeds a float")
+    powers = [z0 ** m for m in range(deg + 1)]
     out = []
     for k in range(deg + 1):
-        acc = 0j
+        acc, binomial = 0j, 1
         for j in range(k, deg + 1):
-            acc += coeffs[j] * math.comb(j, k) * z0 ** (j - k)
+            acc += coeffs[j] * binomial * powers[j - k]
+            binomial = binomial * (j + 1) // (j + 1 - k)
         out.append(acc)
     return tuple(out)
 
@@ -572,8 +590,7 @@ def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
     if isinstance(f, BlaschkeProduct):
         if isinstance(f.zeros, tuple) and np.size(centers) == 1:  # one product, one center
             return _one_center_sums(f, complex(centers if one else centers[0]), rho, start)[:2]
-        c0, lead, t, sums = _factor_forms(f, centers, rho, rho)
-        return _streamed_sums(f.scale, c0, lead, t, sums, len(c0), start)[:2]
+        return _many_center_sums(f, centers, rho, start)[1:]
     if isinstance(f, Moebius):  # np.abs: builtin abs of a numpy complex rounds differently
         series, _ = _factor_series(f.a, (abs if one else np.abs)(1.0 - f.a * centers), rho)
         values = f.a + series if start == 0 else series

@@ -22,6 +22,7 @@ from .analytic import (
     AnalyticFunction,
     BlaschkeProduct,
     Polynomial,
+    _many_center_sums,
     _require_in_disk,
     _stack,
     _zero_center_sums,
@@ -119,51 +120,79 @@ def bohr_lhs(
     return FunctionalBreakdown(theorem, total, modulus, constant, series, area, slack)
 
 
+class _Corpus(tuple):
+    """A corpus prepared once for any number of ``bohr_lhs_theta_corpus`` calls: its
+    members, certified in order (``_certify``'s error at the first that fails), with
+    their rows grouped by kind and shape (``groups``; each polynomial alone), the rows
+    of its Blaschke products (``products``) and their largest degree (``width``)."""
+
+    def __new__(cls, fs):
+        corpus = super().__new__(cls, fs)
+        corpus.groups = {}
+        for i, f in enumerate(corpus):
+            _certify(f)
+            shape = i if isinstance(f, Polynomial) else len(getattr(f, "zeros", ()))
+            corpus.groups.setdefault((type(f), shape), []).append(i)
+        corpus.products = [i for i, f in enumerate(corpus) if isinstance(f, BlaschkeProduct)]
+        corpus.width = max((len(corpus[i].zeros) for i in corpus.products), default=0)
+        return corpus
+
+
 def bohr_lhs_theta_corpus(
     theorem: Theorem, fs, r: float, w: WeightPair, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``bohr_lhs_theta_grid`` of each of ``fs``, one row each, bit for bit.  All are
-    checked first, as one by one; then Moebius maps run ``_terms`` as one ``_stack``,
-    polynomials one by one, and Blaschke products in near-equal stacks whose steps
-    touch at most STACK_CELLS cells: per degree for t33/t34, else all angle-free terms."""
-    for f in fs[:1]:  # member 0, then the weights, r and the angles, then the rest
-        _certify(f)
+    """``bohr_lhs_theta_grid`` of each of ``fs``, one row each, bit for bit.
+
+    ``fs`` is a list, checked as one by one (member 0, then the weights, r and the
+    angles, then the rest) and then prepared, or a ``_Corpus`` prepared before, which
+    many calls share: its members are not certified or grouped again.  Moebius maps run
+    ``_terms`` as one ``_stack``, polynomials one by one, and Blaschke products in
+    near-equal stacks whose steps touch at most STACK_CELLS cells: per degree for
+    t33/t34, each stack's modulus and recentred series from one set of factor quotients
+    (``_many_center_sums``), else all angle-free terms in one stream at center 0."""
+    if not isinstance(fs, _Corpus):
+        for f in fs[:1]:  # member 0, then the weights, r and the angles, then the rest
+            _certify(f)
     w.require(theorem)
     if not (0.0 <= r < 1.0):
         raise DomainError(f"r must lie in [0, 1), got {r}")
     thetas = np.asarray(thetas, dtype=float).ravel()
     if not np.all(np.isfinite(thetas)):
         raise DomainError("all angles must be finite")
-    groups: dict = {}
-    for i, f in enumerate(fs):
-        _certify(f)  # member 0's report again comes from certify_bounded's cache
-        shape = i if isinstance(f, Polynomial) else len(getattr(f, "zeros", ()))
-        groups.setdefault((type(f), shape), []).append(i)
+    if not isinstance(fs, _Corpus):
+        fs = _Corpus(fs)  # member 0's report again comes from certify_bounded's cache
     zs = r * np.exp(1j * thetas)
     totals, slacks = np.empty((2, len(fs), thetas.size))
     angle_free = theorem not in _RECENTERED
-    products = [i for i, f in enumerate(fs) if angle_free and isinstance(f, BlaschkeProduct)]
-    width = max((len(fs[i].zeros) for i in products), default=0)
+    products = fs.products if angle_free else []
     at_zero = np.empty((4, len(fs), 1))  # (constant, series, area, slack) per product
-    for part in _parts(products, STACK_CELLS // (width + 1)):
+    for part in _parts(products, STACK_CELLS // (fs.width + 1)):
         for row, term in zip(at_zero, _terms(theorem, [fs[i] for i in part], w, r, None)):
             row[part] = term
-    for (kind, shape), rows in groups.items():
+    for (kind, shape), rows in fs.groups.items():
         size = len(rows)
-        if kind is BlaschkeProduct and not angle_free:
-            size = STACK_CELLS // ((shape + 1) * max(1, thetas.size))
+        recentred = kind is BlaschkeProduct and not angle_free
         from_stream = kind is BlaschkeProduct and angle_free
+        if recentred:
+            size = STACK_CELLS // ((shape + 1) * max(1, thetas.size))
         for part in _parts(rows, size):
             members = [fs[i] for i in part]
             if from_stream and theorem not in _HAS_MODULUS:
                 f = None  # t35/t36 products: nothing reads them past the stream
             else:
                 f = members[0] if len(part) == 1 else _stack(members)
-            modulus = w.alpha * np.abs(evaluate_grid(f, zs)) if theorem in _HAS_MODULUS else 0.0
-            if from_stream:
-                constant, series, area, slack = at_zero[:, part]
+            if recentred and (len(part) > 1 or thetas.size != 1):
+                # many centers: |f| and the series from one set of factor quotients
+                modulus, series, slack = _many_center_sums(
+                    f, _require_in_disk(zs, "all evaluation points"), r, 1)
+                modulus, constant, series, area, slack = (
+                    w.alpha * modulus, 0.0, w.beta * series, 0.0, w.beta * slack)
             else:
-                constant, series, area, slack = _terms(theorem, f, w, r, zs)
+                modulus = w.alpha * np.abs(evaluate_grid(f, zs)) if theorem in _HAS_MODULUS else 0.0
+                if from_stream:
+                    constant, series, area, slack = at_zero[:, part]
+                else:
+                    constant, series, area, slack = _terms(theorem, f, w, r, zs)
             totals[part] = modulus + constant + series + area
             slacks[part] = slack
     return totals, slacks

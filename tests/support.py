@@ -1,7 +1,8 @@
 """Numeric oracles used to derive expected test values.
 
-Plain midpoint bisection, DFT-based Cauchy coefficients and 60-digit mpmath
-Blaschke series; nothing here shares code with the library.  The DFT oracle
+Plain midpoint bisection, DFT-based Cauchy coefficients, 60-digit mpmath
+Blaschke series and the polynomial shift as a plain double loop; nothing here
+shares code with the library.  The DFT oracle
 takes the library's own method for one center (samples on a circle and an
 FFT), so it checks ``recenter``'s recurrences, not that engine; the mpmath
 series, expanded in exact rational form and divided out, is independent of
@@ -119,3 +120,15 @@ def blaschke_sums_mp(f, z0: complex, rho: float, start: int, count: int):
         area = mpmath.fsum(j * c ** 2 for j, c in enumerate(moduli))
         area_rest = rest * (slope - mpmath.fsum(j * e for j, e in enumerate(envelope)))
         return (series, series + rest), (area, area + area_rest)
+
+
+def shift_polynomial_oracle(coeffs, z0: complex):
+    """Coefficients of f(z0 + u) by the plain double loop, one ``math.comb`` and one
+    power ``z0 ** (j - k)`` per term: the float operations the library's shift keeps."""
+    out = []
+    for k in range(len(coeffs)):
+        acc = 0j
+        for j in range(k, len(coeffs)):
+            acc += coeffs[j] * math.comb(j, k) * z0 ** (j - k)
+        out.append(acc)
+    return tuple(out)

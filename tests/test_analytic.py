@@ -38,7 +38,7 @@ from bohradii.analytic import (
 )
 from bohradii.errors import DomainError
 
-from support import blaschke_series_mp, blaschke_sums_mp, cauchy_coeffs
+from support import blaschke_series_mp, blaschke_sums_mp, cauchy_coeffs, shift_polynomial_oracle
 
 
 def corpus_sample(n=24):
@@ -139,6 +139,19 @@ class TestEvaluate:
         assert values.shape == (len(members), 64)
         assert same_bits(values, out_of_place_value(f, zs))
 
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.25, 0.4, 0.49])
+    def test_many_center_modulus_is_the_evaluator_modulus(self, r):
+        # |scale prod c0| from the series' factor forms, multiplied in the evaluator's
+        # order: stacks of each degree 1-6, single products and zero-free ones
+        zs = r * np.exp(2j * np.pi * np.arange(64) / 64)
+        products = [random_test_function(3000 + i, 1 + i % 6) for i in range(36)]
+        empty = BlaschkeProduct((), 0.7)
+        for f in [*(_stack(products[d::6]) for d in range(6)), *products[:6], empty,
+                  _stack([empty] * 3)]:
+            modulus, _, _ = analytic._many_center_sums(f, zs, r, 1)
+            grid = np.abs(evaluate_grid(f, zs))
+            assert modulus.size == grid.size and same_bits(modulus, grid)
+
     def test_moebius_fixed_points(self):
         assert evaluate(Moebius(0.5), 0.0) == 0.5
 
@@ -200,6 +213,17 @@ class TestRecenter:
         assert sl.coeffs[0] == pytest.approx(w * w, abs=1e-15)
         assert sl.coeffs[1] == pytest.approx(2.0 * w, abs=1e-15)
         assert sl.coeffs[2] == pytest.approx(1.0, abs=1e-15)
+
+    def test_polynomial_shift_keeps_the_double_loop_bits(self):
+        # each power z0**m and each binomial is formed once, with the double loop's
+        # float operations in its order: 186 seeded shifts, degrees 0-60 and 200
+        rng = np.random.default_rng(20)
+        bits = lambda cs: [(c.real.hex(), c.imag.hex()) for c in cs]  # noqa: E731
+        for degree in [*range(61), 200]:
+            for z0 in (0j, complex(*rng.uniform(-0.6, 0.6, 2)), 0.99j * cmath.exp(1j * rng.uniform())):
+                coeffs = tuple(complex(x, y) for x, y in rng.normal(size=(degree + 1, 2)))
+                assert bits(analytic._shift_polynomial(coeffs, z0)) == bits(
+                    shift_polynomial_oracle(coeffs, z0)), (degree, z0)
 
     def test_moebius_first_coefficient_is_derivative(self):
         # f'(z) = (a^2 - 1)/(1 - a z)^2

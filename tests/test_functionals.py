@@ -305,6 +305,55 @@ class TestCorpusStacks:
                                   np.array([0.0, 1.0]))
 
 
+class TestPreparedCorpus:
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_rows_equal_list_rows_bit_for_bit(self, theorem):
+        corpus = mixed_corpus()
+        prepared = functionals._Corpus(corpus)
+        thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+        for w in (below_radius_grid(theorem)[0], below_radius_grid(theorem)[-1]):
+            r = radius(theorem, w).value - DEFAULT_EPSILON
+            listed = bohr_lhs_theta_corpus(theorem, corpus, r, w, thetas)
+            shared = bohr_lhs_theta_corpus(theorem, prepared, r, w, thetas)
+            assert all(np.array_equal(a, b) for a, b in zip(listed, shared))
+
+    def test_members_certified_once_then_never_again(self, monkeypatch):
+        corpus = mixed_corpus()
+        seen, real = [], functionals.certify_bounded
+        monkeypatch.setattr(functionals, "certify_bounded", lambda f: seen.append(f) or real(f))
+        prepared = functionals._Corpus(corpus)
+        assert seen == corpus and list(prepared) == corpus
+        for theorem in (Theorem.T31, Theorem.T33, Theorem.T35):
+            w = below_radius_grid(theorem)[0]
+            bohr_lhs_theta_corpus(theorem, prepared, 0.1, w, [0.0, 1.0])
+        assert len(seen) == len(corpus)
+
+    def test_uncertified_member_raises_certify_error(self):
+        with pytest.raises(UncertifiedFunctionError) as err:
+            functionals._Corpus([Moebius(0.5), random_test_function(3, 2), UNCERTIFIED, Moebius(0.2)])
+        with pytest.raises(UncertifiedFunctionError) as alone:
+            functionals._certify(UNCERTIFIED)
+        assert str(err.value) == str(alone.value)
+
+    @pytest.mark.parametrize("theorem", [Theorem.T33, Theorem.T34])
+    def test_many_center_stacks_evaluate_factors_once(self, theorem, monkeypatch):
+        # the seed corpus's ten product stacks: one set of factor forms each gives
+        # the modulus and the series; only the Moebius stack is evaluated
+        forms = spy_pipeline(monkeypatch)
+        evaluated, real_grid = [], functionals.evaluate_grid
+        monkeypatch.setattr(functionals, "evaluate_grid",
+                            lambda f, zs: evaluated.append(f) or real_grid(f, zs))
+        factored, real_forms = [], analytic._factor_forms
+        monkeypatch.setattr(analytic, "_factor_forms",
+                            lambda f, *rest: factored.append(f) or real_forms(f, *rest))
+        w = below_radius_grid(theorem)[0]
+        r = radius(theorem, w).value - DEFAULT_EPSILON
+        thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+        bohr_lhs_theta_corpus(theorem, default_corpus(7), r, w, thetas)
+        assert [type(f) for f in evaluated] == [Moebius]
+        assert len(factored) == len(forms) == 10
+
+
 class TestMajorant:
     def test_t31_saturates_at_full_contraction(self):
         w = WeightPair(0.35, 0.8)

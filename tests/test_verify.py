@@ -190,6 +190,21 @@ class TestSuites:
                 assert recheck_witness(wit) == wit.lhs_value
                 assert wit.lhs_value > 1.0
 
+    def test_below_suite_certifies_each_member_once(self, monkeypatch):
+        # one corpus, prepared once, is shared by all 150 campaigns, each of which
+        # is looked up by name, so that a wrapper of check_below_radius sees it
+        corpus = default_corpus(7, size=8)
+        monkeypatch.setattr(verify, "default_corpus", lambda seed: corpus)
+        certified, real = [], functionals.certify_bounded
+        monkeypatch.setattr(functionals, "certify_bounded", lambda f: certified.append(f) or real(f))
+        shared, check = [], verify.check_below_radius
+        monkeypatch.setattr(verify, "check_below_radius",
+                            lambda theorem, w, fs: shared.append(fs) or check(theorem, w, fs))
+        reports = verify.run_below_suite(7)
+        assert len(reports) == len(shared) == 150 and all(r.passed for r in reports)
+        assert certified == corpus
+        assert all(fs is shared[0] for fs in shared) and list(shared[0]) == corpus
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("everything")
