@@ -3,7 +3,9 @@
 ``golden_cli.txt`` holds, for a fixed list of commands, each command line,
 its exit code, its stdout and stderr, and the CSV a sweep writes.  It pins
 the ``radius``, ``check``, ``sweep`` and ``verify`` outputs through
-refactors.  Rewrite it only for a deliberate output change:
+refactors.  Its last lines are one sha256 per ``DIGEST_RANGES`` entry over
+the exit code and CSV of all six families' sweeps, grids too large to hold
+as text.  Rewrite it only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -11,6 +13,7 @@ refactors.  Rewrite it only for a deliberate output change:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -65,6 +68,14 @@ SWEEP_RANGES = {
     "t36": (0.1, 1.0, 0.05, 2.5),
 }
 
+# (alpha_min, alpha_max, beta_min, beta_max, steps) of the digested sweeps; the
+# last is the seed-7 range of the benchmark's sweep_grid workload
+DIGEST_RANGES = [
+    ("0.01", "1.0", "0.001", "3.0", "97"),
+    ("0.5", "1.0", "0.1", "2.0", "64"),
+    ("0.09555940564387162", "1.0", "0.03945153123967549", "2.043373840568326", "64"),
+]
+
 
 def commands(tmp: str) -> list[list[str]]:
     cmds = []
@@ -112,13 +123,38 @@ def transcript() -> str:
     return "\n".join(blocks)
 
 
+def sweep_digests() -> list[str]:
+    """One line per ``DIGEST_RANGES`` entry: sha256 over each family's exit code and CSV."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sweep.csv")
+        for a_lo, a_hi, b_lo, b_hi, steps in DIGEST_RANGES:
+            digest = hashlib.sha256()
+            for theorem in RADIUS_WEIGHTS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["sweep", "--theorem", theorem, "--alpha-min", a_lo,
+                                 "--alpha-max", a_hi, "--beta-min", b_lo, "--beta-max", b_hi,
+                                 "--steps", steps, "--out", out])
+                digest.update(f"{theorem} exit={code}\n".encode())
+                with open(out, "rb") as handle:
+                    digest.update(handle.read())
+                os.remove(out)
+            lines.append(f"sweep sha256 alpha {a_lo}..{a_hi} beta {b_lo}..{b_hi} "
+                         f"steps {steps} -> {digest.hexdigest()}")
+    return lines
+
+
 def test_cli_output_matches_golden_transcript():
-    expected = GOLDEN.read_text().splitlines()
+    expected = GOLDEN.read_text().splitlines()[:-len(DIGEST_RANGES)]
     actual = transcript().splitlines()
     assert len(actual) == len(expected)
     for number, (want, got) in enumerate(zip(expected, actual), start=1):
         assert got == want, f"golden_cli.txt line {number}"
 
 
+def test_sweep_digests_match_golden():
+    assert GOLDEN.read_text().splitlines()[-len(DIGEST_RANGES):] == sweep_digests()
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(transcript())
+    GOLDEN.write_text(transcript() + "\n".join(sweep_digests()) + "\n")
