@@ -3,8 +3,11 @@
 Bisection to a 1e-13 bracket followed by an in-bracket Newton polish is the
 only root finder.  ``bisect_grid`` runs the same steps in lockstep over arrays
 of brackets, with the same bits per cell.  Both loops hold the sign of P(lo)
-fixed: ``lo`` moves only to a mid where P has that sign.  A mid where P is
-exactly 0 ends the bisection with the bracket clamped to WIDTH_TOL about it.
+fixed: ``lo`` moves only to a mid where P has that sign (a NaN P(mid) moves
+``lo`` exactly where P(lo) is not > 0).  A mid where P is exactly 0 ends the
+bisection with the bracket clamped to WIDTH_TOL about it.  No step dispatches:
+the scalar loop is written once per degree, and the grid runs a proven count
+of steps without a stop test first (``_steady_steps``).
 
 Uniqueness is proven by Descartes' rule of signs: a polynomial has at most V
 positive roots, V being the number of sign changes along its coefficients
@@ -19,9 +22,10 @@ bracket end is proven unique by exact deflation (``_prove_endpoint_root``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +46,23 @@ def polyval(coeffs: Sequence[float], x: float) -> float:
     for c in coeffs:
         acc = acc * x + c
     return acc
+
+
+def _horner(coeffs: tuple[float, ...]) -> tuple[Callable[[float], float], ...]:
+    """``polyval`` on ``coeffs`` and on ``polyder(coeffs)`` as functions of x, with
+    their operations written out (each leading ``0.0 * x`` included) for
+    quadratics and cubics."""
+    if len(coeffs) == 4:
+        a, b, c, d = coeffs
+        a3, b2 = a * 3, b * 2
+        return (lambda x: (((0.0 * x + a) * x + b) * x + c) * x + d,
+                lambda x: ((0.0 * x + a3) * x + b2) * x + c)
+    if len(coeffs) == 3:
+        a, b, c = coeffs
+        a2 = a * 2
+        return lambda x: ((0.0 * x + a) * x + b) * x + c, lambda x: (0.0 * x + a2) * x + b
+    der = polyder(coeffs)
+    return lambda x: polyval(coeffs, x), lambda x: polyval(der, x)
 
 
 def polyder(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -94,7 +115,8 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
     """
     coeffs = tuple(float(c) for c in coeffs)
     lo, hi = bracket.lo, bracket.hi
-    flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
+    p, dp = _horner(coeffs)
+    flo, fhi = p(lo), p(hi)
     if flo != 0.0 and fhi != 0.0 and (flo > 0.0) == (fhi > 0.0):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: P(lo)={flo}, P(hi)={fhi}"
@@ -109,34 +131,57 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
         _prove_endpoint_root(coeffs, hi, lo)
         return CertifiedRoot(hi, 0.0, Bracket(max(lo, hi - WIDTH_TOL), hi), 0)
 
-    # quadratics and cubics, the radius families, take polyval's operations
-    # unrolled, the leading 0.0 * mid + a included: the same bits, no call
-    size, (a, b, c, d) = len(coeffs), (coeffs + (0.0,) * 4)[:4]
-    iterations, positive = 0, flo > 0.0
-    for _ in range(MAX_BISECTIONS):
-        if hi - lo <= WIDTH_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval no longer splittable at this magnitude
-        if size == 4:
-            fmid = (((0.0 * mid + a) * mid + b) * mid + c) * mid + d
-        elif size == 3:
-            fmid = ((0.0 * mid + a) * mid + b) * mid + c
-        else:
+    # One loop per degree.  A step needs hi - lo > WIDTH_TOL and lo < mid < hi
+    # (no end is ever NaN), so 0 < mid < inf: the quadratic and cubic start at
+    # a, polyval's 0.0 * mid + a up to the sign of a zero, which nothing sees.
+    iterations, positive, fmid = 0, flo > 0.0, flo
+    if len(coeffs) == 4:
+        a, b, c, d = coeffs
+        for _ in range(MAX_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if not (hi - lo > WIDTH_TOL and lo < mid < hi):
+                break  # narrow enough, or no longer splittable at this magnitude
+            fmid = ((a * mid + b) * mid + c) * mid + d
+            iterations += 1
+            if fmid == 0.0:
+                break
+            if (fmid > 0.0) == positive:
+                lo, flo = mid, fmid
+            else:
+                hi, fhi = mid, fmid
+    elif len(coeffs) == 3:
+        a, b, c = coeffs
+        for _ in range(MAX_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if not (hi - lo > WIDTH_TOL and lo < mid < hi):
+                break
+            fmid = (a * mid + b) * mid + c
+            iterations += 1
+            if fmid == 0.0:
+                break
+            if (fmid > 0.0) == positive:
+                lo, flo = mid, fmid
+            else:
+                hi, fhi = mid, fmid
+    else:
+        for _ in range(MAX_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if not (hi - lo > WIDTH_TOL and lo < mid < hi):
+                break
             fmid = polyval(coeffs, mid)
-        iterations += 1
-        if fmid == 0.0:
-            lo = max(lo, mid - 0.5 * WIDTH_TOL)
-            hi = min(hi, mid + 0.5 * WIDTH_TOL)
-            flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
-            break
-        if (fmid > 0.0) == positive:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
+            iterations += 1
+            if fmid == 0.0:
+                break
+            if (fmid > 0.0) == positive:
+                lo, flo = mid, fmid
+            else:
+                hi, fhi = mid, fmid
+    if fmid == 0.0:
+        lo = max(lo, mid - 0.5 * WIDTH_TOL)
+        hi = min(hi, mid + 0.5 * WIDTH_TOL)
+        flo, fhi = p(lo), p(hi)
 
-    residual, value = _polish_in_interval(coeffs, lo, hi, flo, fhi)
+    residual, value = _polish_in_interval(p, dp, lo, hi, flo, fhi)
     if not (residual <= RESIDUAL_TOL):
         raise ResidualError(f"root {value} failed residual gate: {residual}")
     return CertifiedRoot(value, residual, Bracket(lo, hi), iterations)
@@ -166,23 +211,24 @@ def _prove_endpoint_root(coeffs: Sequence[float], end: float, other: float) -> N
         raise NonUniqueRootError(f"root at bracket end {end} not proven unique")
 
 
-def _polish_in_interval(coeffs: Sequence[float], lo: float, hi: float,
-                        flo: float, fhi: float) -> tuple[float, float]:
-    """Newton steps from the midpoint, clipped to [lo, hi], where P(lo) = flo and
-    P(hi) = fhi; returns (|P(x)|, x) for the first minimal-residual candidate x
-    among lo, the midpoint, hi and the steps.  P is evaluated once per point."""
-    der = polyder(coeffs)
+def _polish_in_interval(p: Callable[[float], float], dp: Callable[[float], float],
+                        lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float]:
+    """Newton steps on P = ``p`` with derivative ``dp`` from the midpoint, clipped
+    to [lo, hi], where P(lo) = flo and P(hi) = fhi; returns (|P(x)|, x) for the
+    first minimal-residual candidate x among lo, the midpoint, hi and the
+    steps.  P is evaluated once per point."""
     x = 0.5 * (lo + hi)
-    fx = polyval(coeffs, x)
-    candidates = [(abs(flo), lo), (abs(fx), x), (abs(fhi), hi)]
+    fx = p(x)
+    best = min((abs(flo), lo), (abs(fx), x), (abs(fhi), hi), key=lambda pair: pair[0])
     for _ in range(3):
-        dfx = polyval(der, x)
+        dfx = dp(x)
         if dfx == 0.0:
             break
         x = min(hi, max(lo, x - fx / dfx))
-        fx = polyval(coeffs, x)
-        candidates.append((abs(fx), x))
-    return min(candidates, key=lambda candidate: candidate[0])
+        fx = p(x)
+        if abs(fx) < best[0]:
+            best = abs(fx), x
+    return best
 
 
 class RootGrid(NamedTuple):
@@ -234,6 +280,30 @@ def _polish_grid(coeffs, lo, hi):
     return best
 
 
+def _steady_steps(lo, hi, ok) -> int:
+    """S, a count of bisection steps that no cell in ``ok`` can end: the j >= 0
+    with w / 2**j >= WIDTH_TOL + 4u, at most MAX_BISECTIONS, where w is the
+    computed width of the narrowest bracket and u the float spacing at top,
+    the largest hi.  Proof: every end lies in [0, top], so fl(lo + hi) errs by
+    at most u and mid by u/2; a step keeps half the width less u/2, so after
+    j steps the true width is at least w / 2**j - 3u/2 (w itself errs by
+    u/2), which is at least WIDTH_TOL + 2u before each counted step.  So mid
+    splits the bracket (that needs more than u) and the computed hi - lo,
+    within u/2 of the true width, exceeds WIDTH_TOL.  The proof needs lo + hi
+    finite: S is 0 unless top <= 1e300.  S can be tight: it is 44 on [0, 1],
+    where a cell takes 44 steps unless it meets an exact zero."""
+    if not ok.any():
+        return 0
+    top = float(hi[ok].max())
+    if not top <= 1e300:
+        return 0
+    width, least = float((hi - lo)[ok].min()), WIDTH_TOL + 4.0 * float(np.spacing(top))
+    steps = 0
+    while width >= least and steps < MAX_BISECTIONS:
+        width, steps = 0.5 * width, steps + 1
+    return steps
+
+
 def bisect_grid(coeffs, lo, hi) -> RootGrid:
     """``bisect_unique_root`` for a whole array of cells in lockstep.
 
@@ -244,21 +314,43 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
     bisection to ``WIDTH_TOL`` (with its ``P(mid) == 0`` and unsplittable-mid
     stops), the clipped Newton polish and the residual gate.  Cells that fail
     a check, or whose root is a bracket endpoint, come back with ``ok`` False.
-    The sign of P(lo) is one mask taken before the loop, and the exact-zero
-    clamp, which few grids reach, runs only in an iteration where a live cell
-    has P(mid) == 0; every other iteration only moves lo or hi to mid.
+
+    The first S steps (``_steady_steps``) have no stop test.  With Q = P where
+    P(lo) > 0 and -P elsewhere (negation is exact) and m = Q(mid) * inf, each
+    sets lo = max(lo, min(mid, m)) and hi = min(hi, max(mid, m)): the scalar
+    ``(P(mid) > 0) == (P(lo) > 0)`` wherever P(mid) is neither 0 nor NaN, at a
+    fraction of the cost of ``np.where`` on masks that change every step.  At
+    the first step where m is NaN in a solved cell, or after S steps, the
+    general loop goes on: it tests every live cell for a stop, clamps exact
+    zeros and moves lo at a NaN P(mid) where P(lo) is not > 0.  Cells never
+    solved bisect [0, 1] with Q = 1 until then and get their brackets back.
     """
     with np.errstate(all="ignore"):
         shape = np.broadcast_shapes(*map(np.shape, coeffs), np.shape(lo), np.shape(hi))
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), shape)
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), shape)
+        lo, hi = given = [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in (lo, hi)]
         flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
         ok = (flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) != (fhi > 0.0))
         ok &= (lo >= 0.0) & (sign_changes(coeffs) <= 2)
 
         positive = flo > 0.0
+        steps, done = _steady_steps(lo, hi, ok), 0
+        if steps:
+            q = [np.where(ok, np.where(positive, c, -c), 0.0) for c in coeffs]
+            q[-1] = np.where(ok, q[-1], 1.0)
+            lo, hi = np.where(ok, lo, 0.0), np.where(ok, hi, 1.0)
+            while done < steps:
+                mid = 0.5 * (lo + hi)
+                move = q[0] * mid + q[1]
+                for c in q[2:]:
+                    move = move * mid + c
+                move *= math.inf  # +inf where lo moves to mid, -inf where hi does
+                if math.isnan(move.min()):
+                    break  # Q(mid) is 0 or NaN in a cell: the general loop takes this step
+                lo, hi = np.maximum(lo, np.minimum(mid, move)), np.minimum(hi, np.maximum(mid, move))
+                done += 1
+
         active = ok.copy()  # a cell that failed a test so far never bisects
-        for _ in range(MAX_BISECTIONS):
+        for _ in range(MAX_BISECTIONS - done):
             mid = 0.5 * (lo + hi)
             active &= ~((hi - lo <= WIDTH_TOL) | (mid <= lo) | (mid >= hi))
             if not active.any():
@@ -271,9 +363,11 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
                 active &= ~exact
             to_lo = active & ((fmid > 0.0) == positive)
             lo, hi = np.where(to_lo, mid, lo), np.where(active ^ to_lo, mid, hi)
+        lo, hi = np.where(ok, lo, given[0]), np.where(ok, hi, given[1])
 
         value = _polish_grid(coeffs, lo, hi)
         residual = np.abs(polyval(coeffs, value))
-        ok &= residual <= RESIDUAL_TOL
+        # lo < hi: where a bracket came in reversed, or an exact zero's clamp
+        # vanished in the float spacing, the scalar path raises BracketError
+        ok &= (residual <= RESIDUAL_TOL) & (lo < hi)
     return RootGrid(value, residual, lo, hi, ok)
-

@@ -2,7 +2,9 @@
 
 Plain midpoint bisection, DFT-based Cauchy coefficients, 60-digit mpmath
 Blaschke series and the polynomial shift as a plain double loop; nothing here
-shares code with the library.  The DFT oracle
+shares code with the library, except that the scalar root finder's bit oracle
+(``bisect_unique_root_oracle``) takes the library's result and error types,
+Descartes count and endpoint proof, which it does not test.  The DFT oracle
 takes the library's own method for one center (samples on a circle and an
 FFT), so it checks ``recenter``'s recurrences, not that engine; the mpmath
 series, expanded in exact rational form and divided out, is independent of
@@ -17,12 +19,95 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from bohradii.errors import BracketError, NonUniqueRootError, ResidualError
+from bohradii.rootfind import (
+    MAX_BISECTIONS,
+    RESIDUAL_TOL,
+    WIDTH_TOL,
+    Bracket,
+    CertifiedRoot,
+    _prove_endpoint_root,
+    sign_changes,
+)
+
 
 def polyval(coeffs, x):
     acc = 0.0
     for c in coeffs:
         acc = acc * x + c
     return acc
+
+
+def bisect_unique_root_oracle(coeffs, bracket: Bracket) -> CertifiedRoot:
+    """``bisect_unique_root`` as one loop with a size dispatch in every step and
+    polyval's leading ``0.0 * mid`` kept, its polish on ``polyval``: the
+    library's certificate, or its error and text, must equal this one's."""
+    coeffs = tuple(float(c) for c in coeffs)
+    lo, hi = bracket.lo, bracket.hi
+    flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
+    if flo != 0.0 and fhi != 0.0 and (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(
+            f"no sign change on [{lo}, {hi}]: P(lo)={flo}, P(hi)={fhi}"
+        )
+    if lo < 0.0 or sign_changes(coeffs) > 2:
+        raise NonUniqueRootError(f"uniqueness not proven on [{lo}, {hi}]: V > 2 or lo < 0")
+
+    if flo == 0.0:
+        _prove_endpoint_root(coeffs, lo, hi)
+        return CertifiedRoot(lo, 0.0, Bracket(lo, min(hi, lo + WIDTH_TOL)), 0)
+    if fhi == 0.0:
+        _prove_endpoint_root(coeffs, hi, lo)
+        return CertifiedRoot(hi, 0.0, Bracket(max(lo, hi - WIDTH_TOL), hi), 0)
+
+    # quadratics and cubics, the radius families, take polyval's operations
+    # unrolled, the leading 0.0 * mid + a included: the same bits, no call
+    size, (a, b, c, d) = len(coeffs), (coeffs + (0.0,) * 4)[:4]
+    iterations, positive = 0, flo > 0.0
+    for _ in range(MAX_BISECTIONS):
+        if hi - lo <= WIDTH_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # interval no longer splittable at this magnitude
+        if size == 4:
+            fmid = (((0.0 * mid + a) * mid + b) * mid + c) * mid + d
+        elif size == 3:
+            fmid = ((0.0 * mid + a) * mid + b) * mid + c
+        else:
+            fmid = polyval(coeffs, mid)
+        iterations += 1
+        if fmid == 0.0:
+            lo = max(lo, mid - 0.5 * WIDTH_TOL)
+            hi = min(hi, mid + 0.5 * WIDTH_TOL)
+            flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
+            break
+        if (fmid > 0.0) == positive:
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+
+    residual, value = _polish_oracle(coeffs, lo, hi, flo, fhi)
+    if not (residual <= RESIDUAL_TOL):
+        raise ResidualError(f"root {value} failed residual gate: {residual}")
+    return CertifiedRoot(value, residual, Bracket(lo, hi), iterations)
+
+
+def _polish_oracle(coeffs, lo, hi, flo, fhi):
+    """The polish of ``bisect_unique_root_oracle``: Newton steps from the
+    midpoint, clipped to [lo, hi]; the first minimal-residual candidate."""
+    n = len(coeffs) - 1
+    der = tuple(c * (n - i) for i, c in enumerate(coeffs[:-1]))
+    x = 0.5 * (lo + hi)
+    fx = polyval(coeffs, x)
+    candidates = [(abs(flo), lo), (abs(fx), x), (abs(fhi), hi)]
+    for _ in range(3):
+        dfx = polyval(der, x)
+        if dfx == 0.0:
+            break
+        x = min(hi, max(lo, x - fx / dfx))
+        fx = polyval(coeffs, x)
+        candidates.append((abs(fx), x))
+    return min(candidates, key=lambda candidate: candidate[0])
 
 
 def bisect_oracle(coeffs, lo, hi, iters: int = 200) -> float:

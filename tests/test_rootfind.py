@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bohradii.errors import BracketError, NonUniqueRootError, ResidualError
 from bohradii.rootfind import (
+    MAX_BISECTIONS,
+    WIDTH_TOL,
     Bracket,
     CertifiedRoot,
+    _steady_steps,
     bisect_grid,
     bisect_unique_root,
     polyval,
     sign_changes,
 )
 
-from support import bisect_oracle
+from support import bisect_oracle, bisect_unique_root_oracle
 
 
 class TestBisectUniqueRoot:
@@ -164,10 +167,16 @@ class TestSignChanges:
 
 def assert_grid_cell_matches_scalar(grid, k, coeffs, lo, hi):
     """A finished cell equals the scalar certificate; an unfinished one is a
-    cell where the scalar path raises or returns a bracket end."""
+    cell where the scalar path raises or returns a bracket end.  A cell that
+    fails the residual gate holds the value and residual the scalar error names."""
     try:
         root = bisect_unique_root(coeffs, Bracket(lo, hi))
-    except (BracketError, NonUniqueRootError, ResidualError):
+    except ResidualError as exc:
+        assert not grid.ok[k]
+        value, residual = float(grid.value[k]), float(grid.residual[k])
+        assert str(exc) == f"root {value} failed residual gate: {residual}"
+        return
+    except (BracketError, NonUniqueRootError):
         assert not grid.ok[k]
         return
     if not grid.ok[k]:
@@ -240,3 +249,122 @@ class TestBisectGrid:
         grid = bisect_grid(coeffs, 0.0, his)
         for k, cell in enumerate(cells):
             assert_grid_cell_matches_scalar(grid, k, cell[:4], 0.0, cell[4])
+
+
+class TestSteadySteps:
+    """``_steady_steps`` against the scalar loop's stop test, run on paths of
+    halvings that keep the lower half, the upper half, alternate, or follow
+    seeded coin flips: no path may stop within the count."""
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 1.0), (0.0, 0.5), (0.0, 1.0 / 3.0), (0.0, 1.0 / 2.2), (0.25, 0.75),
+        (600.0, 601.0),      # the float spacing is about WIDTH_TOL
+        (1e6, 1e6 + 1.0),    # the float spacing ends every path
+        (0.0, 1.5e-13), (3.0, 3.0 + 1e-9), (0.0, 1e300),
+        (1e308, 1.7e308),    # lo + hi overflows
+    ])
+    def test_no_path_stops_within_the_count(self, lo, hi):
+        steps = _steady_steps(np.array([lo]), np.array([hi]), np.array([True]))
+        rng = np.random.default_rng(31)
+        paths = [lambda k: True, lambda k: False, lambda k: k % 2 == 0] + [
+            (lambda flips: lambda k: flips[k])(rng.random(MAX_BISECTIONS) < 0.5) for _ in range(4)]
+        stops = []
+        for lower in paths:
+            a, b, taken = lo, hi, 0
+            while taken < MAX_BISECTIONS:
+                mid = 0.5 * (a + b)
+                if not (b - a > WIDTH_TOL and a < mid < b):
+                    break
+                a, b = (a, mid) if lower(taken) else (mid, b)
+                taken += 1
+            stops.append(taken)
+        assert steps <= min(stops)
+        if lo == 0.0 and hi in (1.0, 0.5):
+            assert steps == min(stops) == max(stops)  # tight on dyadic brackets
+
+    def test_no_count_without_a_solved_cell(self):
+        assert _steady_steps(np.array([0.0]), np.array([1.0]), np.array([False])) == 0
+
+
+# coefficients whose Horner sums underflow, overflow, or meet an infinity of
+# the other sign and turn NaN
+EXTREME = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, math.inf, -math.inf]
+
+BRACKETS = [
+    (0.0, 1.0), (0.0, 0.5), (0.0, 1.0 / 3.0), (0.25, 0.75), (0.0, 4.0), (0.0, 1e9),
+    (0.0, 1e300),        # the step cap ends the bisection
+    (1e6, 1e6 + 1.0),    # the float spacing, not WIDTH_TOL, ends it
+    (1e308, 1.7e308),    # lo + hi overflows
+    (-1.0, 1.0),         # lo < 0
+]
+
+
+@st.composite
+def root_cases(draw):
+    """(coefficients, lo, hi) for a linear to quartic polynomial: random
+    coefficients, one root inside the bracket, or an exact zero at the mid
+    where the bisection's path leads."""
+    lo, hi = draw(st.sampled_from(BRACKETS)
+                  | st.floats(0.01, 1.0).map(lambda a: (0.0, 1.0 / (2.0 * a + 1.0)))
+                  | st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 10.0)).map(
+                      lambda t: (t[0], t[0] + t[1])))
+    size = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["random", "root", "zero"]))
+    if kind == "random":
+        coeffs = draw(st.lists(st.floats(-10.0, 10.0) | st.sampled_from(EXTREME),
+                               min_size=size, max_size=size))
+    elif kind == "root":
+        poly = np.convolve([draw(st.sampled_from([1.0, -3.0, 1e-300, 1e300]))],
+                           [1.0, -(lo + (hi - lo) * draw(st.floats(0.01, 0.99)))])
+        for _ in range(size - 2):
+            poly = np.convolve(poly, [1.0, draw(st.floats(0.1, 3.0))])
+        coeffs = poly.tolist()
+    else:
+        # t*H(t) - m*H(m) with H's coefficients positive: one positive root,
+        # and Horner's value at m is exactly 0; m is a mid the bisection meets
+        head = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=size - 1, max_size=size - 1)))
+        a, b = max(lo, 0.0), hi
+        for below in draw(st.lists(st.booleans(), min_size=1, max_size=45)):
+            m = 0.5 * (a + b)
+            a, b = (a, m) if below else (m, b)
+        coeffs = head + (-polyval(head, m) * m,)
+    return tuple(coeffs), lo, hi
+
+
+def oracle_outcome(solve, coeffs, lo, hi):
+    """The certificate's repr, which shows every bit of its floats, or the
+    error's type and text."""
+    try:
+        return repr(solve(coeffs, Bracket(lo, hi)))
+    except (BracketError, NonUniqueRootError, ResidualError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstOracle:
+    """The scalar loop and the grid against ``support.bisect_unique_root_oracle``,
+    the scalar loop as it was before its per-degree loops and before the
+    grid's steady state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(root_cases(), min_size=1, max_size=8))
+    # NaN mids where P(lo) = +inf: P(t) = -1e308*t + inf is NaN from t = 1.8
+    @example([((-1e308, math.inf), 0.0, 4.0)])
+    # NaN mids where P(lo) is NaN, which the NaN rule treats as P(lo) < 0:
+    # (1e300*t - 1e308)*t overflows to -inf between about 1.8 and 1e8
+    @example([((1e300, -1e308, math.inf, 1.0), 0.0, 1e9)])
+    @example([((1.0, -1.0), 0.0, 1e300), ((2.0, -(2e6 + 0.6)), 1e6, 1e6 + 1.0),
+              ((1.0, -1.5e308), 1e308, 1.7e308), ((1e299, 1e299, -1e299), 0.0, 1.0),
+              ((math.inf, -1.0), 0.0, 1.0)])
+    def test_scalar_and_grid_match_the_oracle(self, cases):
+        for coeffs, lo, hi in cases:
+            assert (oracle_outcome(bisect_unique_root, coeffs, lo, hi)
+                    == oracle_outcome(bisect_unique_root_oracle, coeffs, lo, hi))
+            grid = bisect_grid(tuple(np.array([c]) for c in coeffs), lo, hi)
+            assert_grid_cell_matches_scalar(grid, 0, coeffs, lo, hi)
+        for size in {len(c) for c, _, _ in cases}:
+            group = [case for case in cases if len(case[0]) == size]
+            grid = bisect_grid(tuple(np.array([c[i] for c, _, _ in group]) for i in range(size)),
+                               np.array([lo for _, lo, _ in group]),
+                               np.array([hi for _, _, hi in group]))
+            for k, (coeffs, lo, hi) in enumerate(group):
+                assert_grid_cell_matches_scalar(grid, k, coeffs, lo, hi)
