@@ -7,7 +7,7 @@ justified bracket; printed closed forms are evaluated only as cross-checks.
 ``_branch`` runs on two root finders: ``radius`` solves one weight pair with
 ``bisect_unique_root``, ``radius_grid`` whole arrays in one lockstep
 ``bisect_grid`` pass with the same checks and bits.  Both are kept: a one-cell
-grid costs about 40 scalar calls, a 64x64 grid about a twentieth of one per cell.
+grid costs about 30 scalar calls, a 64x64 grid about a thirtieth of one per cell.
 """
 
 from __future__ import annotations

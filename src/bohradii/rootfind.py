@@ -345,8 +345,9 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
                     move = move * mid + c
                 move *= math.inf  # +inf where lo moves to mid, -inf where hi does
                 if math.isnan(move.min()):
-                    break  # Q(mid) is 0 or NaN in a cell: the general loop takes this step
-                lo, hi = np.maximum(lo, np.minimum(mid, move)), np.minimum(hi, np.maximum(mid, move))
+                    break  # a zero or NaN Q(mid): the general loop retakes this step
+                lo = np.maximum(lo, np.minimum(mid, move))
+                hi = np.minimum(hi, np.maximum(mid, move))
                 done += 1
 
         active = ok.copy()  # a cell that failed a test so far never bisects

@@ -106,10 +106,10 @@ def one_root_polys(degree, seed):
         yield (0.0,) + coeffs, hi
 
 
-def scalar_outcome(coeffs, hi):
+def scalar_outcome(coeffs, hi, lo=0.0, solve=bisect_unique_root):
     """The certificate, or the error's type and text."""
     try:
-        return bisect_unique_root(coeffs, Bracket(0.0, hi))
+        return solve(coeffs, Bracket(lo, hi))
     except (BracketError, NonUniqueRootError, ResidualError) as exc:
         return type(exc), str(exc)
 
@@ -331,19 +331,10 @@ def root_cases(draw):
     return tuple(coeffs), lo, hi
 
 
-def oracle_outcome(solve, coeffs, lo, hi):
-    """The certificate's repr, which shows every bit of its floats, or the
-    error's type and text."""
-    try:
-        return repr(solve(coeffs, Bracket(lo, hi)))
-    except (BracketError, NonUniqueRootError, ResidualError) as exc:
-        return type(exc), str(exc)
-
-
 class TestAgainstOracle:
     """The scalar loop and the grid against ``support.bisect_unique_root_oracle``,
-    the scalar loop as it was before its per-degree loops and before the
-    grid's steady state."""
+    one bisection loop for every degree that evaluates P with ``polyval``'s
+    operations."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(root_cases(), min_size=1, max_size=8))
@@ -352,13 +343,18 @@ class TestAgainstOracle:
     # NaN mids where P(lo) is NaN, which the NaN rule treats as P(lo) < 0:
     # (1e300*t - 1e308)*t overflows to -inf between about 1.8 and 1e8
     @example([((1e300, -1e308, math.inf, 1.0), 0.0, 1e9)])
+    # the step cap; an exact zero at 1000000.3, whose clamp vanishes in the
+    # float spacing; a root found with no step, as lo + hi overflows;
+    # coefficients of 1e299, whose residual fails the absolute gate; P(lo)
+    # NaN from an infinite leading coefficient
     @example([((1.0, -1.0), 0.0, 1e300), ((2.0, -(2e6 + 0.6)), 1e6, 1e6 + 1.0),
               ((1.0, -1.5e308), 1e308, 1.7e308), ((1e299, 1e299, -1e299), 0.0, 1.0),
               ((math.inf, -1.0), 0.0, 1.0)])
     def test_scalar_and_grid_match_the_oracle(self, cases):
         for coeffs, lo, hi in cases:
-            assert (oracle_outcome(bisect_unique_root, coeffs, lo, hi)
-                    == oracle_outcome(bisect_unique_root_oracle, coeffs, lo, hi))
+            # a certificate's repr shows every bit of its floats
+            assert (repr(scalar_outcome(coeffs, hi, lo))
+                    == repr(scalar_outcome(coeffs, hi, lo, bisect_unique_root_oracle)))
             grid = bisect_grid(tuple(np.array([c]) for c in coeffs), lo, hi)
             assert_grid_cell_matches_scalar(grid, 0, coeffs, lo, hi)
         for size in {len(c) for c, _, _ in cases}:
