@@ -477,7 +477,7 @@ def taylor_at_zero(f: AnalyticFunction, n: int, rho: float = 0.0) -> TaylorSlice
 def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> TaylorSlice:
     """Taylor coefficients f^(k)(z0)/k! for k = 0..n, plus tail bound.
 
-    Polynomial: exact binomial shift (tail 0 once n covers the degree).
+    Polynomial: Horner's Taylor shift (tail 0 once n covers the degree).
     Moebius: closed form c_k = -(1-a^2) a^(k-1) (1 - a z0)^-(k+1); geometric tail.
     Blaschke: the factor series' truncated product, one column of
     ``_pipelined_product`` (raw high-order coefficients need its recurrences: circle
@@ -493,9 +493,8 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
     z0 = _require_in_disk(z0, "z0")
 
     if isinstance(f, Polynomial):
-        deg = len(f.coeffs) - 1
         shifted = _shift_polynomial(f.coeffs, z0)
-        coeffs = shifted[: n + 1] + (0j,) * max(0, n - deg)
+        coeffs = shifted[: n + 1] + (0j,) * (n + 1 - len(shifted))
         tail = _poly_sum(abs(c) * rho ** k for k, c in enumerate(shifted) if k > n)
     elif isinstance(f, Moebius):
         a = f.a
@@ -524,21 +523,14 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
 
 
 def _shift_polynomial(coeffs: tuple[complex, ...], z0: complex) -> tuple[complex, ...]:
-    """Coefficients of f(z0 + u) in powers of u: c_k = sum_(j>=k) a_j C(j, k) z0^(j-k),
-    summed in j order, each power z0**m taken once and each binomial by the exact
-    integer step C(j + 1, k) = C(j, k) (j + 1)/(j + 1 - k).  DomainError from degree 1030
-    on, where the largest binomial, C(deg, deg // 2), no longer converts to a float."""
-    deg = len(coeffs) - 1
-    if math.comb(deg, deg // 2) >> 1024:
-        raise DomainError(f"binomial shift overflows: C({deg}, {deg // 2}) exceeds a float")
-    powers = [z0 ** m for m in range(deg + 1)]
-    out = []
-    for k in range(deg + 1):
-        acc, binomial = 0j, 1
-        for j in range(k, deg + 1):
-            acc += coeffs[j] * binomial * powers[j - k]
-            binomial = binomial * (j + 1) // (j + 1 - k)
-        out.append(acc)
+    """Coefficients of f(z0 + u) in powers of u, c_k = sum_(j>=k) a_j C(j, k) z0^(j-k), by
+    Horner's Taylor shift (repeated synthetic division by u - z0): pass k leaves c_k in
+    place.  No binomial or power is formed; an overflow leaves inf or NaN for the callers'
+    finiteness gates."""
+    out = list(coeffs)
+    for k in range(len(out) - 1):
+        for j in range(len(out) - 2, k - 1, -1):
+            out[j] += z0 * out[j + 1]
     return tuple(out)
 
 

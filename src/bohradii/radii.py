@@ -156,7 +156,8 @@ def t35_threshold(alpha: float) -> float:
 
 def t36_threshold(alpha: float) -> float:
     """beta below this keeps the t36 radius pinned at 1/(2*alpha + 1)."""
-    return 2.0 * alpha ** 2 * (alpha + 1.0) ** 2 / (2.0 * alpha + 1.0) ** 2
+    a = alpha  # squares as products: the same bits on floats and numpy arrays
+    return 2.0 * (a * a) * ((a + 1.0) * (a + 1.0)) / ((2.0 * a + 1.0) * (2.0 * a + 1.0))
 
 
 # beta, as a function of alpha, where a family's regime switches branch;
@@ -321,13 +322,6 @@ class RadiusGrid(NamedTuple):
     admissible: np.ndarray
 
 
-def _per_alpha(threshold, alpha: np.ndarray) -> np.ndarray:
-    """``threshold`` once per distinct alpha, on Python floats: their ``**``
-    (libm pow) may round differently from numpy's squaring."""
-    values, index = np.unique(alpha, return_inverse=True)
-    return np.array([threshold(a) for a in values.tolist()])[index.reshape(np.shape(alpha))]
-
-
 def _where(cond, a, b):
     """``_pick`` on arrays, field by field on RootGrids."""
     if isinstance(a, RootGrid):
@@ -339,7 +333,7 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
     """``radius`` for every (alpha[k], beta[k]) at once, in lockstep.
 
     One ``_branch`` call with ``bisect_grid`` solves the whole array; t35/t36
-    constant cells are filled with thresholds taken per distinct alpha.  The
+    cells below their threshold (``BRANCH_POINTS``, on the arrays) get the cap.  The
     unfinished cells (a linear regime, a root on a bracket end, a failed check,
     a t35/t36 root colliding with its cap) go through ``radius`` itself: a
     DomainError there marks the cell inadmissible, any other error propagates.
@@ -358,7 +352,7 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
         if theorem in (Theorem.T31, Theorem.T32):
             pending |= _linear(theorem, v.alpha, v.beta)
         if theorem in (Theorem.T35, Theorem.T36):
-            constant = v.beta < _per_alpha(BRANCH_POINTS[theorem], v.alpha)
+            constant = v.beta < BRANCH_POINTS[theorem](v.alpha)
             closed = RootGrid(_cap(theorem, v.alpha), 0.0, math.nan, math.nan, True)
             root, regime = _where(constant, closed, root), np.where(constant, "constant", regime)
             pending &= ~constant

@@ -5,7 +5,8 @@ only root finder.  ``bisect_grid`` runs the same steps in lockstep over arrays
 of brackets, with the same bits per cell.  Both loops hold the sign of P(lo)
 fixed: ``lo`` moves only to a mid where P has that sign (a NaN P(mid) moves
 ``lo`` exactly where P(lo) is not > 0).  A mid where P is exactly 0 ends the
-bisection with the bracket clamped to WIDTH_TOL about it.  No step dispatches:
+bisection with the bracket clamped to WIDTH_TOL about it, or to the neighbouring
+floats where WIDTH_TOL / 2 rounds away in their spacing.  No step dispatches:
 the scalar loop is written once per degree, and the grid runs a proven count
 of steps without a stop test first (``_steady_steps``).
 
@@ -83,6 +84,11 @@ class Bracket:
             raise BracketError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
+def _offset(x: float, step: float) -> float:
+    """x + step, or the neighbouring float on that side where x + step rounds back to x."""
+    return x + step if x + step != x else math.nextafter(x, math.copysign(math.inf, step))
+
+
 @dataclass(frozen=True)
 class CertifiedRoot:
     """A root together with its residual certificate and isolating bracket."""
@@ -126,10 +132,10 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
 
     if flo == 0.0:
         _prove_endpoint_root(coeffs, lo, hi)
-        return CertifiedRoot(lo, 0.0, Bracket(lo, min(hi, lo + WIDTH_TOL)), 0)
+        return CertifiedRoot(lo, 0.0, Bracket(lo, min(hi, _offset(lo, WIDTH_TOL))), 0)
     if fhi == 0.0:
         _prove_endpoint_root(coeffs, hi, lo)
-        return CertifiedRoot(hi, 0.0, Bracket(max(lo, hi - WIDTH_TOL), hi), 0)
+        return CertifiedRoot(hi, 0.0, Bracket(max(lo, _offset(hi, -WIDTH_TOL)), hi), 0)
 
     # One loop per degree.  A step needs hi - lo > WIDTH_TOL and lo < mid < hi
     # (no end is ever NaN), so 0 < mid < inf: the quadratic and cubic start at
@@ -177,8 +183,8 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
             else:
                 hi, fhi = mid, fmid
     if fmid == 0.0:
-        lo = max(lo, mid - 0.5 * WIDTH_TOL)
-        hi = min(hi, mid + 0.5 * WIDTH_TOL)
+        lo = max(lo, _offset(mid, -0.5 * WIDTH_TOL))
+        hi = min(hi, _offset(mid, 0.5 * WIDTH_TOL))
         flo, fhi = p(lo), p(hi)
 
     residual, value = _polish_in_interval(p, dp, lo, hi, flo, fhi)
@@ -358,9 +364,11 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
                 break
             fmid = polyval(coeffs, mid)
             exact = active & (fmid == 0.0)
-            if exact.any():
-                lo = np.where(exact, _first_max(lo, mid - 0.5 * WIDTH_TOL), lo)
-                hi = np.where(exact, _first_min(hi, mid + 0.5 * WIDTH_TOL), hi)
+            if exact.any():  # _offset(mid, -/+ WIDTH_TOL / 2) per cell
+                below = np.minimum(mid - 0.5 * WIDTH_TOL, np.nextafter(mid, -math.inf))
+                above = np.maximum(mid + 0.5 * WIDTH_TOL, np.nextafter(mid, math.inf))
+                lo = np.where(exact, _first_max(lo, below), lo)
+                hi = np.where(exact, _first_min(hi, above), hi)
                 active &= ~exact
             to_lo = active & ((fmid > 0.0) == positive)
             lo, hi = np.where(to_lo, mid, lo), np.where(active ^ to_lo, mid, hi)
@@ -368,7 +376,8 @@ def bisect_grid(coeffs, lo, hi) -> RootGrid:
 
         value = _polish_grid(coeffs, lo, hi)
         residual = np.abs(polyval(coeffs, value))
-        # lo < hi: where a bracket came in reversed, or an exact zero's clamp
-        # vanished in the float spacing, the scalar path raises BracketError
+        # lo < hi: bisection and the exact-zero clamp keep lo < hi, so only a
+        # bracket that came in reversed fails it, where the scalar path raises
+        # BracketError
         ok &= (residual <= RESIDUAL_TOL) & (lo < hi)
     return RootGrid(value, residual, lo, hi, ok)

@@ -1,14 +1,14 @@
 """Numeric oracles used to derive expected test values.
 
 Plain midpoint bisection, DFT-based Cauchy coefficients, 60-digit mpmath
-Blaschke series and the polynomial shift as a plain double loop; nothing here
-shares code with the library, except that the scalar root finder's bit oracle
-(``bisect_unique_root_oracle``) takes the library's result and error types,
-Descartes count and endpoint proof, which it does not test.  The DFT oracle
-takes the library's own method for one center (samples on a circle and an
-FFT), so it checks ``recenter``'s recurrences, not that engine; the mpmath
-series, expanded in exact rational form and divided out, is independent of
-both engines.
+Blaschke series and the polynomial shift as a plain double loop and exactly in
+integers; nothing here shares code with the library, except that the scalar
+root finder's bit oracle (``bisect_unique_root_oracle``) takes the library's
+result and error types, Descartes count and endpoint proof, which it does not
+test.  The DFT oracle takes the library's own method for one center (samples
+on a circle and an FFT), so it checks ``recenter``'s recurrences, not that
+engine; the mpmath series, expanded in exact rational form and divided out, is
+independent of both engines.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ def polyval(coeffs, x):
 def bisect_unique_root_oracle(coeffs, bracket: Bracket) -> CertifiedRoot:
     """``bisect_unique_root`` as one loop with a size dispatch in every step and
     polyval's leading ``0.0 * mid`` kept, its polish on ``polyval``: the
-    library's certificate, or its error and text, must equal this one's."""
+    library's certificate, or its error and text, must equal this one's.  A
+    clamp of WIDTH_TOL (or WIDTH_TOL / 2 about an exact zero) that rounds back
+    to its end takes the neighbouring float instead."""
     coeffs = tuple(float(c) for c in coeffs)
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
@@ -54,10 +56,12 @@ def bisect_unique_root_oracle(coeffs, bracket: Bracket) -> CertifiedRoot:
 
     if flo == 0.0:
         _prove_endpoint_root(coeffs, lo, hi)
-        return CertifiedRoot(lo, 0.0, Bracket(lo, min(hi, lo + WIDTH_TOL)), 0)
+        above = max(lo + WIDTH_TOL, math.nextafter(lo, math.inf))
+        return CertifiedRoot(lo, 0.0, Bracket(lo, min(hi, above)), 0)
     if fhi == 0.0:
         _prove_endpoint_root(coeffs, hi, lo)
-        return CertifiedRoot(hi, 0.0, Bracket(max(lo, hi - WIDTH_TOL), hi), 0)
+        below = min(hi - WIDTH_TOL, math.nextafter(hi, -math.inf))
+        return CertifiedRoot(hi, 0.0, Bracket(max(lo, below), hi), 0)
 
     # quadratics and cubics, the radius families, take polyval's operations
     # unrolled, the leading 0.0 * mid + a included: the same bits, no call
@@ -77,8 +81,8 @@ def bisect_unique_root_oracle(coeffs, bracket: Bracket) -> CertifiedRoot:
             fmid = polyval(coeffs, mid)
         iterations += 1
         if fmid == 0.0:
-            lo = max(lo, mid - 0.5 * WIDTH_TOL)
-            hi = min(hi, mid + 0.5 * WIDTH_TOL)
+            lo = max(lo, min(mid - 0.5 * WIDTH_TOL, math.nextafter(mid, -math.inf)))
+            hi = min(hi, max(mid + 0.5 * WIDTH_TOL, math.nextafter(mid, math.inf)))
             flo, fhi = polyval(coeffs, lo), polyval(coeffs, hi)
             break
         if (fmid > 0.0) == positive:
@@ -209,7 +213,8 @@ def blaschke_sums_mp(f, z0: complex, rho: float, start: int, count: int):
 
 def shift_polynomial_oracle(coeffs, z0: complex):
     """Coefficients of f(z0 + u) by the plain double loop, one ``math.comb`` and one
-    power ``z0 ** (j - k)`` per term: the float operations the library's shift keeps."""
+    power ``z0 ** (j - k)`` per term: another order of the float operations than the
+    library's Taylor shift, held to the same error bound."""
     out = []
     for k in range(len(coeffs)):
         acc = 0j
@@ -217,3 +222,40 @@ def shift_polynomial_oracle(coeffs, z0: complex):
             acc += coeffs[j] * math.comb(j, k) * z0 ** (j - k)
         out.append(acc)
     return tuple(out)
+
+
+
+def shift_polynomial_errors(shifted, coeffs, z0: complex) -> list[float]:
+    """|shifted[k] - c_k| for the exact c_k = sum_(j>=k) C(j, k) a_j z0^(j-k) of float
+    coefficients a_j and z0, in integers: with every part of the a_j a multiple of
+    2**-f and z0's of 2**-e, c_k 2**(f + e(n - k)) is the Taylor shift of the integer
+    coefficients a_j 2**(f + e(n - j)) by the Gaussian integer z0 2**e."""
+    n = len(coeffs) - 1
+    f = max(_exponent(x) for c in coeffs for x in (c.real, c.imag))
+    e = max(_exponent(z0.real), _exponent(z0.imag))
+    zr, zi = _scaled(z0.real, e), _scaled(z0.imag, e)
+    b = [[_scaled(x, f + e * (n - j)) for x in (c.real, c.imag)] for j, c in enumerate(coeffs)]
+    for k in range(n):
+        for j in range(n - 1, k - 1, -1):
+            (re, im), (xr, xi) = b[j], b[j + 1]
+            b[j] = [re + zr * xr - zi * xi, im + zr * xi + zi * xr]
+    errors = []
+    for k, (c, exact) in enumerate(zip(shifted, b)):
+        m = f + e * (n - k)
+        diffs = []
+        for x, y in zip((c.real, c.imag), exact):
+            top = max(m, _exponent(x))  # int / int rounds correctly
+            diffs.append((_scaled(x, top) - (y << (top - m))) / 2 ** top)
+        errors.append(math.hypot(*diffs))
+    return errors
+
+
+def _exponent(x: float) -> int:
+    """The least m >= 0 with x * 2**m an integer."""
+    return x.as_integer_ratio()[1].bit_length() - 1
+
+
+def _scaled(x: float, m: int) -> int:
+    """x * 2**m, exactly, for m >= ``_exponent(x)``."""
+    p, q = x.as_integer_ratio()
+    return p * (2 ** m // q)

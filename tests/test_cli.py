@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -400,14 +401,26 @@ class TestCheckCommand:
         assert (code, err) == (0, "")
         assert "satisfied=yes" in out
 
-    def test_recentred_polynomial_of_degree_1030_exit_2(self, capsys, tmp_path):
-        record = {"kind": "polynomial", "coeffs": [[1e-4, 0.0]] * 1031}
+    def test_recentred_polynomial_of_degree_1030_exit_0(self, capsys, tmp_path):
+        # f = a (1 + z + ... + z^n), n = 1030, recentred at z0 = -r: within
+        # a sum_(j>n) (|z0| + r)^j < 1e-700 of the geometric series', the exact
+        # series term is beta a sum_(k>=1) r^k / (1 - z0)^(k+1) = beta a r / (1 + r)
+        # (exact on the floats given).  The shift's bound summed against r^k is
+        # gamma_(4n) sum_j |a_j| (|z0| + r)^j <= gamma_(4n) a / (1 - 2r), and the
+        # moduli, powers, sum and beta add at most gamma_(n+4) of a smaller sum
+        a, r, beta, n = 1e-4, 0.1, 0.8, 1030
+        record = {"kind": "polynomial", "coeffs": [[a, 0.0]] * (n + 1)}
         code, out, err = run(
-            capsys, "check", "--theorem", "t33", "--alpha", "0.5", "--beta", "0.8",
-            "--r", "0.1", "--function", self.write_record(tmp_path, record),
+            capsys, "check", "--theorem", "t33", "--alpha", "0.5", "--beta", str(beta),
+            "--r", str(r), "--function", self.write_record(tmp_path, record),
         )
-        assert (code, out) == (2, "")
-        assert err == "domain error: binomial shift overflows: C(1030, 515) exceeds a float\n"
+        assert (code, err) == (0, "")
+        fields = dict(kv.split("=", 1) for line in out.splitlines() for kv in line.split() if "=" in kv)
+        a_, r_, beta_ = map(Fraction, (a, r, beta))
+        exact = beta_ * a_ * r_ / (1 + r_)
+        gamma = 4 * n * 2.0 ** -53 / (1.0 - 4 * n * 2.0 ** -53)
+        bound = 2.0 * gamma * beta * a / (1.0 - 2.0 * r)
+        assert abs(Fraction(fields["series_term"]) - exact) <= bound
 
     def test_rotation_area_family(self, capsys, tmp_path):
         path = self.write_record(tmp_path, {"kind": "moebius", "a": 0.0})

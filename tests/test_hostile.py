@@ -148,7 +148,8 @@ class TestAnalytic:
     # finite coefficients whose sums, shifts and moduli overflow
     @example(coeffs=[1e308, 1e308], z0=0.5, rho=0.49, n=0)
     @example(coeffs=[0.1, complex(1e308, 1e308), 1e308j], z0=-0.7, rho=0.99, n=1)
-    # degree 1030: the shift's C(1030, 515) no longer converts to a float
+    # degree 1030, where the largest binomial, C(1030, 515), exceeds a float:
+    # the Taylor shift forms none
     @example(coeffs=[1e-4] * 1031, z0=0.3j, rho=0.3, n=4)
     def test_polynomial_coefficients(self, coeffs, z0, rho, n):
         try:

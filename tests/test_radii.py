@@ -484,11 +484,24 @@ class TestRadiusGrid:
         (0.6816887827112171, 0.42312325149843677),
     ])
     def test_t36_threshold_taken_on_python_floats(self, alpha, value):
-        # beta = t36_threshold(alpha) exactly, a cubic cell: numpy's alpha ** 2
-        # puts these thresholds one ulp above libm's pow, so a threshold
-        # computed on arrays would mark the cell constant
+        # beta = t36_threshold(alpha) exactly, a cubic cell: libm's pow(alpha, 2)
+        # put these thresholds one ulp away from alpha * alpha, so a threshold
+        # with other bits on arrays would mark the cell constant
         grid = assert_grid_matches_scalar(Theorem.T36, [(alpha, t36_threshold(alpha))])
         assert grid.regime[0] == "cubic" and grid.value[0] == value
+
+    def test_thresholds_same_bits_on_floats_and_arrays(self):
+        # radius takes the thresholds on floats, radius_grid on arrays; numpy's
+        # ** 2 squares, as bench/oracle.py's predicted regimes do
+        rng = np.random.default_rng(31)
+        alpha = np.concatenate([[0.3266562371922701, 0.6816887827112171, 1.0, 5e-324],
+                                rng.uniform(0.0, 1.0, 20000), np.logspace(-300.0, 0.0, 301)])
+        for threshold in (t35_threshold, t36_threshold):
+            floats = np.array([threshold(a) for a in alpha.tolist()])
+            assert threshold(alpha).tobytes() == floats.tobytes()
+        a = alpha
+        squared = 2.0 * a ** 2 * (a + 1.0) ** 2 / (2.0 * a + 1.0) ** 2
+        assert squared.tobytes() == t36_threshold(alpha).tobytes()
 
     @staticmethod
     def count_scalar_calls(monkeypatch):

@@ -79,6 +79,25 @@ class TestBisectUniqueRoot:
             bisect_unique_root((1.0, -0.5, 1.0), Bracket(0.0, 2.0))
         assert str(err.value) == "no sign change on [0.0, 2.0]: P(lo)=1.0, P(hi)=4.0"
 
+    def test_exact_zero_clamp_past_the_float_spacing(self):
+        # from a mid of 512 on, mid -/+ WIDTH_TOL / 2 rounds back to mid: the
+        # bracket takes the neighbouring floats
+        root = bisect_unique_root((2.0, -2000000.6), Bracket(1e6, 1e6 + 1.0))
+        assert (root.value, root.residual) == (1000000.3, 0.0)
+        assert root.bracket == Bracket(math.nextafter(root.value, 0.0),
+                                       math.nextafter(root.value, math.inf))
+        grid = bisect_grid((np.array([2.0]), np.array([-2000000.6])), 1e6, 1e6 + 1.0)
+        assert grid.ok[0]
+        assert_grid_cell_matches_scalar(grid, 0, (2.0, -2000000.6), 1e6, 1e6 + 1.0)
+
+    def test_endpoint_root_past_the_float_spacing(self):
+        # from about 1024 on, an end -/+ WIDTH_TOL rounds back to the end
+        for coeffs, end, other in (((1.0, -2048.0), 2048.0, 2049.0),
+                                   ((1.0, -2049.0), 2049.0, 2048.0)):
+            root = bisect_unique_root(coeffs, Bracket(min(end, other), max(end, other)))
+            assert (root.value, root.residual, root.iterations) == (end, 0.0, 0)
+            assert {root.bracket.lo, root.bracket.hi} == {end, math.nextafter(end, other)}
+
     def test_deterministic(self):
         poly = (1.0, 1.0, 3.0, -1.0)
         a = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0))
@@ -343,8 +362,8 @@ class TestAgainstOracle:
     # NaN mids where P(lo) is NaN, which the NaN rule treats as P(lo) < 0:
     # (1e300*t - 1e308)*t overflows to -inf between about 1.8 and 1e8
     @example([((1e300, -1e308, math.inf, 1.0), 0.0, 1e9)])
-    # the step cap; an exact zero at 1000000.3, whose clamp vanishes in the
-    # float spacing; a root found with no step, as lo + hi overflows;
+    # the step cap; an exact zero at 1000000.3, whose clamp takes the
+    # neighbouring floats; a root found with no step, as lo + hi overflows;
     # coefficients of 1e299, whose residual fails the absolute gate; P(lo)
     # NaN from an infinite leading coefficient
     @example([((1.0, -1.0), 0.0, 1e300), ((2.0, -(2e6 + 0.6)), 1e6, 1e6 + 1.0),
