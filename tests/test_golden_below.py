@@ -11,6 +11,9 @@ many-center sums do reach; the other four families also get the Moebius
 members' sum.  Those sums keep 12 digits, so each campaign also gets the
 sha256 of the ``float.hex`` of every corpus total and slack that
 ``bohr_lhs_theta_corpus`` returns, which pins the corpus path bit for bit.
+Two last lines pin all 150 campaigns of ``run_below_suite``: the sha256 of
+every corpus total, and of every slack, that its campaigns compute, in
+campaign order, on the corpus the suite prepares once.
 Rewrite ``golden_below.txt`` only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_below.py
@@ -24,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bohradii import verify
 from bohradii.analytic import BlaschkeProduct, Moebius
 from bohradii.functionals import bohr_lhs_theta_corpus, bohr_lhs_theta_grid
 from bohradii.radii import Theorem, radius
@@ -33,6 +37,7 @@ from bohradii.verify import (
     below_radius_grid,
     check_below_radius,
     default_corpus,
+    run_below_suite,
 )
 
 GOLDEN = Path(__file__).with_name("golden_below.txt")
@@ -49,7 +54,7 @@ def transcript() -> str:
     """to_lines() of each report, the first and last pair of each family's
     grid, then the members' totals summed per kind to 12 digits
     (roundoff-level changes of the series engine leave those digits alone),
-    then the digests of the corpus totals and slacks."""
+    then the digests of the corpus totals and slacks; last, those of the suite."""
     corpus = default_corpus(SEED)
     thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
     lines = []
@@ -68,7 +73,29 @@ def transcript() -> str:
             totals, slacks = bohr_lhs_theta_corpus(theorem, corpus, r, w, thetas)
             lines.append(f"  corpus totals_sha256={digest(totals)}")
             lines.append(f"  corpus slacks_sha256={digest(slacks)}")
+    totals, slacks = suite_corpus_sums()
+    lines.append(f"suite campaigns={len(totals)} totals_sha256={digest(np.array(totals))}")
+    lines.append(f"suite campaigns={len(slacks)} slacks_sha256={digest(np.array(slacks))}")
     return "\n".join(lines) + "\n"
+
+
+def suite_corpus_sums() -> tuple[list, list]:
+    """The corpus totals and slacks of every campaign of ``run_below_suite(SEED)``, in
+    campaign order, as its campaigns look ``bohr_lhs_theta_corpus`` up."""
+    original, totals, slacks = verify.bohr_lhs_theta_corpus, [], []
+
+    def spy(*args):
+        out = original(*args)
+        totals.append(out[0])
+        slacks.append(out[1])
+        return out
+
+    verify.bohr_lhs_theta_corpus = spy
+    try:
+        run_below_suite(SEED)
+    finally:
+        verify.bohr_lhs_theta_corpus = original
+    return totals, slacks
 
 
 def test_below_campaign_matches_golden_transcript():
