@@ -77,12 +77,13 @@ _SERIES_FROM_ONE = (Theorem.T31, Theorem.T32)
 _HAS_CONSTANT = (Theorem.T31, Theorem.T36)
 
 
-def _terms(theorem: Theorem, f, w: WeightPair, r: float, centers):
+def _terms(theorem: Theorem, f, w: WeightPair, r: float, centers, sums=None, a0=None):
     """(constant, series, area, truncation slack) of the left-hand side at |z| = r.
 
     Only t33/t34 read the points themselves, through ``centers`` (one complex
     or an array; 0-d arrays for one); every other family's terms depend on r
     alone, and for a list of Blaschke products come from one stream, a row each.
+    Those come unweighted from ``sums`` (or ``_zero_center_sums``), |f(0)| from ``a0``.
     """
     alpha, beta = w.alpha, w.beta
     constant = 0.0
@@ -90,13 +91,11 @@ def _terms(theorem: Theorem, f, w: WeightPair, r: float, centers):
         s, s_slack = recentered_abs_sums_grid(f, centers, r)
         return constant, beta * s, 0.0, beta * s_slack
     start = 1 if theorem in _SERIES_FROM_ONE else 0
-    s, s_slack, s_area, a_slack = _zero_center_sums(f, r, start, not start and r > 0.0)
+    s, s_slack, s_area, a_slack = (sums or _zero_center_sums)(f, r, start, not start and r > 0.0)
     weight = beta if start else alpha
     series, area, slack = weight * s, beta * s_area, weight * s_slack + beta * a_slack
-    if theorem in _HAS_CONSTANT and isinstance(f, list):  # one by one, as ``bohr_lhs`` takes them
-        constant = (1.0 - alpha) * np.array([[abs(evaluate(g, 0.0))] for g in f])
-    elif theorem in _HAS_CONSTANT:
-        constant = (1.0 - alpha) * abs(evaluate(f, 0.0))
+    if theorem in _HAS_CONSTANT:
+        constant = (1.0 - alpha) * (abs(evaluate(f, 0.0)) if a0 is None else a0)
     return constant, series, area, slack
 
 
@@ -124,18 +123,25 @@ class _Corpus(tuple):
     """A corpus prepared once for any number of ``bohr_lhs_theta_corpus`` calls: its
     members, certified in order (``_certify``'s error at the first that fails), with
     their rows grouped by kind and shape (``groups``; each polynomial alone), the rows
-    of its Blaschke products (``products``) and their largest degree (``width``)."""
+    of its Blaschke products (``products``), their largest degree (``width``), each |f(0)|
+    (``a0``) and ``sums(part)``: ``_zero_center_sums`` of the members at ``part`` (the same
+    rows in every call), unweighted and kept by (r, start, area) for later calls."""
 
     def __new__(cls, fs):
         corpus = super().__new__(cls, fs)
-        corpus.groups = {}
+        corpus.groups, corpus.memo = {}, {}
         for i, f in enumerate(corpus):
             _certify(f)
             shape = i if isinstance(f, Polynomial) else len(getattr(f, "zeros", ()))
             corpus.groups.setdefault((type(f), shape), []).append(i)
         corpus.products = [i for i, f in enumerate(corpus) if isinstance(f, BlaschkeProduct)]
         corpus.width = max((len(corpus[i].zeros) for i in corpus.products), default=0)
+        corpus.a0 = np.array([[abs(evaluate(f, 0.0))] for f in corpus])
         return corpus
+
+    def sums(self, part):  # computed at the first call for each (r, start, area), then kept
+        return lambda f, *key: self.memo.get((part[0], *key)) or self.memo.setdefault(
+            (part[0], *key), _zero_center_sums(f, *key))
 
 
 def bohr_lhs_theta_corpus(
@@ -145,11 +151,12 @@ def bohr_lhs_theta_corpus(
 
     ``fs`` is a list, checked as one by one (member 0, then the weights, r and the
     angles, then the rest) and then prepared, or a ``_Corpus`` prepared before, which
-    many calls share: its members are not certified or grouped again.  Moebius maps run
-    ``_terms`` as one ``_stack``, polynomials one by one, and Blaschke products in
-    near-equal stacks whose steps touch at most STACK_CELLS cells: per degree for
-    t33/t34, each stack's modulus and recentred series from one set of factor quotients
-    (``_many_center_sums``), else all angle-free terms in one stream at center 0."""
+    many calls share: its members are not certified or grouped again, and its angle-free
+    sums at a radius are computed once.  Moebius maps run ``_terms`` as one ``_stack``,
+    polynomials one by one, and Blaschke products in near-equal stacks whose steps touch
+    at most STACK_CELLS cells: per degree for t33/t34, each stack's modulus and recentred
+    series from one set of factor quotients (``_many_center_sums``), else all angle-free
+    terms in one stream at center 0."""
     if not isinstance(fs, _Corpus):
         for f in fs[:1]:  # member 0, then the weights, r and the angles, then the rest
             _certify(f)
@@ -167,7 +174,8 @@ def bohr_lhs_theta_corpus(
     products = fs.products if angle_free else []
     at_zero = np.empty((4, len(fs), 1))  # (constant, series, area, slack) per product
     for part in _parts(products, STACK_CELLS // (fs.width + 1)):
-        for row, term in zip(at_zero, _terms(theorem, [fs[i] for i in part], w, r, None)):
+        terms = _terms(theorem, [fs[i] for i in part], w, r, None, fs.sums(part), fs.a0[part])
+        for row, term in zip(at_zero, terms):
             row[part] = term
     for (kind, shape), rows in fs.groups.items():
         size = len(rows)
@@ -192,7 +200,7 @@ def bohr_lhs_theta_corpus(
                 if from_stream:
                     constant, series, area, slack = at_zero[:, part]
                 else:
-                    constant, series, area, slack = _terms(theorem, f, w, r, zs)
+                    constant, series, area, slack = _terms(theorem, f, w, r, zs, fs.sums(part))
             totals[part] = modulus + constant + series + area
             slacks[part] = slack
     return totals, slacks

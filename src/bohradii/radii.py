@@ -4,10 +4,10 @@ Each family is described once: ``_closed_form`` holds its closed-form regimes
 and ``_branch`` its root branch (which polynomials to certify on [0, top],
 which root is the radius), certified by bisection on an analytically
 justified bracket; printed closed forms are evaluated only as cross-checks.
-``_branch`` runs on two root finders: ``radius`` solves one weight pair with
-``bisect_unique_root``, ``radius_grid`` whole arrays in one lockstep
-``bisect_grid`` pass with the same checks and bits.  Both are kept: a one-cell
-grid costs about 30 scalar calls, a 64x64 grid about a thirtieth of one per cell.
+``_branch`` runs on two root finders: ``radius`` and ``lemma24_roots`` solve one
+weight pair with ``bisect_unique_root``, ``radius_grid`` and ``_lemma24_grid`` (for
+``lemma24_campaign``) arrays in one lockstep ``bisect_grid`` pass, same checks and
+bits: one cell costs about 30 scalar calls, a 64x64 grid a thirtieth of one a cell.
 """
 
 from __future__ import annotations
@@ -377,6 +377,12 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
             cert = RadiusCertificate(theorem, math.nan, "", math.nan, None)
         grid.value[k], grid.regime[k], grid.residual[k] = cert.value, cert.regime, cert.residual
     return grid
+
+
+def _lemma24_grid(alpha, beta) -> tuple[RootGrid, RootGrid]:
+    """``lemma24_roots`` on arrays, unchecked, in one lockstep pass: RootGrids (r1*, r2*)."""
+    return _branch(Theorem.T34, _Weights(alpha, beta),
+                   lambda poly, top: bisect_grid(poly, 0.0, top), _where)[2]
 
 
 # -- closed-form cross-checks --------------------------------------------------

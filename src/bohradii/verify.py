@@ -3,8 +3,8 @@
 Campaign cells are independent and merged in deterministic index order; seeds
 are derived per corpus member, so results do not depend on evaluation order.
 The below-radius campaign evaluates its corpus in stacks by shape, then reads
-the results in corpus order; its suite prepares the corpus once (certified, and
-grouped by kind and shape) and shares it across all 150 campaigns.
+the results in corpus order; its suite prepares the corpus once (certified, grouped
+by kind and shape, with |f(0)| and the sums at each radius) for all 150 campaigns.
 A report's witnesses carry the full function record and angle, which makes
 every recorded left-hand-side value re-checkable bit-for-bit.
 """
@@ -34,7 +34,8 @@ from .functionals import (
     envelope_sup,
     sharpness_fn,
 )
-from .radii import BRANCH_POINTS, Theorem, WeightPair, lemma24_roots, radius, radius_t31
+from .radii import (BRANCH_POINTS, Theorem, WeightPair, _lemma24_grid, lemma24_roots, radius,
+                    radius_t31)
 
 DEFAULT_SEED = 7
 THETA_POINTS = 64
@@ -203,28 +204,23 @@ def threshold_continuity(theorem: Theorem, alpha: float) -> VerificationReport:
 
 def lemma24_campaign(grid_n: int) -> VerificationReport:
     """Ordering check 0 < r2* < r1* < 1/2 and positivity of the ordering form
-    (4-2a)b^2 + 4a^2 b + a(-a^2 + a + 2) over a grid of [0.8, 1] x (0, alpha)."""
+    (4-2a)b^2 + 4a^2 b + a(-a^2 + a + 2) over a grid of [0.8, 1] x (0, alpha).
+    One lockstep pass solves the grid, as ``radius_grid`` does; cells it leaves
+    unfinished go through ``lemma24_roots`` in grid order, so the first that fails
+    raises.  The violations are folded in grid order, as cell by cell."""
     if grid_n < 2:
         raise PreconditionError(f"grid_n must be at least 2, got {grid_n}")
-    max_violation = -math.inf
-    for i in range(grid_n):
-        alpha = 0.8 + 0.2 * i / (grid_n - 1)
-        for j in range(grid_n):
-            beta = alpha * (j + 1) / (grid_n + 1)
-            r1, r2 = lemma24_roots(WeightPair(alpha, beta))
-            g = (4.0 - 2.0 * alpha) * beta * beta + 4.0 * alpha * alpha * beta + alpha * (
-                -alpha * alpha + alpha + 2.0
-            )
-            violation = max(
-                r2.value - r1.value,  # ordering r1* > r2*
-                -r2.value,            # positivity
-                r1.value - 0.5,       # both under 1/2
-                -g,                   # ordering form positive
-            )
-            max_violation = max(max_violation, violation)
-    return VerificationReport(
-        "lemma24", grid_n * grid_n, max_violation, (), max_violation < 0.0
-    )
+    alpha = (0.8 + 0.2 * np.arange(grid_n) / (grid_n - 1))[:, None]
+    alpha, beta = np.broadcast_arrays(alpha, alpha * np.arange(1, grid_n + 1) / (grid_n + 1))
+    roots = _lemma24_grid(alpha, beta)
+    r1, r2 = (root.value.copy() for root in roots)
+    for k in map(tuple, np.argwhere(~(roots[0].ok & roots[1].ok))):
+        r1[k], r2[k] = (r.value for r in lemma24_roots(WeightPair(float(alpha[k]), float(beta[k]))))
+    g = (4.0 - 2.0 * alpha) * beta * beta + 4.0 * alpha * alpha * beta
+    g = g + alpha * (-alpha * alpha + alpha + 2.0)
+    cells = zip(*(x.ravel().tolist() for x in (r2 - r1, -r2, r1 - 0.5, -g)))
+    max_violation = max([-math.inf, *map(max, cells)])
+    return VerificationReport("lemma24", grid_n * grid_n, max_violation, (), max_violation < 0.0)
 
 
 # -- documented default grids and suite runners ---------------------------------
@@ -264,8 +260,9 @@ THRESHOLD_ALPHAS = {
 def run_below_suite(seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """``check_below_radius`` on every family's documented weight grid, over one
     ``default_corpus(seed)`` prepared once for all 150 campaigns: certified and
-    grouped by kind and shape before the first.  Each campaign is looked up by
-    name when it runs, so that a wrapper of it sees every call."""
+    grouped by kind and shape before the first, and sharing the sums campaigns at one
+    radius have in common.  Each campaign is looked up by name when it runs, so that
+    a wrapper of it sees every call."""
     corpus = _Corpus(default_corpus(seed))
     reports = []
     for theorem in Theorem:

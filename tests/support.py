@@ -5,10 +5,12 @@ Blaschke series and the polynomial shift as a plain double loop and exactly in
 integers; nothing here shares code with the library, except that the scalar
 root finder's bit oracle (``bisect_unique_root_oracle``) takes the library's
 result and error types, Descartes count and endpoint proof, which it does not
-test.  The DFT oracle takes the library's own method for one center (samples
-on a circle and an FFT), so it checks ``recenter``'s recurrences, not that
-engine; the mpmath series, expanded in exact rational form and divided out, is
-independent of both engines.
+test, and the lemma 2.4 campaign's oracle folds the library's scalar
+``lemma24_roots`` cell by cell, to check the campaign's lockstep pass.  The DFT
+oracle takes the library's own method for one center (samples on a circle and
+an FFT), so it checks ``recenter``'s recurrences, not that engine; the mpmath
+series, expanded in exact rational form and divided out, is independent of
+both engines.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import mpmath
 import numpy as np
 
 from bohradii.errors import BracketError, NonUniqueRootError, ResidualError
+from bohradii.radii import WeightPair, lemma24_roots
 from bohradii.rootfind import (
     MAX_BISECTIONS,
     RESIDUAL_TOL,
@@ -29,6 +32,7 @@ from bohradii.rootfind import (
     _prove_endpoint_root,
     sign_changes,
 )
+from bohradii.verify import VerificationReport
 
 
 def polyval(coeffs, x):
@@ -112,6 +116,25 @@ def _polish_oracle(coeffs, lo, hi, flo, fhi):
         fx = polyval(coeffs, x)
         candidates.append((abs(fx), x))
     return min(candidates, key=lambda candidate: candidate[0])
+
+
+def lemma24_campaign_oracle(grid_n: int) -> VerificationReport:
+    """``lemma24_campaign`` one cell at a time: ``lemma24_roots`` per weight pair in grid
+    order (the first failing cell raises) and each cell's violation folded in turn."""
+    max_violation = -math.inf
+    for i in range(grid_n):
+        alpha = 0.8 + 0.2 * i / (grid_n - 1)
+        for j in range(grid_n):
+            beta = alpha * (j + 1) / (grid_n + 1)
+            r1, r2 = lemma24_roots(WeightPair(alpha, beta))
+            g = (4.0 - 2.0 * alpha) * beta * beta + 4.0 * alpha * alpha * beta + alpha * (
+                -alpha * alpha + alpha + 2.0
+            )
+            violation = max(r2.value - r1.value, -r2.value, r1.value - 0.5, -g)
+            max_violation = max(max_violation, violation)
+    return VerificationReport(
+        "lemma24", grid_n * grid_n, max_violation, (), max_violation < 0.0
+    )
 
 
 def bisect_oracle(coeffs, lo, hi, iters: int = 200) -> float:

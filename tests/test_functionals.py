@@ -317,6 +317,31 @@ class TestPreparedCorpus:
             shared = bohr_lhs_theta_corpus(theorem, prepared, r, w, thetas)
             assert all(np.array_equal(a, b) for a, b in zip(listed, shared))
 
+    def test_rows_equal_list_rows_where_campaigns_share_a_radius(self):
+        # one prepared corpus through every angle-free family, two weight pairs each,
+        # at shared radii: r = 0 gives t31 and t35 the same (r, area), so only start
+        # tells their memoised sums apart
+        corpus = mixed_corpus()
+        prepared = functionals._Corpus(corpus)
+        for r in (0.0, 0.2, 0.0, 0.2):
+            for theorem in (Theorem.T31, Theorem.T35, Theorem.T32, Theorem.T36):
+                for w in (below_radius_grid(theorem)[3], below_radius_grid(theorem)[-1]):
+                    listed = bohr_lhs_theta_corpus(theorem, corpus, r, w, [0.0, 2.0])
+                    shared = bohr_lhs_theta_corpus(theorem, prepared, r, w, [0.0, 2.0])
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(listed, shared))
+
+    def test_memoised_sums_keyed_by_radius_start_and_area(self):
+        prepared = functionals._Corpus(mixed_corpus())
+        for part in (prepared.products, prepared.groups[Moebius, 0]):
+            members = [prepared[i] for i in part]
+            f = members if part is prepared.products else analytic._stack(members)
+            for flags in [(r, start, area) for r in (0.3, 0.6) for start in (0, 1)
+                          for area in (False, True)] * 2:
+                memo = prepared.sums(part)(f, *flags)
+                fresh = analytic._zero_center_sums(f, *flags)
+                assert [np.asarray(x).tobytes() for x in memo] == [
+                    np.asarray(x).tobytes() for x in fresh]
+
     def test_members_certified_once_then_never_again(self, monkeypatch):
         corpus = mixed_corpus()
         seen, real = [], functionals.certify_bounded

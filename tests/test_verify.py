@@ -1,12 +1,18 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from bohradii import functionals, verify
-from bohradii.analytic import Moebius, Polynomial
-from bohradii.errors import NotApplicableError, PreconditionError, UncertifiedFunctionError
-from bohradii.functionals import sharpness_fn
+from bohradii import functionals, radii, verify
+from bohradii.analytic import BlaschkeProduct, Moebius, Polynomial
+from bohradii.errors import (
+    BracketError,
+    NotApplicableError,
+    PreconditionError,
+    UncertifiedFunctionError,
+)
+from bohradii.functionals import bohr_lhs_theta_corpus, sharpness_fn
 from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.verify import (
     below_radius_grid,
@@ -19,6 +25,8 @@ from bohradii.verify import (
     threshold_continuity,
     witnesses_to_csv_rows,
 )
+
+from support import lemma24_campaign_oracle
 
 
 class TestCorpus:
@@ -163,6 +171,43 @@ class TestLemma24Campaign:
         with pytest.raises(PreconditionError):
             lemma24_campaign(1)
 
+    @pytest.mark.parametrize("grid_n", [2, 3, 7, 20, 33])
+    def test_lockstep_report_equals_scalar_fold(self, grid_n):
+        assert repr(lemma24_campaign(grid_n)) == repr(lemma24_campaign_oracle(grid_n))
+
+    def test_cells_left_unfinished_take_the_scalar_roots(self, monkeypatch):
+        # eq21 without its constant term at one cell: r1* = 0 there, a bracket end,
+        # which the lockstep pass leaves to lemma24_roots
+        grid_n, real = 7, radii.eq21_poly
+        alpha = 0.8 + 0.2 * 1 / (grid_n - 1)
+        bad = alpha * (5 + 1) / (grid_n + 1)
+        monkeypatch.setattr(radii, "eq21_poly",
+                            lambda w: (*real(w)[:2], real(w)[2] * (w.beta != bad)))
+        r1, _ = radii._lemma24_grid(np.array([alpha]), np.array([bad]))
+        assert not r1.ok[0] and radii.lemma24_roots(WeightPair(alpha, bad))[0].value == 0.0
+        report = lemma24_campaign(grid_n)
+        assert repr(report) == repr(lemma24_campaign_oracle(grid_n)) and not report.passed
+
+    def test_failing_cells_raise_the_scalar_error_of_the_first(self, monkeypatch):
+        # eq22's constant term pushed up at two cells of the 7 x 7 grid, (1, 5) and then
+        # (4, 2) in grid order (the other way round down the columns): no sign change on
+        # [0, 1/2] there, in the lockstep pass and the scalar one alike
+        grid_n, real = 7, radii.eq22_poly
+        alphas = [0.8 + 0.2 * i / (grid_n - 1) for i in range(grid_n)]
+        bad = [alphas[i] * (j + 1) / (grid_n + 1) for i, j in ((1, 5), (4, 2))]
+
+        def broken(w):
+            a, b, c = real(w)
+            return a, b, c + 5.0 * ((w.beta == bad[0]) | (w.beta == bad[1]))
+
+        monkeypatch.setattr(radii, "eq22_poly", broken)
+        with pytest.raises(BracketError) as scalar:
+            lemma24_campaign_oracle(grid_n)
+        with pytest.raises(BracketError) as lockstep:
+            lemma24_campaign(grid_n)
+        assert str(lockstep.value) == str(scalar.value)
+        assert f"P(lo)={alphas[1] - bad[0] + 5.0}" in str(scalar.value)
+
 
 class TestSuites:
     def test_lemma24_suite_deterministic(self):
@@ -204,6 +249,38 @@ class TestSuites:
         assert len(reports) == len(shared) == 150 and all(r.passed for r in reports)
         assert certified == corpus
         assert all(fs is shared[0] for fs in shared) and list(shared[0]) == corpus
+
+    def test_below_suite_sums_each_part_once_per_radius(self, monkeypatch):
+        # 100 angle-free campaigns (t31, t32, t35, t36) at 69 distinct (r, start, area):
+        # the corpus's two parts, its products and its Moebius maps, are summed once
+        # at each, so 31 campaigns reuse them (28 of these t35/t36)
+        calls, real = [], functionals._zero_center_sums
+        monkeypatch.setattr(functionals, "_zero_center_sums",
+                            lambda f, *key: calls.append((type(f), *key)) or real(f, *key))
+        verify.run_below_suite(7)
+        assert len(calls) == len(set(calls)) == 2 * 69
+        assert {kind for kind, *_ in calls} == {list, Moebius}
+
+    def test_below_suite_takes_each_product_modulus_at_zero_once(self, monkeypatch):
+        seen, real = [], functionals.evaluate
+        monkeypatch.setattr(functionals, "evaluate",
+                            lambda f, z: seen.append((f, z)) or real(f, z))
+        verify.run_below_suite(7)
+        products = [f for f, z in seen if isinstance(f, BlaschkeProduct)]
+        assert {z for _, z in seen} == {0.0}
+        assert len(products) == len({id(f) for f in products}) == 100
+
+    def test_below_campaigns_equal_list_calls_bit_for_bit(self, monkeypatch):
+        # each campaign's corpus totals and slacks, on the corpus the suite shares,
+        # equal a call on the list alone, whose corpus is prepared afresh
+        calls, real = [], functionals.bohr_lhs_theta_corpus
+        monkeypatch.setattr(verify, "bohr_lhs_theta_corpus",
+                            lambda *args: calls.append((args, real(*args))) or calls[-1][1])
+        verify.run_below_suite(7)
+        assert len(calls) == 150
+        for (theorem, corpus, r, w, thetas), (totals, slacks) in calls:
+            fresh = bohr_lhs_theta_corpus(theorem, list(corpus), r, w, thetas)
+            assert totals.tobytes() == fresh[0].tobytes() and slacks.tobytes() == fresh[1].tobytes()
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
