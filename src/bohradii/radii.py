@@ -6,8 +6,8 @@ which root is the radius), certified by bisection on an analytically
 justified bracket; printed closed forms are evaluated only as cross-checks.
 ``_branch`` runs on two root finders: ``radius`` and ``lemma24_roots`` solve one
 weight pair with ``bisect_unique_root``, ``radius_grid`` and ``_lemma24_grid`` (for
-``lemma24_campaign``) arrays in one lockstep ``bisect_grid`` pass, same checks and
-bits: one cell costs about 30 scalar calls, a 64x64 grid a thirtieth of one a cell.
+``lemma24_campaign``) arrays in one lockstep ``bisect_grid`` pass with the same checks
+and bits.  Both stay: one cell costs 30 scalar calls, a 64x64 grid a thirtieth a cell.
 """
 
 from __future__ import annotations

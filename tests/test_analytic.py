@@ -254,8 +254,8 @@ class TestRecenter:
         """At z0 == 0 (any signs) ``recenter`` returns a polynomial's coefficients as the
         Taylor shift does, in float.hex with the sign of zero: 600 seeded polynomials
         of degree 0-9, parts drawn from +-0.0 and +-1.5, and real ones.  The shift
-        adds signed zeros, so it turns some -0.0 parts into +0.0; where none is below
-        the last coefficient, it is skipped."""
+        adds signed zeros, so it turns some -0.0 parts into +0.0; it is skipped where
+        no coefficient but the last has a -0.0 part."""
         rng = np.random.default_rng(27)
         hexed = lambda coeffs: [(c.real.hex(), c.imag.hex()) for c in coeffs]  # noqa: E731
         moved = 0
