@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Union
 
 import numpy as np
@@ -295,10 +295,9 @@ def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None, e1=math.inf):
         radius = peak ** -0.9
         log_r, logs = np.log(radius), np.log(c0_abs + lead_abs * radius / (1.0 - t_abs * radius))
         log_e = np.log(scale) + 0.0 * peak  # then each factor's log, added in factor order
-        if len(logs) ** 2 <= logs.size:  # a running total: no (k + 1) x columns temporaries
-            for row in logs:
-                log_e = log_e + row
-        else:  # more factors than columns: one accumulate in place costs less than the loop
+        if len(logs) < 4 or peak.size >= 100:  # timed: a running total costs less here
+            log_e = reduce(np.add, logs, log_e)
+        else:  # narrow rows, many factors: one accumulate in place along axis 0 costs less
             logs[0] += log_e
             log_e = np.add.accumulate(logs, out=logs)[-1]
         if n is None:
@@ -483,8 +482,7 @@ def taylor_at_zero(f: AnalyticFunction, n: int, rho: float = 0.0) -> TaylorSlice
 def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> TaylorSlice:
     """Taylor coefficients f^(k)(z0)/k! for k = 0..n, plus tail bound.
 
-    Polynomial: Horner's Taylor shift (tail 0 once n covers the degree), skipped at
-    z0 == 0 where it adds only signed zeros, which move a -0.0 part (to +0.0), no other.
+    Polynomial: Horner's Taylor shift (tail 0 once n covers the degree).
     Moebius: closed form c_k = -(1-a^2) a^(k-1) (1 - a z0)^-(k+1); geometric tail.
     Blaschke: the factor series' truncated product, one column of
     ``_pipelined_product`` (raw high-order coefficients need its recurrences: circle
@@ -500,9 +498,7 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
     z0 = _require_in_disk(z0, "z0")
 
     if isinstance(f, Polynomial):
-        plain = not z0 and all(x or math.copysign(1.0, x) > 0.0
-                               for c in f.coeffs[:-1] for x in (c.real, c.imag))
-        shifted = f.coeffs if plain else _shift_polynomial(f.coeffs, z0)
+        shifted = _shift_polynomial(f.coeffs, z0)
         coeffs = shifted[: n + 1] + (0j,) * (n + 1 - len(shifted))
         tail = _poly_sum(abs(c) * rho ** k for k, c in enumerate(shifted) if k > n)
     elif isinstance(f, Moebius):

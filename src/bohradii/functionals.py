@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,9 +124,9 @@ class _Corpus(tuple):
     """A corpus prepared once for any number of ``bohr_lhs_theta_corpus`` calls: its
     members, certified in order (``_certify``'s error at the first that fails), with
     their rows grouped by kind and shape (``groups``; each polynomial alone), the rows
-    of its Blaschke products (``products``), their largest degree (``width``), each |f(0)|
-    (``a0``) and ``sums(part)``: ``_zero_center_sums`` of the members at ``part`` (the same
-    rows in every call), unweighted and kept by (r, start, area) for later calls."""
+    of its Blaschke products (``products``), their largest degree (``width``), their |f(0)|
+    (``a0``, taken at the first call that reads it) and ``sums(part)``: ``_zero_center_sums``
+    of the members at the rows ``part``, unweighted and kept by (rows, r, start, area)."""
 
     def __new__(cls, fs):
         corpus = super().__new__(cls, fs)
@@ -136,12 +137,15 @@ class _Corpus(tuple):
             corpus.groups.setdefault((type(f), shape), []).append(i)
         corpus.products = [i for i, f in enumerate(corpus) if isinstance(f, BlaschkeProduct)]
         corpus.width = max((len(corpus[i].zeros) for i in corpus.products), default=0)
-        corpus.a0 = np.array([[abs(evaluate(f, 0.0))] for f in corpus])
         return corpus
 
-    def sums(self, part):  # computed at the first call for each (r, start, area), then kept
-        return lambda f, *key: self.memo.get((part[0], *key)) or self.memo.setdefault(
-            (part[0], *key), _zero_center_sums(f, *key))
+    @cached_property
+    def a0(self):  # each product's |f(0)|, by row
+        return {i: abs(evaluate(self[i], 0.0)) for i in self.products}
+
+    def sums(self, part):  # computed at the first call for each (rows, r, start, area), then kept
+        return lambda f, *key: self.memo.get((tuple(part), *key)) or self.memo.setdefault(
+            (tuple(part), *key), _zero_center_sums(f, *key))
 
 
 def bohr_lhs_theta_corpus(
@@ -149,14 +153,13 @@ def bohr_lhs_theta_corpus(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``bohr_lhs_theta_grid`` of each of ``fs``, one row each, bit for bit.
 
-    ``fs`` is a list, checked as one by one (member 0, then the weights, r and the
-    angles, then the rest) and then prepared, or a ``_Corpus`` prepared before, which
-    many calls share: its members are not certified or grouped again, and its angle-free
-    sums at a radius are computed once.  Moebius maps run ``_terms`` as one ``_stack``,
-    polynomials one by one, and Blaschke products in near-equal stacks whose steps touch
-    at most STACK_CELLS cells: per degree for t33/t34, each stack's modulus and recentred
-    series from one set of factor quotients (``_many_center_sums``), else all angle-free
-    terms in one stream at center 0."""
+    ``fs`` is a list, checked as one by one (member 0, then the weights, r and the angles, then
+    the rest) and then prepared, or a ``_Corpus`` prepared before, which many calls share: its
+    members are not certified or grouped again, nor its angle-free sums at a radius computed
+    again.  Moebius maps run ``_terms`` as one ``_stack``, polynomials one by one, and Blaschke
+    products in near-equal stacks whose steps touch at most STACK_CELLS cells: per degree for
+    t33/t34, each stack's modulus and recentred series from one set of factor quotients
+    (``_many_center_sums``), else all angle-free terms in one stream at center 0."""
     if not isinstance(fs, _Corpus):
         for f in fs[:1]:  # member 0, then the weights, r and the angles, then the rest
             _certify(f)
@@ -174,7 +177,8 @@ def bohr_lhs_theta_corpus(
     products = fs.products if angle_free else []
     at_zero = np.empty((4, len(fs), 1))  # (constant, series, area, slack) per product
     for part in _parts(products, STACK_CELLS // (fs.width + 1)):
-        terms = _terms(theorem, [fs[i] for i in part], w, r, None, fs.sums(part), fs.a0[part])
+        a0 = np.array([[fs.a0[i]] for i in part]) if theorem in _HAS_CONSTANT else None
+        terms = _terms(theorem, [fs[i] for i in part], w, r, None, fs.sums(part), a0)
         for row, term in zip(at_zero, terms):
             row[part] = term
     for (kind, shape), rows in fs.groups.items():

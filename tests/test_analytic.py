@@ -250,32 +250,6 @@ class TestRecenter:
                     errors = shift_polynomial_errors(shift(coeffs, z0), coeffs, z0)
                     assert all(e <= b for e, b in zip(errors, bounds)), (shift, degree, z0)
 
-    def test_shift_by_zero_skipped_with_every_bit(self, monkeypatch):
-        """At z0 == 0 (any signs) ``recenter`` returns a polynomial's coefficients as the
-        Taylor shift does, in float.hex with the sign of zero: 600 seeded polynomials
-        of degree 0-9, parts drawn from +-0.0 and +-1.5, and real ones.  The shift
-        adds signed zeros, so it turns some -0.0 parts into +0.0; it is skipped where
-        no coefficient but the last has a -0.0 part."""
-        rng = np.random.default_rng(27)
-        hexed = lambda coeffs: [(c.real.hex(), c.imag.hex()) for c in coeffs]  # noqa: E731
-        moved = 0
-        for trial in range(600):
-            parts = rng.choice([0.0, -0.0, 1.5, -1.5], size=(rng.integers(1, 11), 2))
-            if trial % 3 == 0:
-                parts[:, 1] = 0.0  # real coefficients
-            coeffs = tuple(complex(x, y) for x, y in parts)
-            for z0 in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
-                shifted = analytic._shift_polynomial(coeffs, z0)
-                kept = recenter(Polynomial(coeffs), z0, len(coeffs) - 1).coeffs
-                assert hexed(kept) == hexed(shifted)
-                moved += hexed(shifted) != hexed(coeffs)
-        assert moved > 100
-        called = []
-        monkeypatch.setattr(analytic, "_shift_polynomial", lambda *args: called.append(args))
-        assert taylor_at_zero(Polynomial((1e-4,) * 1031), 4).coeffs == (1e-4 + 0j,) * 5
-        last = recenter(Polynomial((-1.5, 2.0, -0.0)), -0.0, 2).coeffs  # only a multiplier
-        assert hexed(last) == hexed((-1.5, 2.0, complex(-0.0, 0.0))) and not called
-
     def test_moebius_first_coefficient_is_derivative(self):
         # f'(z) = (a^2 - 1)/(1 - a z)^2
         a, z0 = 0.6, -0.2
