@@ -289,17 +289,12 @@ def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None, e1=math.inf):
     |t|^-0.9 and, unless n is given, the least n with E(R)/R^(n+1) below the tail target, or
     _MAX_TERMS; where E(1) is below the target, R = 1 does better: n = 0.  With max |t| = 0
     it is a polynomial: n = degree, and the bound is 0 from there on, else inf.  Logs
-    accumulate in factor order, so identity factors keep a member's bits."""
+    add in factor order, so identity factors keep a member's bits."""
     peak = t_abs.max(axis=0, initial=0.0)
     with np.errstate(all="ignore"):  # max |t| = 0 gives log 0; those columns are replaced
         radius = peak ** -0.9
         log_r, logs = np.log(radius), np.log(c0_abs + lead_abs * radius / (1.0 - t_abs * radius))
-        log_e = np.log(scale) + 0.0 * peak  # then each factor's log, added in factor order
-        if len(logs) < 4 or peak.size >= 100:  # timed: a running total costs less here
-            log_e = reduce(np.add, logs, log_e)
-        else:  # narrow rows, many factors: one accumulate in place along axis 0 costs less
-            logs[0] += log_e
-            log_e = np.add.accumulate(logs, out=logs)[-1]
+        log_e = reduce(np.add, logs, np.log(scale) + 0.0 * peak)
         if n is None:
             n = np.floor((log_e - math.log(_TAIL_TARGET)) / log_r)
             n = np.where(peak == 0.0, degree, np.fmin(np.fmax(n, 0.0), _MAX_TERMS))
@@ -388,7 +383,7 @@ def _one_center_sums(f: BlaschkeProduct, z0: complex, r: float, start: int, m: i
     at r or the slack is not finite."""
     zeros = np.array(f.zeros, dtype=complex)
     mods = np.abs(zeros)
-    d_abs, shift_abs = (np.abs(1.0 - zeros.conj() * z0), np.abs(zeros - z0)) if z0 else (1.0, mods)
+    d_abs, shift_abs = np.abs(1.0 - zeros.conj() * z0), np.abs(zeros - z0)
     series, t_abs = _factor_series(mods, d_abs, r)
     c0_abs, lead_abs = shift_abs / d_abs, (1.0 - mods * mods) * (r / (d_abs * d_abs))
     e1, peak = float((c0_abs + series).prod(initial=f.scale)), float(t_abs.max(initial=0.0))
@@ -410,7 +405,7 @@ def _one_center_sums(f: BlaschkeProduct, z0: complex, r: float, start: int, m: i
         while count < _MAX_SAMPLES and log_alias(count) >= math.log(_TAIL_TARGET / (1.0 + 3.0 * m)):
             count *= 2
         alias = math.exp(log_alias(count)) if log_alias(count) < math.log(e1) else e1
-    values = _sampled(f.scale, zeros, z0 + r * _roots(count) if z0 else r * _roots(count))
+    values = _sampled(f.scale, zeros, z0 + r * _roots(count))
     moduli = np.abs(np.fft.fft(values)[: max(n, m) + 1])
     value = float(moduli[start : n + 1].sum()) / count
 
@@ -651,7 +646,8 @@ def _area_size(r: float) -> tuple[int, float]:
 _CIRCLE = _roots(CERTIFY_SAMPLES)
 
 
-@lru_cache(maxsize=4096)
+# a caller certifies again only the function just certified or one corpus (<= 200 members)
+@lru_cache(maxsize=256)
 def certify_bounded(f: AnalyticFunction) -> Boundedness:
     """Certify sup |f| <= 1 on the disk.
 

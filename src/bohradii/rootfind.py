@@ -7,8 +7,9 @@ fixed: ``lo`` moves only to a mid where P has that sign (a NaN P(mid) moves
 ``lo`` exactly where P(lo) is not > 0).  A mid where P is exactly 0 ends the
 bisection with the bracket clamped to WIDTH_TOL about it, or to the neighbouring
 floats where WIDTH_TOL / 2 rounds away in their spacing.  No step dispatches:
-the scalar loop is written once per degree, and the grid runs a proven count
-of steps without a stop test first (``_steady_steps``).
+the scalar loop is written out for cubics, which quadratics, lines and
+constants join with leading zeros, and the grid runs a proven count of steps
+without a stop test first (``_steady_steps``).
 
 Uniqueness is proven by Descartes' rule of signs: a polynomial has at most V
 positive roots, V being the number of sign changes along its coefficients
@@ -51,17 +52,12 @@ def polyval(coeffs: Sequence[float], x: float) -> float:
 
 def _horner(coeffs: tuple[float, ...]) -> tuple[Callable[[float], float], ...]:
     """``polyval`` on ``coeffs`` and on ``polyder(coeffs)`` as functions of x, with
-    their operations written out (each leading ``0.0 * x`` included) for
-    quadratics and cubics."""
+    their operations written out (each leading ``0.0 * x`` included) for cubics."""
     if len(coeffs) == 4:
         a, b, c, d = coeffs
         a3, b2 = a * 3, b * 2
         return (lambda x: (((0.0 * x + a) * x + b) * x + c) * x + d,
                 lambda x: ((0.0 * x + a3) * x + b2) * x + c)
-    if len(coeffs) == 3:
-        a, b, c = coeffs
-        a2 = a * 2
-        return lambda x: ((0.0 * x + a) * x + b) * x + c, lambda x: (0.0 * x + a2) * x + b
     der = polyder(coeffs)
     return lambda x: polyval(coeffs, x), lambda x: polyval(der, x)
 
@@ -120,6 +116,7 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
     ``_prove_endpoint_root``.  Deterministic for identical inputs.
     """
     coeffs = tuple(float(c) for c in coeffs)
+    coeffs = (0.0,) * (4 - len(coeffs)) + coeffs  # up to degree 3, the cubic loop
     lo, hi = bracket.lo, bracket.hi
     p, dp = _horner(coeffs)
     flo, fhi = p(lo), p(hi)
@@ -137,9 +134,10 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
         _prove_endpoint_root(coeffs, hi, lo)
         return CertifiedRoot(hi, 0.0, Bracket(max(lo, _offset(hi, -WIDTH_TOL)), hi), 0)
 
-    # One loop per degree.  A step needs hi - lo > WIDTH_TOL and lo < mid < hi
-    # (no end is ever NaN), so 0 < mid < inf: the quadratic and cubic start at
-    # a, polyval's 0.0 * mid + a up to the sign of a zero, which nothing sees.
+    # The cubic loop, and polyval's above degree 3.  A step needs hi - lo >
+    # WIDTH_TOL and lo < mid < hi (no end is ever NaN), so 0 < mid < inf: the
+    # cubic starts at a, polyval's 0.0 * mid + a up to the sign of a zero, and
+    # a leading 0.0 * mid + 0.0 is 0.0, so padding keeps polyval's value.
     iterations, positive, fmid = 0, flo > 0.0, flo
     if len(coeffs) == 4:
         a, b, c, d = coeffs
@@ -148,20 +146,6 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
             if not (hi - lo > WIDTH_TOL and lo < mid < hi):
                 break  # narrow enough, or no longer splittable at this magnitude
             fmid = ((a * mid + b) * mid + c) * mid + d
-            iterations += 1
-            if fmid == 0.0:
-                break
-            if (fmid > 0.0) == positive:
-                lo, flo = mid, fmid
-            else:
-                hi, fhi = mid, fmid
-    elif len(coeffs) == 3:
-        a, b, c = coeffs
-        for _ in range(MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if not (hi - lo > WIDTH_TOL and lo < mid < hi):
-                break
-            fmid = (a * mid + b) * mid + c
             iterations += 1
             if fmid == 0.0:
                 break

@@ -10,7 +10,9 @@ test, and the lemma 2.4 campaign's oracle folds the library's scalar
 oracle takes the library's own method for one center (samples on a circle and
 an FFT), so it checks ``recenter``'s recurrences, not that engine; the mpmath
 series, expanded in exact rational form and divided out, is independent of
-both engines.
+both engines.  ``cauchy_terms_accumulate`` restates the library's term-count
+rule (with its term cap and tail target) around the in-place accumulate of logs
+that the library once took on few columns: a bit reference for its log total.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from bohradii.analytic import _MAX_TERMS, _TAIL_TARGET
 from bohradii.errors import BracketError, NonUniqueRootError, ResidualError
 from bohradii.radii import WeightPair, lemma24_roots
 from bohradii.rootfind import (
@@ -246,6 +249,24 @@ def shift_polynomial_oracle(coeffs, z0: complex):
         out.append(acc)
     return tuple(out)
 
+
+def cauchy_terms_accumulate(scale, c0_abs, lead_abs, t_abs, degree, n=None, e1=math.inf):
+    """``analytic._cauchy_terms`` with its logs added by one accumulate in place along the
+    factor axis, as the library did for few columns and many factors before it kept only
+    the running total: the same adds in the same factor order, so the same bits."""
+    peak = t_abs.max(axis=0, initial=0.0)
+    with np.errstate(all="ignore"):
+        radius = peak ** -0.9
+        log_r, logs = np.log(radius), np.log(c0_abs + lead_abs * radius / (1.0 - t_abs * radius))
+        log_e = np.log(scale) + 0.0 * peak
+        logs[0] += log_e
+        log_e = np.add.accumulate(logs, out=logs)[-1]
+        if n is None:
+            n = np.floor((log_e - math.log(_TAIL_TARGET)) / log_r)
+            n = np.where(peak == 0.0, degree, np.fmin(np.fmax(n, 0.0), _MAX_TERMS))
+            n = np.where((e1 < _TAIL_TARGET) & (peak > 0.0), 0, n).astype(int)
+        tail = np.exp(log_e - (n + 1.0) * log_r)
+    return n, np.fmin(np.where(peak == 0.0, np.where(n >= degree, 0.0, np.inf), tail), e1)
 
 
 def shift_polynomial_errors(shifted, coeffs, z0: complex) -> list[float]:

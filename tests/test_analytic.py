@@ -37,11 +37,13 @@ from bohradii.analytic import (
     _zero_center_sums,
 )
 from bohradii.errors import DomainError
+from bohradii.verify import CORPUS_SIZE, default_corpus
 
 from support import (
     blaschke_series_mp,
     blaschke_sums_mp,
     cauchy_coeffs,
+    cauchy_terms_accumulate,
     shift_polynomial_errors,
     shift_polynomial_oracle,
 )
@@ -403,6 +405,18 @@ class TestSeriesSums:
         assert int(ns[0]) == least
         assert tails[0] == pytest.approx(factor(least), rel=1e-12)
         assert tails[0] < _TAIL_TARGET or least == _MAX_TERMS
+
+    @pytest.mark.parametrize("columns, factors", [(1, 1100), (64, 6), (1, 4)])
+    def test_log_total_matches_the_accumulate(self, columns, factors):
+        # one running total adds the factors' logs in factor order, the adds of an
+        # accumulate along the factor axis: n and the tail keep every bit
+        f = random_test_function(28 + factors, factors)
+        centers = many_centers(0.3, columns) if columns > 1 else np.array([0.3 + 0.1j])
+        c0, lead, t, _ = _factor_forms(f, centers, 0.5, 0.5)
+        forms = f.scale, np.abs(c0), np.abs(lead), np.abs(t), factors
+        (n, tail), (n_ref, tail_ref) = _cauchy_terms(*forms), cauchy_terms_accumulate(*forms)
+        assert n.tolist() == n_ref.tolist()
+        assert [x.hex() for x in tail.tolist()] == [x.hex() for x in tail_ref.tolist()]
 
     @pytest.mark.parametrize("big, q, k, expected", [
         (1.0, 0.0, 4, (4, 0.0)), (0.7, 0.0, 0, (0, 0.0)),  # a polynomial: exact at n = k
@@ -818,6 +832,22 @@ class TestCertifyBounded:
             expected = float(np.max(np.abs(values))) + margin
             assert certify_bounded(f).sup_estimate == expected
         assert same_bits(_CIRCLE, np.exp(1j * thetas)) and not _CIRCLE.flags.writeable
+
+
+    def test_cache_keeps_what_callers_certify_again(self):
+        # 300 fresh functions leave at most 256 reports; a whole corpus of
+        # CORPUS_SIZE members still fits, so certifying it again only hits
+        certify_bounded.cache_clear()
+        for k in range(300):
+            certify_bounded(Polynomial((0.5, k / 1000.0)))
+        assert certify_bounded.cache_info().currsize <= 256
+        certify_bounded.cache_clear()
+        corpus = default_corpus(7)
+        assert len(corpus) == CORPUS_SIZE == 200
+        for f in corpus + corpus:
+            certify_bounded(f)
+        assert certify_bounded.cache_info().hits == 200
+        certify_bounded.cache_clear()
 
 
 class TestRandomTestFunction:

@@ -134,10 +134,11 @@ def scalar_outcome(coeffs, hi, lo=0.0, solve=bisect_unique_root):
 
 
 class TestScalarHorner:
-    """The scalar loop's unrolled quadratic and cubic, and ``polyval`` for other
-    degrees, pinned against ``polyval`` in a one-cell grid and in the scalar
-    loop itself: two leading zeros move a quadratic or a cubic onto polyval,
-    with the same operations on bracket points >= 0."""
+    """The scalar loop's unrolled cubic, which lower degrees join padded with
+    leading zeros, and ``polyval`` above degree 3, pinned against ``polyval`` in
+    a one-cell grid and in the scalar loop itself: two more leading zeros move
+    a line onto the cubic and a quadratic or a cubic onto polyval, with the
+    same operations on bracket points >= 0."""
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_one_cell_grid_and_generic_path_match(self, degree):
@@ -369,6 +370,11 @@ class TestAgainstOracle:
     @example([((1.0, -1.0), 0.0, 1e300), ((2.0, -(2e6 + 0.6)), 1e6, 1e6 + 1.0),
               ((1.0, -1.5e308), 1e308, 1.7e308), ((1e299, 1e299, -1e299), 0.0, 1.0),
               ((math.inf, -1.0), 0.0, 1.0)])
+    # degrees below 3 padded to the cubic loop: an exact zero at the first mid
+    # behind a leading -0.0; a line; a constant (BracketError); a root at the
+    # bracket end, proven through the padded deflation; a padded -0.0 cubic
+    @example([((-0.0, 1.0, -0.5), 0.0, 1.0), ((2.0, -1.0), 0.0, 1.0), ((3.0,), 0.0, 1.0),
+              ((1.0, 0.0, -1.0), 0.0, 1.0), ((-0.0, -0.0, 1.0, -0.3), 0.0, 1.0)])
     def test_scalar_and_grid_match_the_oracle(self, cases):
         for coeffs, lo, hi in cases:
             # a certificate's repr shows every bit of its floats
