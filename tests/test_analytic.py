@@ -833,7 +833,6 @@ class TestCertifyBounded:
             assert certify_bounded(f).sup_estimate == expected
         assert same_bits(_CIRCLE, np.exp(1j * thetas)) and not _CIRCLE.flags.writeable
 
-
     def test_cache_keeps_what_callers_certify_again(self):
         # 300 fresh functions leave at most 256 reports; a whole corpus of
         # CORPUS_SIZE members still fits, so certifying it again only hits

@@ -372,7 +372,8 @@ class TestAgainstOracle:
               ((math.inf, -1.0), 0.0, 1.0)])
     # degrees below 3 padded to the cubic loop: an exact zero at the first mid
     # behind a leading -0.0; a line; a constant (BracketError); a root at the
-    # bracket end, proven through the padded deflation; a padded -0.0 cubic
+    # bracket end, proven through the padded deflation; a line written as a
+    # cubic with leading -0.0s
     @example([((-0.0, 1.0, -0.5), 0.0, 1.0), ((2.0, -1.0), 0.0, 1.0), ((3.0,), 0.0, 1.0),
               ((1.0, 0.0, -1.0), 0.0, 1.0), ((-0.0, -0.0, 1.0, -0.3), 0.0, 1.0)])
     def test_scalar_and_grid_match_the_oracle(self, cases):
