@@ -13,19 +13,25 @@ series, expanded in exact rational form and divided out, is independent of
 both engines.  ``cauchy_terms_accumulate`` restates the library's term-count
 rule (with its term cap and tail target) around the in-place accumulate of logs
 that the library once took on few columns: a bit reference for its log total.
+``bohr_lhs_queries`` makes seeded single-point queries and ``bohr_lhs_digest``
+hashes their breakdowns, so a pin of ``bohr_lhs`` never moves with the benchmark.
 """
 
 from __future__ import annotations
 
+import cmath
+import hashlib
 import math
+from dataclasses import astuple
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from bohradii.analytic import _MAX_TERMS, _TAIL_TARGET
+from bohradii.analytic import _MAX_TERMS, _TAIL_TARGET, Moebius, Polynomial, random_test_function
 from bohradii.errors import BracketError, NonUniqueRootError, ResidualError
-from bohradii.radii import WeightPair, lemma24_roots
+from bohradii.functionals import bohr_lhs
+from bohradii.radii import Theorem, WeightPair, lemma24_roots, radius
 from bohradii.rootfind import (
     MAX_BISECTIONS,
     RESIDUAL_TOL,
@@ -35,7 +41,7 @@ from bohradii.rootfind import (
     _prove_endpoint_root,
     sign_changes,
 )
-from bohradii.verify import VerificationReport
+from bohradii.verify import VerificationReport, below_radius_grid
 
 
 def polyval(coeffs, x):
@@ -303,3 +309,47 @@ def _scaled(x: float, m: int) -> int:
     """x * 2**m, exactly, for m >= ``_exponent(x)``."""
     p, q = x.as_integer_ratio()
     return p * (2 ** m // q)
+
+
+def bohr_lhs_queries(seed: int, count: int):
+    """``count`` seeded ``bohr_lhs`` arguments (theorem, f, z, w): a family and a pair of
+    its below-radius weight grid, then a Moebius map, a polynomial of degree <= 20 (sum
+    |a_k| in [0.3, 1.1], so a few fail certification; one in four real, with -0.0
+    imaginary parts) or a Blaschke product of degree <= 24, and z at a random angle and
+    a random fraction of the family's radius (one in twenty at z = 0)."""
+    rng = np.random.default_rng([seed, 29])
+    grids = {theorem: below_radius_grid(theorem) for theorem in Theorem}
+    families, radii = list(grids), {}
+    for _ in range(count):
+        theorem = families[int(rng.integers(len(families)))]
+        w = grids[theorem][int(rng.integers(len(grids[theorem])))]
+        kind = int(rng.integers(3))
+        if kind == 0:
+            f = Moebius(float(rng.uniform(0.0, 0.999)))
+        elif kind == 1:
+            size = int(rng.integers(21)) + 1
+            coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+            coeffs *= rng.uniform(0.3, 1.1) / np.abs(coeffs).sum()
+            if rng.integers(4) == 0:
+                coeffs = [complex(c.real, -0.0) for c in coeffs]
+            f = Polynomial(tuple(complex(c) for c in coeffs))
+        else:
+            f = random_test_function(int(rng.integers(1 << 31)), int(rng.integers(1, 25)))
+        key = (theorem, w.alpha, w.beta)
+        radii[key] = radii.get(key) or radius(theorem, w).value
+        fraction, theta = (float(x) for x in rng.uniform(0.0, 1.0, 2))
+        z = 0j if rng.integers(20) == 0 else fraction * radii[key] * cmath.exp(2j * math.pi * theta)
+        yield theorem, f, z, w
+
+
+def bohr_lhs_digest(queries) -> str:
+    """sha256 over one line per query: the breakdown's six numbers as ``float.hex``, or
+    the ``repr`` of the error it raises."""
+    digest = hashlib.sha256()
+    for theorem, f, z, w in queries:
+        try:
+            line = " ".join(float(x).hex() for x in astuple(bohr_lhs(theorem, f, z, w))[1:])
+        except (ValueError, ArithmeticError) as exc:  # every bohradii error
+            line = repr(exc)
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()

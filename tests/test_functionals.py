@@ -28,6 +28,8 @@ from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.rootfind import Bracket, bisect_unique_root
 from bohradii.verify import DEFAULT_EPSILON, THETA_POINTS, below_radius_grid, default_corpus
 
+from support import bohr_lhs_digest, bohr_lhs_queries
+
 RNG = np.random.default_rng(2024)
 
 
@@ -582,3 +584,11 @@ class TestMajorantAtRadius:
         w = WeightPair(alpha, beta)
         r = radius(theorem, w).value - 1e-3
         assert envelope_sup(theorem, r, w).sup <= 1.0 + 1e-9
+
+
+def test_bohr_lhs_seeded_queries_match_pinned_digest():
+    """``bohr_lhs`` bit for bit on 3,000 seeded queries over all six families and three
+    kinds (``support.bohr_lhs_queries``): the single-point path beyond ``golden_cli.txt``'s
+    ``check`` lines at z = -r.  The digest holds under numpy's AVX-512 and AVX2 kernels."""
+    digest = bohr_lhs_digest(bohr_lhs_queries(7, 3000))
+    assert digest == "4df370bf1d247e31158967198dad92dacab51a44c527d0759f85ca8da167d329"

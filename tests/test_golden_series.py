@@ -9,7 +9,12 @@ inside the radius where a recentred factor series diverges, and just outside
 it, about a center toward the largest zero.  The stream follows: the sums and
 slacks of ``recentered_abs_sums_grid`` at eight centers, and ``_zero_center_sums``
 (sums, slacks, area heads and bounds) of all the products as one stack of mixed
-degrees.  A call that raises records the exception's ``repr``.  Rewrite it only for
+degrees.  Last come the closed forms and exact sums: ``series_abs_sum``,
+``area_sum_and_tail`` and ``recentered_abs_sums_grid`` (a 0-d center, a one-element
+array and a 2-d array; for the stack, whose centers are 1-d, one array of six) on a
+Moebius map, a Moebius ``_stack`` and polynomials with -0.0 parts, each line ending
+with the type (and shape) of each output.  A call that raises records the exception's
+``repr``.  Rewrite it only for
 a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_series.py
@@ -37,6 +42,9 @@ import numpy as np
 
 from bohradii.analytic import (
     BlaschkeProduct,
+    Moebius,
+    Polynomial,
+    _stack,
     area_sum_and_tail,
     random_test_function,
     recenter,
@@ -57,10 +65,25 @@ PRODUCTS = [
 ]
 RECENTER_ORDER = 12
 STREAM_CENTERS = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
+STACK_MEMBERS = [Moebius(0.0), Moebius(0.35), Moebius(0.9)]
+PLAIN = [
+    ("moebius", [Moebius(0.6)], Moebius(0.6)),
+    ("moebius_stack", STACK_MEMBERS, _stack(STACK_MEMBERS)),
+    *((name, [f], f) for name, f in (
+        ("signed_zeros", Polynomial((complex(0.3, -0.0), complex(-0.0, 0.2), complex(-0.1, -0.0),
+                                     complex(-0.0, -0.0), 0.05j))),
+        ("constant", Polynomial((complex(-0.0, -0.5),))),
+        ("degree20", Polynomial(tuple(complex(0.045 * np.cos(k), -0.0) for k in range(21)))),
+    )),
+]
+PLAIN_CENTERS = np.array([[0j, complex(-0.0, -0.0), 0.3 - 0.2j], [-0.5j, 0.45 + 0.1j, -0.6 + 0.0j]])
 
 
 def _hex(value) -> str:
-    """float.hex of a float, or of both parts of a complex; arrays entry by entry."""
+    """float.hex of a float, or of both parts of a complex; arrays entry by entry; a
+    string as it is."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (tuple, list, np.ndarray)):
         return "[" + ", ".join(_hex(v) for v in np.asarray(value).ravel().tolist()) + "]"
     if isinstance(value, complex):
@@ -74,6 +97,13 @@ def _line(label: str, call) -> str:
     except (ValueError, ArithmeticError) as exc:  # every bohradii error
         return f"{label} -> {exc!r}"
     return f"{label} -> " + " ".join(_hex(part) for part in result)
+
+
+def _typed(result) -> tuple:
+    """The outputs, then their types (an array's with its shape) as one word."""
+    kinds = (type(x).__name__ + (str(x.shape).replace(" ", "") if isinstance(x, np.ndarray) else "")
+             for x in result)
+    return (*result, "types=" + ",".join(kinds))
 
 
 def _divergence(f: BlaschkeProduct, z0: complex) -> float:
@@ -121,6 +151,22 @@ def cases():
                    lambda out: max(max(_sum_ratio(f, 0j, r, start, v, s),
                                        _sum_ratio(f, 0j, r, "area", h, b))
                                    for f, v, s, h, b in zip(stack, *(np.ravel(x) for x in out))))
+    for name, members, f in PLAIN:
+        for rho in (0.0, 0.3, 0.9):
+            for start in (0, 1):
+                yield (f"series_abs_sum {name} rho={_hex(rho)} start={start}",
+                       lambda: _typed(series_abs_sum(f, rho, start)),
+                       lambda out: _plain_error(members, [0j], rho, start, out[0]))
+        for r in (1e-3, 0.5, 0.99):
+            yield (f"area_sum_and_tail {name} r={_hex(r)}", lambda: _typed(area_sum_and_tail(f, r)),
+                   lambda out: _plain_error(members, [0j], r, "area", out[0]))
+        shapes = [("0-d", PLAIN_CENTERS[0, 2]), ("1-element", PLAIN_CENTERS[1, 1:2])]
+        shapes += [("6 centers", PLAIN_CENTERS.ravel())] if len(members) > 1 else [("2-d", PLAIN_CENTERS)]
+        for shape, centers in shapes:
+            for rho in (0.0, 0.4, 0.9):
+                yield (f"recentered_abs_sums_grid {shape} {name} rho={_hex(rho)}",
+                       lambda: _typed(recentered_abs_sums_grid(f, centers, rho)),
+                       lambda out: _plain_error(members, np.ravel(centers), rho, 1, out[0]))
 
 
 def transcript() -> str:
@@ -150,6 +196,31 @@ def _sum_ratio(f, z0, rho, start, value, slack) -> float:
     with mpmath.workdps(60):
         worst = max(abs(low - value), abs(high - value))
         return float(worst / slack) if slack else (0.0 if not worst else float("inf"))
+
+
+def _plain_error(members, centers, rho, start, values) -> float:
+    """The largest relative error of ``values`` (member by member, center by center) against
+    the exact sum at 60 digits: a Moebius map's closed form, a polynomial's exact shift."""
+    worst = 0.0
+    with mpmath.workdps(60):
+        rho = mpmath.mpf(rho)
+        cells = [(f, mpmath.mpc(z.real, z.imag)) for f in members for z in centers]
+        for (f, z0), value in zip(cells, np.ravel(values).tolist()):
+            if isinstance(f, Moebius):
+                a = mpmath.mpf(f.a)
+                d = abs(1 - a * z0)
+                exact = ((1 - a * a) ** 2 * rho ** 2 / (1 - a * a * rho ** 2) ** 2 if start == "area"
+                         else (1 - a * a) * rho / (d * (d - a * rho)) + (a if start == 0 else 0))
+            else:
+                coeffs = [mpmath.mpc(c.real, c.imag) for c in f.coeffs]
+                for k in range(len(coeffs) - 1):  # the Taylor shift by z0, exactly enough
+                    for j in range(len(coeffs) - 2, k - 1, -1):
+                        coeffs[j] += z0 * coeffs[j + 1]
+                exact = mpmath.fsum(k * abs(c) ** 2 * rho ** (2 * k) if start == "area"
+                                    else abs(c) * rho ** k * (k >= start)
+                                    for k, c in enumerate(coeffs))
+            worst = max(worst, float(abs(value - exact) / exact) if exact else abs(value))
+    return worst
 
 
 def _recenter_evidence(f, z0, rho, coeffs, tail) -> str:
