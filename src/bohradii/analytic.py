@@ -43,6 +43,9 @@ _SAMPLE_CELLS = 1 << 14  # factor values per block of the sampled product
 _TINY = 2.0 ** -1074  # the least subnormal: gradual underflow errs by at most half of it
 # Higham's gamma_ops = ops u/(1 - ops u), u = 2^-53: the bound after ops roundings
 _gamma = lambda ops: ops * 2.0 ** -53 / (1.0 - ops * 2.0 ** -53)  # noqa: E731
+# a polynomial's sum_{k>=start} |c_k| rho^k: at center 0, about a center and as a tail
+_poly_abs_sum = lambda coeffs, rho, start: _poly_sum(  # noqa: E731
+    abs(c) * rho ** k for k, c in enumerate(coeffs) if k >= start)
 
 
 @dataclass(frozen=True)
@@ -445,13 +448,21 @@ def _one_center_sums(f: BlaschkeProduct, z0: complex, r: float, start: int, m: i
 
 
 def _zero_center_sums(fs, r: float, start: int, area: bool):
-    """Rows of sum_{k>=start} |c_k| r^k, its slack, and with ``area`` the area head and its
-    tail plus roundoff bound, for Blaschke products of any degrees in one ``_streamed_sums``
-    stream at center 0; for one function (not a list) the same four terms, a product's from
-    ``_one_center_sums``.  A lower degree gets identity factors (c0 = 1, lead = t = 0)
-    after its own: IEEE gives (1 + 0i) x = x, x + 0 s = x."""
-    if not isinstance(fs, (list, BlaschkeProduct)):  # closed forms and exact sums
-        return *series_abs_sum(fs, r, start), *(area_sum_and_tail(fs, r) if area else (0.0, 0.0))
+    """Every center-0 sum: sum_{k>=start} |c_k| r^k, its slack and with ``area`` the area head
+    and its tail plus roundoff bound (else zeros), from closed forms for a Moebius map or
+    ``_stack``, exactly for a polynomial, by ``_one_center_sums`` for one Blaschke product and
+    for a list of them in one ``_streamed_sums`` stream, a row each: a lower degree gets identity
+    factors (c0 = 1, lead = t = 0) after its own, as IEEE gives (1 + 0i) x = x, x + 0 s = x.
+    DomainError where r lies outside [0, 1), a series diverges or a polynomial's sum overflows."""
+    if not (0.0 <= r < 1.0):
+        raise DomainError(f"rho must lie in [0, 1), got {r}")
+    if isinstance(fs, Moebius):  # closed forms: |D| = 1 exactly at center 0
+        a, series = fs.a, _factor_series(fs.a, 1.0, r)[0] + (fs.a if start == 0 else 0.0)
+        area_sum = (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2 if area else 0.0
+        return series, 0.0 * series, area_sum, 0.0
+    if isinstance(fs, Polynomial):  # exact sums, the series first
+        terms = (k * abs(c) ** 2 * r ** (2 * k) for k, c in enumerate(fs.coeffs) if k)
+        return _poly_abs_sum(fs.coeffs, r, start), 0.0, _poly_sum(terms) if area else 0.0, 0.0
     m, tail = _area_size(r) if area else (0, 0.0)
     m = max(m, int(area))  # the head reads c_1 or more, so T(0)'s rounding never decides
     if isinstance(fs, BlaschkeProduct):
@@ -495,7 +506,7 @@ def recenter(f: AnalyticFunction, z0: complex, n: int, rho: float = 0.0) -> Tayl
     if isinstance(f, Polynomial):
         shifted = _shift_polynomial(f.coeffs, z0)
         coeffs = shifted[: n + 1] + (0j,) * (n + 1 - len(shifted))
-        tail = _poly_sum(abs(c) * rho ** k for k, c in enumerate(shifted) if k > n)
+        tail = _poly_abs_sum(shifted, rho, n + 1)
     elif isinstance(f, Moebius):
         a = f.a
         d = 1.0 - a * z0
@@ -537,15 +548,14 @@ def _shift_polynomial(coeffs: tuple[complex, ...], z0: complex) -> tuple[complex
 # -- absolute coefficient sums ---------------------------------------------------
 
 def series_abs_sum(f: AnalyticFunction, rho: float, start: int = 0) -> tuple[float, float]:
-    """(sum_{k>=start} |c_k| rho^k, truncation slack) for the Maclaurin series.
-
-    Closed form for Moebius, exact for polynomials; for Blaschke products the
-    coefficients c_k rho^k from samples on the circle |z| = rho and one FFT, with a
-    tail, aliasing and roundoff bound (``_one_center_sums``).  ``start`` is 0 or 1.
+    """(sum_{k>=start} |c_k| rho^k, truncation slack) for the Maclaurin series, from
+    ``_zero_center_sums``: closed form for Moebius, exact for polynomials; for Blaschke
+    products the coefficients c_k rho^k from samples on the circle |z| = rho and one FFT,
+    with a tail, aliasing and roundoff bound (``_one_center_sums``).  ``start`` is 0 or 1.
     """
     if start not in (0, 1):
         raise ValueError("start must be 0 or 1")
-    return _abs_sums(f, 0j, rho, start)
+    return _zero_center_sums(f, rho, start, False)[:2]
 
 
 def recentered_abs_sums_grid(
@@ -557,42 +567,27 @@ def recentered_abs_sums_grid(
     or an array of them; a ``_stack`` takes a 1-d array and gives each member a
     row, in member order.
 
-    Blaschke products go through ``_abs_sums``: a single center (0-d, or an array
-    of one) samples f on the circle |z - z0| = rho and takes one FFT
-    (``_one_center_sums``), several stream (``_streamed_sums``).
+    A Moebius map takes the closed form on the centers as given, a polynomial its exact sum
+    about each center (with no shift at z0 = 0), one Blaschke product at one center (0-d, or
+    an array of one) ``_one_center_sums``, and several centers or a stack ``_many_center_sums``.
+    DomainError where rho lies outside [0, 1), a series diverges or a polynomial's sum overflows.
     """
     centers = _require_in_disk(np.asarray(centers, dtype=complex), "all centers")
-    if not centers.ndim and isinstance(f, Moebius):
-        return _abs_sums(f, centers, rho, 1)  # one center: the closed form on numpy scalars
-    values, slacks = _abs_sums(f, centers.ravel(), rho, 1)
-    shape = np.shape(values)[:-1] + centers.shape  # one Blaschke center: floats
-    return np.reshape(values, shape), np.reshape(slacks, shape)
-
-
-def _abs_sums(f: AnalyticFunction, centers, rho: float, start: int):
-    """(sum_{k>=start} |c_k(z0)| rho^k, truncation slack) about each center z0: 0j, the
-    Maclaurin series, with floats (Moebius maps and polynomials in Python arithmetic; a row
-    per ``_stack`` member), or a 1-d complex array, a value per center on the last axis (a
-    Moebius map also takes a 0-d one: numpy scalars; one product at one center gives floats).
-    DomainError where rho lies outside [0, 1), a series diverges or a
-    polynomial's sum overflows."""
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    one = not isinstance(centers, np.ndarray)
-    if isinstance(f, BlaschkeProduct):
-        if isinstance(f.zeros, tuple) and np.size(centers) == 1:  # one product, one center
-            return _one_center_sums(f, complex(centers if one else centers[0]), rho, start)[:2]
-        return _many_center_sums(f, centers, rho, start)[1:]
     if isinstance(f, Moebius):  # np.abs: builtin abs of a numpy complex rounds differently
-        series, _ = _factor_series(f.a, (abs if one else np.abs)(1.0 - f.a * centers), rho)
-        values = f.a + series if start == 0 else series
-    else:  # centers as Python complex: an overflow raises or gives inf, never warns
-        rows = [_shift_polynomial(f.coeffs, z0) if z0 else f.coeffs
-                for z0 in ([centers] if one else centers.tolist())]
-        values = [_poly_sum(abs(c) * rho ** k for k, c in enumerate(row) if k >= start)
-                  for row in rows]
-        values = values[0] if one else np.array(values)
-    return values, 0.0 * values  # no slack, in the shape of the values
+        series, _ = _factor_series(f.a, np.abs(1.0 - f.a * centers), rho)
+        return series, 0.0 * series
+    if isinstance(f, Polynomial):  # Python complex centers: an overflow raises or gives inf
+        values = np.array([_poly_abs_sum(_shift_polynomial(f.coeffs, z0) if z0 else f.coeffs,
+                                         rho, 1) for z0 in centers.ravel().tolist()])
+        slacks = 0.0 * values
+    elif isinstance(f.zeros, tuple) and centers.size == 1:  # one product, one center: floats
+        values, slacks = _one_center_sums(f, complex(centers.ravel()[0]), rho, 1)[:2]
+    else:
+        values, slacks = _many_center_sums(f, centers.ravel(), rho, 1)[1:]
+    shape = np.shape(values)[:-1] + centers.shape
+    return np.reshape(values, shape), np.reshape(slacks, shape)
 
 
 def _poly_sum(terms) -> float:
@@ -612,12 +607,7 @@ def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
     truncation bound)."""
     if not (0.0 < r < 1.0):
         raise DomainError(f"r must lie in (0, 1), got {r}")
-    if isinstance(f, Polynomial):
-        return _poly_sum(k * abs(c) ** 2 * r ** (2 * k) for k, c in enumerate(f.coeffs) if k), 0.0
-    if isinstance(f, Moebius):
-        a = f.a
-        return (1.0 - a * a) ** 2 * r * r / (1.0 - a * a * r * r) ** 2, 0.0
-    return _zero_center_sums(f, r, 1, area=True)[2:]
+    return _zero_center_sums(f, r, 1, True)[2:]
 
 
 def _area_size(r: float) -> tuple[int, float]:

@@ -599,6 +599,18 @@ class TestZeroCenterStream:
             alone = np.hstack(_zero_center_sums([f], r, start, area=r > 0.0))[0]
             assert np.array_equal(row, alone)
 
+    @pytest.mark.parametrize("r", [1.0, math.nan, -0.5])
+    @pytest.mark.parametrize("f", [
+        Moebius(0.4), _stack([Moebius(0.0), Moebius(0.7)]), Polynomial((0.5, -0.25j)),
+        MIXED_DEGREES[1], MIXED_DEGREES,
+    ], ids=["moebius", "moebius_stack", "polynomial", "product", "products"])
+    def test_one_radius_check_for_every_kind(self, f, r):
+        # r outside [0, 1) is refused before any sum, with the same message for every kind
+        for start in (0, 1):
+            for area in (False, True):
+                with pytest.raises(DomainError, match=r"^rho must lie in \[0, 1\), got "):
+                    _zero_center_sums(f, r, start, area)
+
     def test_area_below_the_least_radius_with_a_head(self):
         # at r = 1.2e-10 the least m is 0, and T(0) = fl(r^2) sat below the exact area r^2 of
         # -z; both engines now read c_1, so the head and its bound carry it
