@@ -578,7 +578,7 @@ def recentered_abs_sums_grid(
     if isinstance(f, Moebius):  # np.abs: builtin abs of a numpy complex rounds differently
         series, _ = _factor_series(f.a, np.abs(1.0 - f.a * centers), rho)
         return series, 0.0 * series
-    if isinstance(f, Polynomial):  # Python complex centers: an overflow raises or gives inf
+    if isinstance(f, Polynomial):  # Python complex: an overflow raises or gives inf, never warns
         values = np.array([_poly_abs_sum(_shift_polynomial(f.coeffs, z0) if z0 else f.coeffs,
                                          rho, 1) for z0 in centers.ravel().tolist()])
         slacks = 0.0 * values

@@ -160,8 +160,8 @@ def cases():
         for r in (1e-3, 0.5, 0.99):
             yield (f"area_sum_and_tail {name} r={_hex(r)}", lambda: _typed(area_sum_and_tail(f, r)),
                    lambda out: _plain_error(members, [0j], r, "area", out[0]))
-        shapes = [("0-d", PLAIN_CENTERS[0, 2]), ("1-element", PLAIN_CENTERS[1, 1:2])]
-        shapes += [("6 centers", PLAIN_CENTERS.ravel())] if len(members) > 1 else [("2-d", PLAIN_CENTERS)]
+        wide = ("6 centers", PLAIN_CENTERS.ravel()) if len(members) > 1 else ("2-d", PLAIN_CENTERS)
+        shapes = [("0-d", PLAIN_CENTERS[0, 2]), ("1-element", PLAIN_CENTERS[1, 1:2]), wide]
         for shape, centers in shapes:
             for rho in (0.0, 0.4, 0.9):
                 yield (f"recentered_abs_sums_grid {shape} {name} rho={_hex(rho)}",
@@ -209,8 +209,10 @@ def _plain_error(members, centers, rho, start, values) -> float:
             if isinstance(f, Moebius):
                 a = mpmath.mpf(f.a)
                 d = abs(1 - a * z0)
-                exact = ((1 - a * a) ** 2 * rho ** 2 / (1 - a * a * rho ** 2) ** 2 if start == "area"
-                         else (1 - a * a) * rho / (d * (d - a * rho)) + (a if start == 0 else 0))
+                if start == "area":
+                    exact = (1 - a * a) ** 2 * rho ** 2 / (1 - a * a * rho ** 2) ** 2
+                else:
+                    exact = (1 - a * a) * rho / (d * (d - a * rho)) + (a if start == 0 else 0)
             else:
                 coeffs = [mpmath.mpc(c.real, c.imag) for c in f.coeffs]
                 for k in range(len(coeffs) - 1):  # the Taylor shift by z0, exactly enough
