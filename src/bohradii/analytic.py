@@ -270,8 +270,8 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     return values, slack, area, _gamma(9 * m + 10 * degree + 6) * e1 * e1 * slope
 
 
-def _many_center_sums(f: BlaschkeProduct, centers: np.ndarray, rho: float, start: int):
-    """(|f|, sum_{k>=start} |c_k(z0)| rho^k, its slack) at each of the 1-d ``centers`` (a
+def _many_center_sums(f: BlaschkeProduct, centers: np.ndarray, rho: float):
+    """(|f|, sum_{k>=1} |c_k(z0)| rho^k, its slack) at each of the 1-d ``centers`` (a
     row per ``_stack`` member), from one set of ``_factor_forms``: the factor quotients c0
     are ``_value``'s, so |scale prod c0|, multiplied in its order, is
     ``np.abs(evaluate_grid(f, centers))`` bit for bit; the sums are one stream."""
@@ -280,7 +280,7 @@ def _many_center_sums(f: BlaschkeProduct, centers: np.ndarray, rho: float, start
     for quotient in c0:
         value *= quotient
     value = np.abs(value)  # before the stream, which holds its own buffers
-    return (value, *_streamed_sums(f.scale, c0, lead, t, sums, len(c0), start)[:2])
+    return (value, *_streamed_sums(f.scale, c0, lead, t, sums, len(c0), 1)[:2])
 
 
 def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None, e1=math.inf):
@@ -585,7 +585,7 @@ def recentered_abs_sums_grid(
     elif isinstance(f.zeros, tuple) and centers.size == 1:  # one product, one center: floats
         values, slacks = _one_center_sums(f, complex(centers.ravel()[0]), rho, 1)[:2]
     else:
-        values, slacks = _many_center_sums(f, centers.ravel(), rho, 1)[1:]
+        values, slacks = _many_center_sums(f, centers.ravel(), rho)[1:]
     shape = np.shape(values)[:-1] + centers.shape
     return np.reshape(values, shape), np.reshape(slacks, shape)
 

@@ -196,7 +196,7 @@ def bohr_lhs_theta_corpus(
             if recentred and (len(part) > 1 or thetas.size != 1):
                 # many centers: |f| and the series from one set of factor quotients
                 modulus, series, slack = _many_center_sums(
-                    f, _require_in_disk(zs, "all evaluation points"), r, 1)
+                    f, _require_in_disk(zs, "all evaluation points"), r)
                 modulus, constant, series, area, slack = (
                     w.alpha * modulus, 0.0, w.beta * series, 0.0, w.beta * slack)
             else:

@@ -4,7 +4,7 @@ Each family is described once: ``_closed_form`` holds its closed-form regimes
 and ``_branch`` its root branch (which polynomials to certify on [0, top],
 which root is the radius), certified by bisection on an analytically
 justified bracket; printed closed forms are evaluated only as cross-checks.
-``_branch`` runs on two root finders: ``radius`` and ``lemma24_roots`` solve one
+Both run on two root finders: ``radius`` and ``lemma24_roots`` solve one
 weight pair with ``bisect_unique_root``, ``radius_grid`` and ``_lemma24_grid`` (for
 ``lemma24_campaign``) arrays in one lockstep ``bisect_grid`` pass with the same checks
 and bits.  Both stay: one cell costs 30 scalar calls, a 64x64 grid a thirtieth a cell.
@@ -170,12 +170,6 @@ BRANCH_POINTS = {
 }
 
 
-def _linear(theorem: Theorem, alpha, beta):
-    """beta at the t31/t32 branch point (alpha - 1/2, or 1/2), where the quadratic
-    degenerates to a line."""
-    return abs(beta - BRANCH_POINTS[theorem](alpha)) <= REGIME_BOUNDARY_TOL
-
-
 # -- one description per family, two root finders ------------------------------
 
 def _cap(theorem: Theorem, alpha):
@@ -207,31 +201,21 @@ def _branch(theorem: Theorem, w, solve, pick):
     return pick(first, r1, r3), pick(first, "r1star", "r3star"), (r1, r3)
 
 
-def _closed_form(theorem: Theorem, w: WeightPair) -> Optional[RadiusCertificate]:
-    """The scalar closed-form regimes, or None where the root branch applies:
-    the t31/t32 lines, where the quadratic degenerates to (4*alpha - 1)*r - 1
-    or alpha - (alpha + 2)*r; t35/t36 below their thresholds, pinned at the
-    cap; and their cubic root colliding with the cap (roundoff P(cap) < 0)."""
+def _closed_form(theorem: Theorem, w):
+    """Where a closed-form regime holds, on one WeightPair or on arrays: (where,
+    value, regime, residual).  The t31/t32 lines at the branch point, where the
+    quadratic degenerates to (4*alpha - 1)*r - 1 or alpha - (alpha + 2)*r;
+    t35/t36 below their thresholds, pinned at the cap; t33/t34 nowhere."""
     a, b = w.alpha, w.beta
-    if theorem is Theorem.T31 and _linear(theorem, a, b):
-        value = 1.0 / (4.0 * a - 1.0)
-        return RadiusCertificate(theorem, value, "linear", abs((4.0 * a - 1.0) * value - 1.0), None)
-    if theorem is Theorem.T32 and _linear(theorem, a, b):
-        value = a / (a + 2.0)
-        return RadiusCertificate(theorem, value, "linear", abs(-(a + 2.0) * value + a), None)
-    if theorem not in (Theorem.T35, Theorem.T36):
-        return None
-    cap = _cap(theorem, a)
-    if b < BRANCH_POINTS[theorem](a):
-        return RadiusCertificate(theorem, cap, "constant", 0.0, None)
-    fcap = polyval(area_cubic(w), cap)
-    if not fcap < 0.0:
-        return None
-    # only reachable within float noise of the threshold
-    if abs(fcap) > 1e-12:
-        raise DomainError(f"cubic branch requested but P({cap}) = {fcap} < 0")
-    root = CertifiedRoot(cap, abs(fcap), Bracket(cap - WIDTH_TOL, cap), 0)
-    return RadiusCertificate(theorem, cap, "cubic", root.residual, root.bracket, (root,))
+    if theorem in (Theorem.T31, Theorem.T32):
+        linear = abs(b - BRANCH_POINTS[theorem](a)) <= REGIME_BOUNDARY_TOL
+        slope, offset = (4.0 * a - 1.0, -1.0) if theorem is Theorem.T31 else (-(a + 2.0), a)
+        # t31's slope is 0 at alpha = 1/4, off the line: one pair divides only on it
+        value = -offset / slope if isinstance(linear, np.ndarray) or linear else math.nan
+        return linear, value, "linear", abs(slope * value + offset)
+    if theorem in (Theorem.T35, Theorem.T36):
+        return b < BRANCH_POINTS[theorem](a), _cap(theorem, a), "constant", 0.0
+    return False, math.nan, "", math.nan
 
 
 def _solve(poly, top: float) -> CertifiedRoot:
@@ -245,9 +229,18 @@ def _pick(cond, a, b):
 def _certificate(theorem: Theorem, w: WeightPair) -> RadiusCertificate:
     """Body of ``radius`` and each ``radius_t3x``: a tracer wrapping both counts a call once."""
     w.require(theorem)
-    closed = _closed_form(theorem, w)
-    if closed is not None:
-        return closed
+    held, value, regime, residual = _closed_form(theorem, w)
+    if held:
+        return RadiusCertificate(theorem, value, regime, residual, None)
+    if theorem in (Theorem.T35, Theorem.T36):
+        # a cubic root colliding with the cap (P(cap) < 0 by roundoff near the threshold)
+        cap = _cap(theorem, w.alpha)
+        fcap = polyval(area_cubic(w), cap)
+        if fcap < 0.0:
+            if abs(fcap) > 1e-12:
+                raise DomainError(f"cubic branch requested but P({cap}) = {fcap} < 0")
+            root = CertifiedRoot(cap, abs(fcap), Bracket(cap - WIDTH_TOL, cap), 0)
+            return RadiusCertificate(theorem, cap, "cubic", root.residual, root.bracket, (root,))
     root, regime, roots = _branch(theorem, w, _solve, _pick)
     # t34 solves r1* only to certify it; its radius is r2* alone
     components = roots if theorem is Theorem.T33 else (root,)
@@ -332,10 +325,10 @@ def _where(cond, a, b):
 def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
     """``radius`` for every (alpha[k], beta[k]) at once, in lockstep.
 
-    One ``_branch`` call with ``bisect_grid`` solves the whole array; t35/t36
-    cells below their threshold (``BRANCH_POINTS``, on the arrays) get the cap.  The
-    unfinished cells (a linear regime, a root on a bracket end, a failed check,
-    a t35/t36 root colliding with its cap) go through ``radius`` itself: a
+    One ``_branch`` call with ``bisect_grid`` solves the whole array and one
+    ``_closed_form`` call on the arrays gives the closed-form regimes.  Only the
+    cells this leaves unfinished (a root on a bracket end, a failed check, a
+    t35/t36 root colliding with its cap) go through ``radius`` itself: a
     DomainError there marks the cell inadmissible, any other error propagates.
     """
     w = _Weights(*np.broadcast_arrays(np.asarray(alpha, dtype=float),
@@ -348,14 +341,8 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
         v = _Weights(w.alpha[ok], w.beta[ok])
         root, regime, roots = _branch(theorem, v, lambda poly, top: bisect_grid(poly, 0.0, top),
                                       _where)
-        pending = ~np.all([r.ok for r in roots], axis=0)
-        if theorem in (Theorem.T31, Theorem.T32):
-            pending |= _linear(theorem, v.alpha, v.beta)
-        if theorem in (Theorem.T35, Theorem.T36):
-            constant = v.beta < BRANCH_POINTS[theorem](v.alpha)
-            closed = RootGrid(_cap(theorem, v.alpha), 0.0, math.nan, math.nan, True)
-            root, regime = _where(constant, closed, root), np.where(constant, "constant", regime)
-            pending &= ~constant
+        held, value, closed, residual = _closed_form(theorem, v)
+        pending = ~(held | np.all([r.ok for r in roots], axis=0))
 
     def spread(x, fill):
         x = np.broadcast_to(x, (np.count_nonzero(ok),))
@@ -364,9 +351,9 @@ def radius_grid(theorem: Theorem, alpha, beta) -> RadiusGrid:
         return out
 
     grid = RadiusGrid(
-        spread(root.value, math.nan),
-        spread(regime, ""),
-        spread(root.residual, math.nan),
+        spread(np.where(held, value, root.value), math.nan),
+        spread(np.where(held, closed, regime), ""),
+        spread(np.where(held, residual, root.residual), math.nan),
         ok,
     )
     for k in map(tuple, np.argwhere(spread(pending, False))):

@@ -156,7 +156,7 @@ class TestEvaluate:
         empty = BlaschkeProduct((), 0.7)
         for f in [*(_stack(products[d::6]) for d in range(6)), *products[:6], empty,
                   _stack([empty] * 3)]:
-            modulus, _, _ = analytic._many_center_sums(f, zs, r, 1)
+            modulus, _, _ = analytic._many_center_sums(f, zs, r)
             grid = np.abs(evaluate_grid(f, zs))
             assert modulus.size == grid.size and same_bits(modulus, grid)
 

@@ -116,6 +116,13 @@ class TestRadiusT31:
                 nearby = radius_t31(WeightPair(alpha, alpha - 0.5 + off)).value
                 assert nearby == pytest.approx(linear, abs=1e-6)
 
+    def test_numpy_weights_off_the_line_at_zero_slope(self):
+        # at alpha = 1/4 the line (4*alpha - 1)*r - 1 has slope 0; numpy weights
+        # there take the quadratic branch without dividing by it
+        floats = radius_t31(WeightPair(0.25, 1.0))
+        assert radius_t31(WeightPair(np.float64(0.25), np.float64(1.0))) == floats
+        assert floats.regime == "quadratic"
+
     def test_negative_leading_coefficient_branch(self):
         # beta < alpha - 1/2 flips the quadratic's leading sign; the certificate
         # must still be the unique root inside (0, 1)
@@ -434,7 +441,8 @@ def assert_grid_matches_scalar(theorem, cells):
 def _edge_cells():
     up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, 0.0))
     cells = []
-    for alpha in (0.3, 0.6, 0.75, 0.8, 0.9, 1.0, down(0.8), up(0.8)):
+    # at alpha = 1/4, t31's line (4*alpha - 1)*r - 1 has slope 0, off the line
+    for alpha in (0.25, 0.3, 0.6, 0.75, 0.8, 0.9, 1.0, down(0.8), up(0.8)):
         edges = (
             alpha - 0.5,             # t31 linear
             0.5,                     # t32 linear
@@ -525,13 +533,25 @@ class TestRadiusGrid:
         assert calls == []
         assert grid.admissible.any()
 
-    def test_linear_regimes_are_pending(self, monkeypatch):
-        # each linear cell, and only it, goes through the scalar radius
+    def test_closed_form_regimes_make_no_scalar_call(self, monkeypatch):
+        # the t31/t32 lines and the t35/t36 caps come from _closed_form on the
+        # arrays, with the scalar certificate's value, regime and residual
         calls = self.count_scalar_calls(monkeypatch)
-        grid = radius_grid(Theorem.T31, [1.0, 0.9, 1.0], [0.5, 0.4, 0.7])
-        assert calls == [(Theorem.T31, 1.0, 0.5), (Theorem.T31, 0.9, 0.4)]
-        assert grid.regime.tolist() == ["linear", "linear", "quadratic"]
-        calls.clear()
-        grid = radius_grid(Theorem.T32, [0.7, 0.7], [0.5, 0.8])
-        assert calls == [(Theorem.T32, 0.7, 0.5)]
-        assert grid.regime.tolist() == ["linear", "quadratic"]
+        for theorem, cells, regimes in [
+            (Theorem.T31, [(1.0, 0.5), (0.9, 0.4), (1.0, 0.7)], ["linear", "linear", "quadratic"]),
+            (Theorem.T32, [(0.7, 0.5), (0.7, 0.8)], ["linear", "quadratic"]),
+            (Theorem.T35, [(1.0, 0.5), (0.5, 1.0)], ["constant", "cubic"]),
+            (Theorem.T36, [(1.0, 0.5), (0.5, 1.0)], ["constant", "cubic"]),
+        ]:
+            grid = assert_grid_matches_scalar(theorem, cells)
+            assert grid.regime.tolist() == regimes
+        assert calls == []
+
+    def test_root_on_the_cap_falls_back_to_scalar(self, monkeypatch):
+        # at (1, 8/9) the float P(1/3) is exactly 0: a root on the bracket end,
+        # which the lockstep pass leaves unfinished and only radius certifies
+        calls = self.count_scalar_calls(monkeypatch)
+        grid = radius_grid(Theorem.T35, [1.0, 0.5, 1.0], [8 / 9, 1.0, 0.1])
+        assert calls == [(Theorem.T35, 1.0, 8 / 9)]
+        assert grid.regime.tolist() == ["cubic", "cubic", "constant"]
+        assert grid.value[0] == 1 / 3
