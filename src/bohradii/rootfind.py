@@ -7,9 +7,10 @@ fixed: ``lo`` moves only to a mid where P has that sign (a NaN P(mid) moves
 ``lo`` exactly where P(lo) is not > 0).  A mid where P is exactly 0 ends the
 bisection with the bracket clamped to WIDTH_TOL about it, or to the neighbouring
 floats where WIDTH_TOL / 2 rounds away in their spacing.  No step dispatches:
-the scalar loop is written out for cubics, which quadratics, lines and
-constants join with leading zeros, and the grid runs a proven count of steps
-without a stop test first (``_steady_steps``).
+``bisect_unique_root`` has one loop, written out for cubics, which quadratics,
+lines and constants join with leading zeros (higher degrees are refused), and
+``bisect_grid``, which has no per-degree code and takes any degree, runs a
+proven count of steps without a stop test first (``_steady_steps``).
 
 Uniqueness is proven by Descartes' rule of signs: a polynomial has at most V
 positive roots, V being the number of sign changes along its coefficients
@@ -48,18 +49,6 @@ def polyval(coeffs: Sequence[float], x: float) -> float:
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def _horner(coeffs: tuple[float, ...]) -> tuple[Callable[[float], float], ...]:
-    """``polyval`` on ``coeffs`` and on ``polyder(coeffs)`` as functions of x, with
-    their operations written out (each leading ``0.0 * x`` included) for cubics."""
-    if len(coeffs) == 4:
-        a, b, c, d = coeffs
-        a3, b2 = a * 3, b * 2
-        return (lambda x: (((0.0 * x + a) * x + b) * x + c) * x + d,
-                lambda x: ((0.0 * x + a3) * x + b2) * x + c)
-    der = polyder(coeffs)
-    return lambda x: polyval(coeffs, x), lambda x: polyval(der, x)
 
 
 def polyder(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -107,18 +96,24 @@ def sign_changes(coeffs: Sequence[float]) -> int:
 
 
 def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRoot:
-    """Certified unique root of the polynomial on ``bracket``.
+    """Certified unique root on ``bracket`` of the polynomial with at most four
+    coefficients (a cubic), highest degree first.
 
-    Raises ``BracketError`` unless the ends have strictly opposite signs, and
-    ``NonUniqueRootError`` unless ``lo >= 0`` and ``sign_changes(coeffs) <= 2``,
-    which proves the root unique (see the module docstring).  A bracket end
-    where P evaluates to 0 is returned as the root, after
-    ``_prove_endpoint_root``.  Deterministic for identical inputs.
+    Raises ``ValueError`` for more than four coefficients, leading zeros
+    included; ``BracketError`` unless the ends have strictly opposite signs;
+    and ``NonUniqueRootError`` unless ``lo >= 0`` and
+    ``sign_changes(coeffs) <= 2``, which proves the root unique (see the module
+    docstring).  A bracket end where P evaluates to 0 is returned as the root,
+    after ``_prove_endpoint_root``.  Deterministic for identical inputs.
     """
     coeffs = tuple(float(c) for c in coeffs)
-    coeffs = (0.0,) * (4 - len(coeffs)) + coeffs  # up to degree 3, the cubic loop
+    if len(coeffs) > 4:
+        raise ValueError(f"at most a cubic is solved, got degree {len(coeffs) - 1}")
+    a, b, c, d = coeffs = (0.0,) * (4 - len(coeffs)) + coeffs
+    # polyval on coeffs and on polyder(coeffs), each leading 0.0 * x included
+    p, dp = (lambda x: (((0.0 * x + a) * x + b) * x + c) * x + d,
+             lambda x: ((0.0 * x + a * 3) * x + b * 2) * x + c)
     lo, hi = bracket.lo, bracket.hi
-    p, dp = _horner(coeffs)
     flo, fhi = p(lo), p(hi)
     if flo != 0.0 and fhi != 0.0 and (flo > 0.0) == (fhi > 0.0):
         raise BracketError(
@@ -134,38 +129,23 @@ def bisect_unique_root(coeffs: Sequence[float], bracket: Bracket) -> CertifiedRo
         _prove_endpoint_root(coeffs, hi, lo)
         return CertifiedRoot(hi, 0.0, Bracket(max(lo, _offset(hi, -WIDTH_TOL)), hi), 0)
 
-    # The cubic loop, and polyval's above degree 3.  A step needs hi - lo >
-    # WIDTH_TOL and lo < mid < hi (no end is ever NaN), so 0 < mid < inf: the
-    # cubic starts at a, polyval's 0.0 * mid + a up to the sign of a zero, and
-    # a leading 0.0 * mid + 0.0 is 0.0, so padding keeps polyval's value.
+    # A step needs hi - lo > WIDTH_TOL and lo < mid < hi (no end is ever NaN),
+    # so 0 < mid < inf: the loop starts at a, polyval's 0.0 * mid + a up to the
+    # sign of a zero, and a leading 0.0 * mid + 0.0 is 0.0, so padding keeps
+    # polyval's value.
     iterations, positive, fmid = 0, flo > 0.0, flo
-    if len(coeffs) == 4:
-        a, b, c, d = coeffs
-        for _ in range(MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if not (hi - lo > WIDTH_TOL and lo < mid < hi):
-                break  # narrow enough, or no longer splittable at this magnitude
-            fmid = ((a * mid + b) * mid + c) * mid + d
-            iterations += 1
-            if fmid == 0.0:
-                break
-            if (fmid > 0.0) == positive:
-                lo, flo = mid, fmid
-            else:
-                hi, fhi = mid, fmid
-    else:
-        for _ in range(MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if not (hi - lo > WIDTH_TOL and lo < mid < hi):
-                break
-            fmid = polyval(coeffs, mid)
-            iterations += 1
-            if fmid == 0.0:
-                break
-            if (fmid > 0.0) == positive:
-                lo, flo = mid, fmid
-            else:
-                hi, fhi = mid, fmid
+    for _ in range(MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if not (hi - lo > WIDTH_TOL and lo < mid < hi):
+            break  # narrow enough, or no longer splittable at this magnitude
+        fmid = ((a * mid + b) * mid + c) * mid + d
+        iterations += 1
+        if fmid == 0.0:
+            break
+        if (fmid > 0.0) == positive:
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
     if fmid == 0.0:
         lo = max(lo, _offset(mid, -0.5 * WIDTH_TOL))
         hi = min(hi, _offset(mid, 0.5 * WIDTH_TOL))

@@ -98,6 +98,16 @@ class TestBisectUniqueRoot:
             assert (root.value, root.residual, root.iterations) == (end, 0.0, 0)
             assert {root.bracket.lo, root.bracket.hi} == {end, math.nextafter(end, other)}
 
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 0.0, 0.0, 0.0, -0.5),       # a quartic
+        (0.0, 1.0, 0.0, 0.0, -0.5),       # a cubic behind a leading zero
+        (0.0, 0.0, 0.0, 0.0, 2.0, -1.0),  # a line behind four leading zeros
+    ])
+    def test_above_a_cubic_rejected(self, coeffs):
+        with pytest.raises(ValueError) as err:
+            bisect_unique_root(coeffs, Bracket(0.0, 1.0))
+        assert str(err.value) == f"at most a cubic is solved, got degree {len(coeffs) - 1}"
+
     def test_deterministic(self):
         poly = (1.0, 1.0, 3.0, -1.0)
         a = bisect_unique_root(poly, Bracket(0.0, 1.0 / 3.0))
@@ -133,21 +143,28 @@ def scalar_outcome(coeffs, hi, lo=0.0, solve=bisect_unique_root):
         return type(exc), str(exc)
 
 
+def reference(coeffs):
+    """The scalar solver up to a cubic, and the oracle above it, which the
+    scalar solver refuses."""
+    return bisect_unique_root if len(coeffs) <= 4 else bisect_unique_root_oracle
+
+
 class TestScalarHorner:
     """The scalar loop's unrolled cubic, which lower degrees join padded with
-    leading zeros, and ``polyval`` above degree 3, pinned against ``polyval`` in
-    a one-cell grid and in the scalar loop itself: two more leading zeros move
-    a line onto the cubic and a quadratic or a cubic onto polyval, with the
-    same operations on bracket points >= 0."""
+    leading zeros, pinned against ``polyval``'s operations: the oracle on the
+    coefficients with two more leading zeros evaluates P with ``polyval``
+    itself, and must give the scalar certificate bit for bit.  A one-cell grid
+    matches the scalar loop up to a cubic and the oracle above it."""
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
-    def test_one_cell_grid_and_generic_path_match(self, degree):
+    def test_one_cell_grid_and_polyval_oracle_match(self, degree):
         solved = 0
         for coeffs, hi in one_root_polys(degree, 23):
-            root = scalar_outcome(coeffs, hi)
-            assert scalar_outcome((0.0, 0.0) + coeffs, hi) == root
+            root = scalar_outcome(coeffs, hi, solve=reference(coeffs))
+            padded = scalar_outcome((0.0, 0.0) + coeffs, hi, solve=bisect_unique_root_oracle)
+            assert repr(padded) == repr(root)
             grid = bisect_grid(tuple(np.array([c]) for c in coeffs), 0.0, hi)
-            assert_grid_cell_matches_scalar(grid, 0, coeffs, 0.0, hi)
+            assert_grid_cell_matches_scalar(grid, 0, coeffs, 0.0, hi, reference(coeffs))
             solved += isinstance(root, CertifiedRoot) and root.iterations > 0 and grid.ok[0]
         assert solved >= 6
 
@@ -159,13 +176,14 @@ class TestScalarHorner:
         for _ in range(20):
             head, mid = (1.0, *rng.uniform(0.1, 3.0, degree - 1)), 5.0 / 16.0
             coeffs = head + (-polyval(head, mid) * mid,)
-            root = bisect_unique_root(coeffs, Bracket(0.0, 1.0))
+            root = reference(coeffs)(coeffs, Bracket(0.0, 1.0))
             # mids 1/2, 1/4, 3/8, then 5/16, where the bracket closes about it
             assert root.iterations == 4 and root.value == mid
             assert root.bracket.lo < mid < root.bracket.hi
-            assert scalar_outcome((0.0, 0.0) + coeffs, 1.0) == root
+            padded = scalar_outcome((0.0, 0.0) + coeffs, 1.0, solve=bisect_unique_root_oracle)
+            assert repr(padded) == repr(root)
             grid = bisect_grid(tuple(np.array([c]) for c in coeffs), 0.0, 1.0)
-            assert_grid_cell_matches_scalar(grid, 0, coeffs, 0.0, 1.0)
+            assert_grid_cell_matches_scalar(grid, 0, coeffs, 0.0, 1.0, reference(coeffs))
 
 
 class TestSignChanges:
@@ -185,12 +203,12 @@ class TestSignChanges:
         assert sign_changes(coeffs).tolist() == [1, 1, 0, 0]
 
 
-def assert_grid_cell_matches_scalar(grid, k, coeffs, lo, hi):
-    """A finished cell equals the scalar certificate; an unfinished one is a
-    cell where the scalar path raises or returns a bracket end.  A cell that
+def assert_grid_cell_matches_scalar(grid, k, coeffs, lo, hi, solve=bisect_unique_root):
+    """A finished cell equals the scalar certificate of ``solve``; an unfinished
+    one is a cell where ``solve`` raises or returns a bracket end.  A cell that
     fails the residual gate holds the value and residual the scalar error names."""
     try:
-        root = bisect_unique_root(coeffs, Bracket(lo, hi))
+        root = solve(coeffs, Bracket(lo, hi))
     except ResidualError as exc:
         assert not grid.ok[k]
         value, residual = float(grid.value[k]), float(grid.residual[k])
@@ -352,9 +370,9 @@ def root_cases(draw):
 
 
 class TestAgainstOracle:
-    """The scalar loop and the grid against ``support.bisect_unique_root_oracle``,
-    one bisection loop for every degree that evaluates P with ``polyval``'s
-    operations."""
+    """The scalar loop, up to a cubic, and the grid, up to a quartic, against
+    ``support.bisect_unique_root_oracle``, one bisection loop for every degree
+    that evaluates P with ``polyval``'s operations."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(root_cases(), min_size=1, max_size=8))
@@ -378,15 +396,17 @@ class TestAgainstOracle:
               ((1.0, 0.0, -1.0), 0.0, 1.0), ((-0.0, -0.0, 1.0, -0.3), 0.0, 1.0)])
     def test_scalar_and_grid_match_the_oracle(self, cases):
         for coeffs, lo, hi in cases:
-            # a certificate's repr shows every bit of its floats
-            assert (repr(scalar_outcome(coeffs, hi, lo))
-                    == repr(scalar_outcome(coeffs, hi, lo, bisect_unique_root_oracle)))
+            # a certificate's repr shows every bit of its floats; quartics
+            # are left to the grid
+            if len(coeffs) <= 4:
+                assert (repr(scalar_outcome(coeffs, hi, lo))
+                        == repr(scalar_outcome(coeffs, hi, lo, bisect_unique_root_oracle)))
             grid = bisect_grid(tuple(np.array([c]) for c in coeffs), lo, hi)
-            assert_grid_cell_matches_scalar(grid, 0, coeffs, lo, hi)
+            assert_grid_cell_matches_scalar(grid, 0, coeffs, lo, hi, reference(coeffs))
         for size in {len(c) for c, _, _ in cases}:
             group = [case for case in cases if len(case[0]) == size]
             grid = bisect_grid(tuple(np.array([c[i] for c, _, _ in group]) for i in range(size)),
                                np.array([lo for _, lo, _ in group]),
                                np.array([hi for _, _, hi in group]))
             for k, (coeffs, lo, hi) in enumerate(group):
-                assert_grid_cell_matches_scalar(grid, k, coeffs, lo, hi)
+                assert_grid_cell_matches_scalar(grid, k, coeffs, lo, hi, reference(coeffs))
