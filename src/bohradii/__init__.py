@@ -47,11 +47,9 @@ from .functionals import (
     sharpness_fn,
 )
 from .radii import (
-    CrosscheckReport,
     RadiusCertificate,
     Theorem,
     WeightPair,
-    closed_form_crosscheck,
     lemma24_roots,
     radius,
     radius_t31,

@@ -25,6 +25,7 @@ series and area head from one set of coefficients.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, fields
@@ -612,21 +613,11 @@ def area_sum_and_tail(f: AnalyticFunction, r: float) -> tuple[float, float]:
 
 def _area_size(r: float) -> tuple[int, float]:
     """The area head's term count m and its tail T(m) = sum_{k>m} k x^k, x = r^2, which
-    bounds it as |c_k| <= 1 for a self-map: the least m with T(m) below the tail target,
-    or _MAX_TERMS.  T(m) >= x^(m+1) p/(1 - x)^2 while p <= (m + 1) - m x, which grows with
-    m: two passes of that log bound from p = 1 land at or just below m, and steps finish."""
+    bounds it as |c_k| <= 1 for a self-map: T decreases, so bisection finds the least m
+    with T(m) below the tail target, or _MAX_TERMS."""
     x = r * r
     tail = lambda m: x ** (m + 1) * ((m + 1) - m * x) / (1.0 - x) ** 2  # noqa: E731
-    m = 0
-    if tail(0) >= _TAIL_TARGET:
-        room = math.log(_TAIL_TARGET) + 2.0 * math.log1p(-x)
-        for _ in range(2):
-            m = max(m, math.ceil((room - math.log((m + 1) - m * x)) / math.log(x)) - 1)
-            m = min(m, _MAX_TERMS)
-        while m < _MAX_TERMS and tail(m) >= _TAIL_TARGET:
-            m += 1
-        while m and tail(m - 1) < _TAIL_TARGET:
-            m -= 1
+    m = bisect.bisect_left(range(_MAX_TERMS), True, key=lambda m: tail(m) < _TAIL_TARGET)
     return m, tail(m)
 
 

@@ -3,7 +3,7 @@
 Each family is described once: ``_closed_form`` holds its closed-form regimes
 and ``_branch`` its root branch (which polynomials to certify on [0, top],
 which root is the radius), certified by bisection on an analytically
-justified bracket; printed closed forms are evaluated only as cross-checks.
+justified bracket; the printed radicals are not evaluated (the tests check t35's).
 Both run on two root finders: ``radius`` and ``lemma24_roots`` solve one
 weight pair with ``bisect_unique_root``, ``radius_grid`` and ``_lemma24_grid`` (for
 ``lemma24_campaign``) arrays in one lockstep ``bisect_grid`` pass with the same checks
@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotApplicableError
+from .errors import DomainError
 from .rootfind import (
     Bracket,
     CertifiedRoot,
@@ -370,65 +370,3 @@ def _lemma24_grid(alpha, beta) -> tuple[RootGrid, RootGrid]:
     """``lemma24_roots`` on arrays, unchecked, in one lockstep pass: RootGrids (r1*, r2*)."""
     return _branch(Theorem.T34, _Weights(alpha, beta),
                    lambda poly, top: bisect_grid(poly, 0.0, top), _where)[2]
-
-
-# -- closed-form cross-checks --------------------------------------------------
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    """Closed-form radical value vs certified numeric root; reporting only."""
-
-    theorem: Theorem
-    closed: float
-    numeric: float
-    gap: float
-    note: str = ""
-
-
-def closed_form_crosscheck(theorem: Theorem, w: WeightPair) -> CrosscheckReport:
-    """Evaluate the printed radical expression against the certified root.
-
-    Never raises on a mismatch: the certified bisection root is ground truth
-    and the report simply records the gap.
-    """
-    if theorem is Theorem.T35:
-        w.require(Theorem.T35)
-        if w.beta < t35_threshold(w.alpha):
-            raise NotApplicableError("t35 constant branch active; no cubic to check")
-        numeric = radius_t35(w).value
-        a, b = w.alpha, w.beta
-        u = (8.0 * a + 18.0 * b) / (27.0 * a)
-        # Inner denominator is 3*a**3: the Cardano discriminant of the monic
-        # cubic is (q/2)^2 + (p/3)^3 = 4*b*(8a^2 - 13ab + 16b^2)/(27a^3).
-        inner = b * (8.0 * a * a - 13.0 * a * b + 16.0 * b * b) / (3.0 * a ** 3)
-        v = (2.0 / 3.0) * math.sqrt(inner)
-        closed = -1.0 / 3.0 + _cbrt(u + v) + _cbrt(u - v)
-        return CrosscheckReport(theorem, closed, numeric, abs(closed - numeric))
-
-    if theorem is Theorem.T33:
-        numeric = radius_t33(w).components[1].value  # r3*, the cubic's root
-        a, b = w.alpha, w.beta
-        A = (
-            54.0 * a ** 3 + 16.0 * b ** 3 + 216.0 * a * a * b - 144.0 * a * b * b
-            - 236.0 * a * a + 192.0 * b * b - 288.0 * a * b + 336.0 * b + 304.0
-        )
-        B = -9.0 * a * a - 4.0 * b * b + 24.0 * a * b + 24.0 * a - 32.0 * b - 4.0
-        inner = (A * A + 4.0 * B ** 3) / (4.0 * (4.0 - 2.0 * a) ** 3)
-        if inner < 0.0:
-            return CrosscheckReport(
-                theorem, math.nan, numeric, math.inf,
-                "radical inapplicable: negative discriminant argument",
-            )
-        s = math.sqrt(inner) / 27.0
-        closed = (
-            _cbrt(-0.5 * A + s) + _cbrt(-0.5 * A - s)
-            - (2.0 + 2.0 * b - 3.0 * a) / (3.0 * (4.0 - 2.0 * a))
-        )
-        note = "" if abs(closed - numeric) <= 1e-9 else "mismatch; numeric root is ground truth"
-        return CrosscheckReport(theorem, closed, numeric, abs(closed - numeric), note)
-
-    raise NotApplicableError(f"no printed radical to cross-check for {theorem.value}")

@@ -13,8 +13,10 @@ series, expanded in exact rational form and divided out, is independent of
 both engines.  ``cauchy_terms_accumulate`` restates the library's term-count
 rule (with its term cap and tail target) around the in-place accumulate of logs
 that the library once took on few columns: a bit reference for its log total.
-``bohr_lhs_queries`` makes seeded single-point queries and ``bohr_lhs_digest``
-hashes their breakdowns, so a pin of ``bohr_lhs`` never moves with the benchmark.
+``t35_printed_radius`` is the paper's printed t35 radical, a closed-form
+reference for the certified root.  ``bohr_lhs_queries`` makes seeded
+single-point queries and ``bohr_lhs_digest`` hashes their breakdowns, so a pin
+of ``bohr_lhs`` never moves with the benchmark.
 """
 
 from __future__ import annotations
@@ -165,6 +167,18 @@ def bisect_oracle(coeffs, lo, hi, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def t35_printed_radius(alpha: float, beta: float) -> float:
+    """The paper's printed t35 radical (Cardano on the area cubic), for the cubic
+    regime beta >= 8 alpha / 9: an independent reference for the certified root."""
+    u = (8.0 * alpha + 18.0 * beta) / (27.0 * alpha)
+    # Inner denominator is 3*a**3: the Cardano discriminant of the monic
+    # cubic is (q/2)^2 + (p/3)^3 = 4*b*(8a^2 - 13ab + 16b^2)/(27a^3).
+    v = (2.0 / 3.0) * math.sqrt(beta * (8.0 * alpha * alpha - 13.0 * alpha * beta
+                                        + 16.0 * beta * beta) / (3.0 * alpha ** 3))
+    cbrt = lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x)  # noqa: E731
+    return -1.0 / 3.0 + cbrt(u + v) + cbrt(u - v)
 
 
 def cauchy_coeffs(evaluate_fn, z0: complex, n: int, radius: float, samples: int = 1024):

@@ -1,5 +1,5 @@
-import bisect
 import cmath
+import hashlib
 import math
 from functools import lru_cache
 
@@ -797,15 +797,23 @@ class TestAreaSum:
             area_sum_and_tail(Moebius(0.5), 1.0)
 
     def test_area_size_is_the_least_qualifying_m(self):
-        # the closed form against bisection over range(_MAX_TERMS) on the same tail, over a
-        # dense grid of r and toward both ends (m = 0 for tiny r, _MAX_TERMS as r -> 1)
-        grid = np.concatenate([np.linspace(0.0, 1.0, 20001)[1:-1], np.geomspace(1e-300, 1e-2, 200),
-                               1.0 - np.geomspace(2.0 ** -53, 1e-2, 200)])
-        for r in grid.tolist():
+        # over a dense grid of r and toward both ends (m = 0 for tiny r, _MAX_TERMS as
+        # r -> 1), built in Python floats so no numpy kernel sets its bits: each m is the
+        # least with its tail below the target, next to m - 1, and the (m, tail) pairs hash
+        # to the digest recorded from an independent search (a log bound, then steps)
+        grid = ([k / 20000 for k in range(1, 20000)]
+                + [10.0 ** (-300.0 + 298.0 * k / 199) for k in range(200)]
+                + [1.0 - 2.0 ** (-53.0 + 47.0 * k / 199) for k in range(200)])
+        digest = hashlib.sha256()
+        for r in grid:
             x = r * r
             tail = lambda m: x ** (m + 1) * ((m + 1) - m * x) / (1.0 - x) ** 2  # noqa: E731
-            m = bisect.bisect_left(range(_MAX_TERMS), True, key=lambda m: tail(m) < _TAIL_TARGET)
-            assert _area_size(r) == (m, tail(m)), r
+            m, t = _area_size(r)
+            assert t == tail(m) and (t < _TAIL_TARGET or m == _MAX_TERMS), r
+            assert m == 0 or tail(m - 1) >= _TAIL_TARGET, r
+            digest.update(f"{m} {t.hex()}\n".encode())
+        assert digest.hexdigest() == (
+            "9117d109da6a6910cbdc08512584e208278910d101ba33e68df9f54fd071d215")
 
 
 class TestCertifyBounded:

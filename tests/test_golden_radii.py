@@ -3,12 +3,11 @@
 ``golden_cli.txt`` prints a certificate's value, regime, residual and bracket.
 ``golden_radii.txt`` holds the ``repr`` of the whole object: the components
 and each component's bisection count too.  It covers ``radius`` at the CLI's
-weight pairs and at the regime edges, ``lemma24_roots`` at the t34 pairs and
-``closed_form_crosscheck`` for t33 and t35.  A call that raises records the
-exception's ``repr``.  Its last two lines are sha256 digests over the
-``repr``s of ``radius``, and over ``radius_grid``'s arrays, on a log-spaced
-(alpha, beta) grid from 1e-300 to 1e300 for every family, extreme weights
-included.  Rewrite it only for a deliberate output
+weight pairs and at the regime edges, and ``lemma24_roots`` at the t34 pairs.
+A call that raises records the exception's ``repr``.  Its last two lines are
+sha256 digests over the ``repr``s of ``radius``, and over ``radius_grid``'s
+arrays, on a log-spaced (alpha, beta) grid from 1e-300 to 1e300 for every
+family, extreme weights included.  Rewrite it only for a deliberate output
 change:
 
     PYTHONPATH=src python tests/test_golden_radii.py
@@ -24,7 +23,6 @@ import numpy as np
 from bohradii.radii import (
     Theorem,
     WeightPair,
-    closed_form_crosscheck,
     lemma24_roots,
     radius,
     radius_grid,
@@ -84,11 +82,6 @@ def transcript() -> str:
     for alpha, beta in RADIUS_WEIGHTS["t34"]:
         lines.append(_line(f"lemma24_roots {alpha!r} {beta!r}",
                            lambda: lemma24_roots(WeightPair(alpha, beta))))
-    for name, alpha, beta in cli_pairs + EDGE_WEIGHTS:
-        if name in ("t33", "t35"):
-            theorem = Theorem(name)
-            lines.append(_line(f"closed_form_crosscheck {name} {alpha!r} {beta!r}",
-                               lambda: closed_form_crosscheck(theorem, WeightPair(alpha, beta))))
     return "\n".join(lines) + "\n"
 
 

@@ -10,13 +10,11 @@ from bohradii.errors import (
     BracketError,
     DomainError,
     NonUniqueRootError,
-    NotApplicableError,
     ResidualError,
 )
 from bohradii.radii import (
     Theorem,
     WeightPair,
-    closed_form_crosscheck,
     eq21_poly,
     eq22_poly,
     lemma24_roots,
@@ -37,7 +35,7 @@ from bohradii.radii import (
 )
 from bohradii.rootfind import sign_changes
 
-from support import bisect_oracle, polyval
+from support import bisect_oracle, polyval, t35_printed_radius
 
 
 class TestWeightPair:
@@ -173,6 +171,7 @@ class TestRadiusT33:
         assert cert.value == pytest.approx(expected, abs=1e-10)
         r1, r3 = cert.components
         assert r1.value == pytest.approx(r3.value, abs=1e-10)
+        assert r3.value == pytest.approx(expected, abs=1e-10)  # the cubic's root r3*
 
     @pytest.mark.parametrize("alpha,beta", [(0.5, 2.0), (1.0, 2.0)])
     def test_min_of_both_roots(self, alpha, beta):
@@ -333,27 +332,24 @@ class TestBothBranchesAtBoundary:
             assert abs(cubic - 1.0 / (2.0 * alpha + 1.0)) <= 1e-8
 
 
-class TestClosedFormCrosscheck:
-    def test_area_family_matches(self):
-        for alpha, beta in [(1.0, 1.0), (0.5, 0.9)]:
-            report = closed_form_crosscheck(Theorem.T35, WeightPair(alpha, beta))
-            assert report.gap <= 1e-9
+class TestPrintedT35Radical:
+    """The paper's printed t35 radical (``support.t35_printed_radius``) against the
+    certified root, at pinned pairs, on the threshold and on seeded cubic-regime pairs."""
 
-    def test_area_family_threshold_case(self):
-        report = closed_form_crosscheck(Theorem.T35, WeightPair(1.0, 8.0 / 9.0))
-        assert report.gap <= 1e-9
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.5, 0.9), (1.0, 8.0 / 9.0)])
+    def test_pinned_pairs(self, alpha, beta):
+        cert = radius_t35(WeightPair(alpha, beta))
+        assert abs(t35_printed_radius(alpha, beta) - cert.value) <= 1e-9
 
-    def test_derivative_family_mismatch_is_reported_not_raised(self):
-        report = closed_form_crosscheck(Theorem.T33, WeightPair(1.0, 1.0))
-        assert report.numeric == pytest.approx((math.sqrt(17.0) - 3.0) / 4.0, abs=1e-10)
-        assert report.gap > 1e-3
-        assert report.note
-
-    def test_not_applicable_paths(self):
-        with pytest.raises(NotApplicableError):
-            closed_form_crosscheck(Theorem.T35, WeightPair(1.0, 0.1))
-        with pytest.raises(NotApplicableError):
-            closed_form_crosscheck(Theorem.T31, WeightPair(1.0, 1.0))
+    def test_seeded_cubic_regime(self):
+        # alpha log-uniform in [0.01, 1], beta from 8 alpha / 9 up by as much as 1e6
+        rng = np.random.default_rng(35)
+        alphas = 10.0 ** rng.uniform(-2.0, 0.0, 2000)
+        betas = t35_threshold(alphas) * 10.0 ** rng.uniform(0.0, 6.0, 2000)
+        for alpha, beta in zip(alphas.tolist(), betas.tolist()):
+            cert = radius_t35(WeightPair(alpha, beta))
+            assert cert.regime == "cubic", (alpha, beta)
+            assert abs(t35_printed_radius(alpha, beta) - cert.value) <= 1e-9, (alpha, beta)
 
 
 FAMILY_POLYS = {
