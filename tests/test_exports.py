@@ -35,4 +35,3 @@ EXPORTS = [
 
 def test_exported_names():
     assert sorted(bohradii.__all__) == sorted(EXPORTS)
-
