@@ -13,9 +13,10 @@ One evaluator body written with plain operators serves a single point
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
 center or many, the area sum) has two engines.  Pipelined recurrences
 (``_pipelined_product``) stream the truncated product of ``_factor_forms``'
-closed forms c0 + lead*u/(1 - t*u) for several centers (``_many_center_sums``,
-whose quotients c0 also give |f| there), for many products at center 0 and for
-``recenter``'s raw coefficients.  One function at one center
+closed forms c0 + lead*u/(1 - t*u) for several centers (``_many_center_sums``;
+``_center_majorant`` gives it the forms and |f| there from their quotients c0,
+and Cauchy's majorant E(1) with its stated rounding), for many products at
+center 0 and for ``recenter``'s raw coefficients.  One function at one center
 is sampled on the circle |z - z0| = r, and one FFT gives its c_j r^j
 (``_one_center_sums``: Cauchy's integral by the trapezoidal rule).  Both take
 each term count and tail from Cauchy's estimate on the envelope of the factor
@@ -271,16 +272,59 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
     return values, slack, area, _gamma(9 * m + 10 * degree + 6) * e1 * e1 * slope
 
 
+def _center_majorant(f: BlaschkeProduct, centers: np.ndarray, rho: float):
+    """(forms, |f|, E(1), mu, eps) at each of the 1-d ``centers`` (a row per ``_stack``
+    member), from one ``_factor_forms`` call: forms = (c0, lead, t, sums); the quotients c0
+    are ``_value``'s, so |scale prod c0|, multiplied in its order, is
+    ``np.abs(evaluate_grid(f, centers))`` bit for bit; E(1) = scale prod sums is
+    ``_streamed_sums``' e1.  By Cauchy's majorant (a product's coefficients are bounded by the
+    Cauchy product of its factors' absolute coefficients) sum_(k>=0) |c_k(z0)| rho^k <= E(1),
+    and |c_0| = |f(z0)|, so sum_(k>=1) |c_k(z0)| rho^k <= E(1) - |f(z0)|.
+
+    Roundoff (Higham, ch. 3; u = 2^-53; complex sums within u, products within sqrt 2 gamma_2,
+    numpy's Smith quotients within sqrt 2 gamma_8, moduli within gamma_2), per factor zeta with
+    x = |zeta| max |z0|, y = |zeta| rho, |D| >= 1 - x:
+    - D = 1 - conj(zeta) z0 is within theta = u + gamma_4 x/(1 - x) relatively, so c0 and
+      the sums' |zeta - z0|/|D| are within g + 2 theta, g = gamma_16, of the exact
+      |zeta - z0|/|D|, and t and |zeta| rho/|D| within g + 2 theta of q = y/|D|;
+    - 1 - |zeta|^2 is within g (1 + a), a = |zeta|^2/(1 - |zeta|^2); 1 - |t| and
+      |D| - |zeta| rho, both differences over |D|, within (g + 2 theta)(1 + 2b),
+      b = y/(1 - x - y) >= q/(1 - q); dividing by a quantity within x <= 1/2 errs by at
+      most 2x, so the series term (1 - |zeta|^2) rho/(|D| (|D| - |zeta| rho)), computed or
+      as |lead|/(1 - |t|) of the computed forms, is within g (1 + a) + 6 theta
+      + 2 (g + 2 theta)(1 + 2b);
+    - so each factor sum, as computed and as its computed forms give it, is within
+      eta = (g + 4 theta)(4 + a + 4b) of the exact one, and (while eta <= 1/3) at most
+      1 + 3 eta times the computed one; the k products of E(1) add gamma_k.
+    So E(1), exact and on the computed forms, is at most 1 + eps times the computed E(1),
+    eps = exp(3 sum eta)/(1 - gamma_k) - 1, and |f| is within mu = exp(sum (g + 2 theta))
+    (1 + gamma_(3k+2)) - 1 of both the exact |f(z0)| and |scale prod c0| (k products and a
+    modulus), underflow aside; both are infinite unless both are at most 1/2.  These
+    closed forms are evaluated in floating point and taken as exact.  DomainError where a
+    factor series diverges at ``rho``."""
+    forms = _factor_forms(f, centers, rho, rho)
+    value = f.scale + np.zeros(forms[0].shape[1:], dtype=complex)  # scale + 0j, as _value starts
+    for quotient in forms[0]:
+        value *= quotient
+    zeros = np.array(f.zeros, dtype=complex)[:, None]  # the axes of the forms, one center
+    mods, k, g = np.abs(zeros), len(zeros), _gamma(16)
+    x, y = mods * float(np.abs(centers).max(initial=0.0)), mods * rho
+    with np.errstate(all="ignore"):  # a factor too close to diverge: inf, so eps and mu are inf
+        theta = 2.0 ** -53 + _gamma(4) * x / (1.0 - x)
+        b = np.where(x + y < 1.0, y / (1.0 - x - y), np.inf)
+        eta = (g + 4.0 * theta) * (4.0 + mods * mods / (1.0 - mods * mods) + 4.0 * b)
+        eps = np.exp(3.0 * eta.sum(axis=0)) / (1.0 - _gamma(k)) - 1.0
+        mu = np.expm1((g + 2.0 * theta).sum(axis=0) + math.log1p(_gamma(3 * k + 2)))
+        ok = (eps <= 0.5) & (mu <= 0.5)  # so every eta is below 1/3
+    return (forms, np.abs(value), f.scale * forms[3].prod(axis=0),
+            np.where(ok, mu, np.inf), np.where(ok, eps, np.inf))
+
+
 def _many_center_sums(f: BlaschkeProduct, centers: np.ndarray, rho: float):
     """(|f|, sum_{k>=1} |c_k(z0)| rho^k, its slack) at each of the 1-d ``centers`` (a
-    row per ``_stack`` member), from one set of ``_factor_forms``: the factor quotients c0
-    are ``_value``'s, so |scale prod c0|, multiplied in its order, is
-    ``np.abs(evaluate_grid(f, centers))`` bit for bit; the sums are one stream."""
-    c0, lead, t, sums = _factor_forms(f, centers, rho, rho)
-    value = f.scale + np.zeros(c0.shape[1:], dtype=complex)  # scale + 0j, as ``_value`` starts
-    for quotient in c0:
-        value *= quotient
-    value = np.abs(value)  # before the stream, which holds its own buffers
+    row per ``_stack`` member): |f| and the forms from ``_center_majorant``, the sums
+    from one stream."""
+    (c0, lead, t, sums), value, *_ = _center_majorant(f, centers, rho)
     return (value, *_streamed_sums(f.scale, c0, lead, t, sums, len(c0), 1)[:2])
 
 

@@ -20,9 +20,12 @@ from functools import cached_property
 import numpy as np
 
 from .analytic import (
+    _TINY,
     AnalyticFunction,
     BlaschkeProduct,
     Polynomial,
+    _center_majorant,
+    _gamma,
     _many_center_sums,
     _require_in_disk,
     _stack,
@@ -36,7 +39,10 @@ from .errors import DomainError, UncertifiedFunctionError
 from .radii import Theorem, WeightPair
 
 ENVELOPE_GRID = 512
-STACK_CELLS = 4096  # per stream step: (degree + 1) x columns, 1 per product (and angle: t33/t34)
+# cells per stream step: (degree + 1) x columns, 1 per product (and angle: t33/t34, whose
+# campaigns size their closed-form bounds' stacks by it too, and stream only the products
+# those leave unproven)
+STACK_CELLS = 4096
 A_CAP = 1.0 - 1e-9  # the a -> 1 boundary is removable; stay just inside
 _GOLDEN_TOL = 1e-12  # bracket width at which golden-section refinement stops
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -126,13 +132,15 @@ class _Corpus(tuple):
     their rows grouped by kind and shape (``groups``; each polynomial alone), the rows
     of its Blaschke products (``products``), their largest degree (``width``), their |f(0)|
     (``a0``, taken at the first call that reads it) and ``sums(part)``: ``_zero_center_sums``
-    of the members at the rows ``part``, unweighted and kept by (rows, r, start, area)."""
+    of the members at the rows ``part``, unweighted and kept by (rows, r, start, area).
+    ``rows(part)`` is the corpus of the members at ``part``, which are not certified again."""
 
-    def __new__(cls, fs):
+    def __new__(cls, fs, certified=False):
         corpus = super().__new__(cls, fs)
         corpus.groups, corpus.memo = {}, {}
         for i, f in enumerate(corpus):
-            _certify(f)
+            if not certified:
+                _certify(f)
             shape = i if isinstance(f, Polynomial) else len(getattr(f, "zeros", ()))
             corpus.groups.setdefault((type(f), shape), []).append(i)
         corpus.products = [i for i, f in enumerate(corpus) if isinstance(f, BlaschkeProduct)]
@@ -146,6 +154,9 @@ class _Corpus(tuple):
     def sums(self, part):  # computed at the first call for each (rows, r, start, area), then kept
         return lambda f, *key: self.memo.get((tuple(part), *key)) or self.memo.setdefault(
             (tuple(part), *key), _zero_center_sums(f, *key))
+
+    def rows(self, part):
+        return _Corpus([self[i] for i in part], certified=True)
 
 
 def bohr_lhs_theta_corpus(
@@ -208,6 +219,40 @@ def bohr_lhs_theta_corpus(
             totals[part] = modulus + constant + series + area
             slacks[part] = slack
     return totals, slacks
+
+
+def _recentred_bounds(fs: _Corpus, r: float, w: WeightPair, thetas: np.ndarray):
+    """t33/t34: (rows, X), the Blaschke rows of the prepared ``fs`` and, a row each, X at each
+    angle: at least the total minus the slack ``bohr_lhs_theta_corpus`` computes there and
+    the exact total, with the peak fl(fl(total - 1) - slack) at most X - 1; in closed form.
+
+    On stacks per degree, sized as the stream's, ``_center_majorant`` gives |f| = m and
+    E = E(1) at the points, with their rounding mu and eps, and B = alpha m + beta (E - m)
+    (Cauchy's majorant).  The stream's slack covers its tail and roundoff
+    (``_streamed_sums``), so its total minus its slack is at most alpha m + beta (E' - m'),
+    E' and m' those of the computed factor forms; the exact total is at most
+    alpha |f| + beta (E - |f|).  Both are at most B~ + (2 alpha + beta) mu m + beta eps E,
+    B~ = alpha m + beta (E - m) in exact arithmetic, which B's three roundings meet within
+    gamma_3 (alpha m + beta (E + m)).  The total fl(fl(alpha m) + fl(beta S)), the weighted
+    slack and the peak's two differences add at most gamma_6 (1 + alpha m + 4 beta E), as the
+    sum S and the slack are each at most 2E (eps <= 1/2); X's own sum adds u (alpha m + beta E),
+    and underflow at most (8k + 16) tiny (alpha + beta), k the degree.  So
+    X = B + (2 alpha + beta) mu m + beta eps E + gamma_10 (1 + 2 alpha m + beta (6E + m))
+    + (8k + 16) tiny (alpha + beta), its closed form taken as exact, as the stream's is."""
+    alpha, beta = w.alpha, w.beta
+    zs = r * np.exp(1j * np.asarray(thetas, dtype=float).ravel())
+    rows, bounds = [], []
+    for (kind, degree), group in fs.groups.items():
+        if kind is not BlaschkeProduct:
+            continue
+        for part in _parts(group, STACK_CELLS // ((degree + 1) * zs.size)):
+            _, m, e, mu, eps = _center_majorant(_stack([fs[i] for i in part]), zs, r)
+            x = alpha * m + beta * (e - m)
+            x += (2.0 * alpha + beta) * mu * m + beta * eps * e + (8 * degree + 16) * _TINY * (
+                alpha + beta) + _gamma(10) * (1.0 + 2.0 * alpha * m + beta * (6.0 * e + m))
+            rows += part
+            bounds.append(x[0])
+    return rows, np.concatenate(bounds or [np.empty((0, zs.size))])
 
 
 def _parts(rows: list, size: int) -> list:

@@ -5,6 +5,9 @@ are derived per corpus member, so results do not depend on evaluation order.
 The below-radius campaign evaluates its corpus in stacks by shape, then reads
 the results in corpus order; its suite prepares the corpus once (certified, grouped
 by kind and shape, with |f(0)| and the sums at each radius) for all 150 campaigns.
+For t33/t34 it first bounds each Blaschke product in closed form (Cauchy's
+majorant plus its stated rounding) and streams the recentred series only of
+those whose bound does not clear the envelope's sup; the report is the same.
 A report's witnesses carry the full function record and angle, which makes
 every recorded left-hand-side value re-checkable bit-for-bit.
 """
@@ -26,7 +29,9 @@ from .analytic import (
 )
 from .errors import NotApplicableError, PreconditionError
 from .functionals import (
+    _RECENTERED,
     _Corpus,
+    _recentred_bounds,
     _refined_max,
     _sharpness,
     bohr_lhs,
@@ -125,8 +130,16 @@ def check_below_radius(
 ) -> VerificationReport:
     """Safety check at r = R - DEFAULT_EPSILON: every corpus LHS stays within
     1 + 1e-9 + slack over the theta grid, and the analytic envelope stays
-    within 1 + 1e-9.  ``functions`` is a list, or a corpus prepared once for
-    many campaigns (``run_below_suite``), which is not certified again."""
+    within 1 + 1e-9.  ``functions`` is a list, certified in order, or a corpus
+    prepared once for many campaigns (``run_below_suite``), which is not
+    certified again.
+
+    For t33/t34 a Blaschke member whose closed-form bound X (``_recentred_bounds``:
+    Cauchy's majorant plus its stated rounding) stays below the envelope's sup and
+    within 1 + 1e-9 at every angle is proven without streaming its recentred series:
+    each peak it could compute is at most X - 1, so it can neither raise the maximum
+    violation above sup - 1 nor record a witness, and the report is the one a
+    streamed member gives.  The other members go through ``bohr_lhs_theta_corpus``."""
     cert = radius(theorem, w)
     if not DEFAULT_EPSILON < cert.value:
         raise PreconditionError(
@@ -134,7 +147,17 @@ def check_below_radius(
         )
     r = cert.value - DEFAULT_EPSILON
     thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
-    totals, slacks = bohr_lhs_theta_corpus(theorem, functions, r, w, thetas)
+    corpus = functions if isinstance(functions, _Corpus) else _Corpus(functions)
+    env = envelope_sup(theorem, r, w)
+    proven = set()
+    if theorem in _RECENTERED:
+        products, bounds = _recentred_bounds(corpus, r, w, thetas)
+        top = bounds.max(axis=1, initial=-math.inf)
+        clear = (top < env.sup) & (top - 1.0 <= BELOW_RADIUS_TOL)
+        proven = {i for i, ok in zip(products, clear.tolist()) if ok}
+    rows = [i for i in range(len(corpus)) if i not in proven]
+    streamed = corpus.rows(rows) if proven else corpus
+    totals, slacks = bohr_lhs_theta_corpus(theorem, streamed, r, w, thetas)
     violations = totals - 1.0 - slacks
     worst = violations.argmax(axis=1)  # each member's first peak (or first NaN)
     peaks = violations[np.arange(len(worst)), worst].tolist()
@@ -144,10 +167,9 @@ def check_below_radius(
             theorem, w.alpha, w.beta, r, theta,
             function_to_record(f), _lhs_at(theorem, f, w, r, theta),
         )
-        for f, theta, peak in zip(functions, thetas[worst].tolist(), peaks)
+        for f, theta, peak in zip(streamed, thetas[worst].tolist(), peaks)
         if peak > BELOW_RADIUS_TOL
     ]
-    env = envelope_sup(theorem, r, w)
     max_violation = max(max_violation, env.sup - 1.0)
     passed = max_violation <= BELOW_RADIUS_TOL
     return VerificationReport(

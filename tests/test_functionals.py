@@ -1,7 +1,10 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bohradii import analytic, functionals
 from bohradii.analytic import (
@@ -28,7 +31,13 @@ from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.rootfind import Bracket, bisect_unique_root
 from bohradii.verify import DEFAULT_EPSILON, THETA_POINTS, below_radius_grid, default_corpus
 
-from support import bohr_lhs_digest, bohr_lhs_queries
+from support import (
+    blaschke_series_mp,
+    blaschke_sums_mp,
+    bohr_lhs_digest,
+    bohr_lhs_queries,
+    factor_forms_mp,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -379,6 +388,80 @@ class TestPreparedCorpus:
         bohr_lhs_theta_corpus(theorem, default_corpus(7), r, w, thetas)
         assert [type(f) for f in evaluated] == [Moebius]
         assert len(factored) == len(forms) == 10
+
+    def test_rows_are_prepared_without_certifying_again(self, monkeypatch):
+        prepared = functionals._Corpus(mixed_corpus())
+        seen, real = [], functionals.certify_bounded
+        monkeypatch.setattr(functionals, "certify_bounded", lambda f: seen.append(f) or real(f))
+        part = [1, 3, *prepared.products[5:9], len(prepared) - 1]
+        rows = prepared.rows(part)
+        assert list(rows) == [prepared[i] for i in part] and not seen
+        fresh = functionals._Corpus([prepared[i] for i in part])
+        assert rows.groups == fresh.groups and rows.products == fresh.products
+
+
+ZEROS_TO_095 = st.lists(st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)),
+                        max_size=6)
+
+
+# t33 takes beta >= alpha and t34 alpha in [4/5, 1], beta < alpha: the same left-hand side
+RECENTRED_WEIGHTS = st.one_of(
+    st.builds(lambda a, s: (Theorem.T33, WeightPair(a, a * s)), st.floats(0.01, 1.0),
+              st.floats(1.0, 4.0)),
+    st.builds(lambda a, s: (Theorem.T34, WeightPair(a, a * s)), st.floats(0.8, 1.0),
+              st.floats(0.05, 0.95)))
+
+
+def recentred_bound(f, r, w, thetas):
+    """``_recentred_bounds``' X of the one product ``f`` at each angle."""
+    rows, bounds = functionals._recentred_bounds(functionals._Corpus([f]), r, w, thetas)
+    assert rows == [0]
+    return bounds[0]
+
+
+class TestRecentredBound:
+    """Cauchy's majorant B = alpha |f| + beta (E(1) - |f|) plus its stated rounding bounds
+    the t33/t34 total: the streamed total minus its slack, and the exact total."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(f=st.builds(BlaschkeProduct, ZEROS_TO_095.map(tuple), st.floats(0.01, 1.0)),
+           r=st.floats(0.0, 0.5, exclude_max=True),
+           thetas=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=2, max_size=6),
+           family=RECENTRED_WEIGHTS)
+    # |zeta| r/(|D| - |zeta| r) = 19: the factor sums' worst conditioning here
+    @example(f=BlaschkeProduct((0.95,), 1.0), r=0.4999, thetas=[0.0, 1e-3],
+             family=(Theorem.T33, WeightPair(1.0, 4.0)))
+    def test_at_least_streamed_total_minus_slack(self, f, r, thetas, family):
+        theorem, w = family
+        bound = recentred_bound(f, r, w, thetas)
+        totals, slacks = bohr_lhs_theta_grid(theorem, f, r, w, np.array(thetas))
+        assert np.all(np.isfinite(bound))
+        assert np.all(bound >= totals - slacks)
+        # the peak a campaign folds, as the bound's docstring states
+        assert np.all(bound - 1.0 >= totals - 1.0 - slacks)
+
+    @pytest.mark.parametrize("f, r", [
+        (random_test_function(7 * 100003 + 5, 6), 0.28),
+        (BlaschkeProduct((0.95, -0.9j, 0.5 + 0.5j), 0.8), 0.45),
+        (BlaschkeProduct((0.3,), 1.0), 0.2),  # one factor: B is the exact total
+        # aligned zeros near the circle at r near 1/2: B rounds 1.5e-13 below the exact one
+        (BlaschkeProduct((0.95,) * 3, 1.0), 0.4999),
+    ])
+    def test_at_least_exact_total(self, f, r):
+        w = WeightPair(0.9, 1.3)
+        thetas = [0.0, 0.7, 2.5, 4.0]
+        bound = recentred_bound(f, r, w, thetas)
+        with mpmath.workdps(60):
+            for x, theta in zip(bound.tolist(), thetas):
+                z0 = r * np.exp(1j * np.array([theta]))[0]  # the campaign's point, bit for bit
+                (_, series), _ = blaschke_sums_mp(f, complex(z0), r, 1, 30)
+                _, mass = blaschke_series_mp(f, complex(z0), r, 0, moduli=True)
+                modulus = abs(mpmath.mpf(f.scale) * mpmath.fprod(
+                    c0 for c0, _, _ in factor_forms_mp(f, complex(z0), r)))
+                majorant = w.alpha * modulus + w.beta * (mass - modulus)
+                # the exact total is at most its upper bracket, which the majorant bounds
+                assert w.alpha * modulus + w.beta * series <= majorant * (1 + mpmath.mpf(10) ** -50)
+                assert x >= majorant
 
 
 class TestMajorant:

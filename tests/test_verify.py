@@ -5,16 +5,30 @@ import numpy as np
 import pytest
 
 from bohradii import functionals, radii, verify
-from bohradii.analytic import BlaschkeProduct, Moebius, Polynomial
+from bohradii.analytic import (
+    BlaschkeProduct,
+    Moebius,
+    Polynomial,
+    function_to_record,
+    random_test_function,
+)
 from bohradii.errors import (
     BracketError,
     NotApplicableError,
     PreconditionError,
     UncertifiedFunctionError,
 )
-from bohradii.functionals import bohr_lhs_theta_corpus, sharpness_fn
+from bohradii.functionals import (
+    bohr_lhs_theta_corpus,
+    bohr_lhs_theta_grid,
+    envelope_sup,
+    sharpness_fn,
+)
 from bohradii.radii import Theorem, WeightPair, radius, radius_t31
 from bohradii.verify import (
+    BELOW_RADIUS_TOL,
+    DEFAULT_EPSILON,
+    THETA_POINTS,
     below_radius_grid,
     check_below_radius,
     default_corpus,
@@ -27,6 +41,30 @@ from bohradii.verify import (
 )
 
 from support import lemma24_campaign_oracle
+
+
+def folded_below_report(theorem, w, functions, certified=radius):
+    """``check_below_radius``'s report, folded member by member from
+    ``bohr_lhs_theta_grid`` with every member streamed, at the radius that
+    ``certified`` gives minus DEFAULT_EPSILON."""
+    r = certified(theorem, w).value - DEFAULT_EPSILON
+    thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
+    max_violation, witnesses = -math.inf, []
+    for f in functions:
+        totals, slacks = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
+        violations = totals - 1.0 - slacks
+        worst = int(violations.argmax())
+        max_violation = max(max_violation, float(violations[worst]))
+        if violations[worst] > BELOW_RADIUS_TOL:
+            theta = float(thetas[worst])
+            witnesses.append(verify.Witness(theorem, w.alpha, w.beta, r, theta,
+                                            function_to_record(f),
+                                            verify._lhs_at(theorem, f, w, r, theta)))
+    max_violation = max(max_violation, envelope_sup(theorem, r, w).sup - 1.0)
+    return verify.VerificationReport(
+        "below", len(functions) * THETA_POINTS + 1, max_violation, tuple(witnesses),
+        max_violation <= BELOW_RADIUS_TOL,
+        label=f"theorem={theorem.value} alpha={w.alpha:g} beta={w.beta:g}")
 
 
 class TestCorpus:
@@ -77,6 +115,20 @@ class TestCheckBelowRadius:
         for wit in report.witnesses:
             assert recheck_witness(wit) == wit.lhs_value
 
+    def test_too_far_radius_streams_products_and_records_their_witnesses(self, monkeypatch):
+        # 0.15 beyond the t33 radius at (1, 4) products stream and exceed 1, and the
+        # report, witnesses included, is the one-by-one fold
+        def too_far(theorem, w):
+            cert = radius(theorem, w)
+            return dataclasses.replace(cert, value=cert.value + 0.15)
+
+        monkeypatch.setattr(verify, "radius", too_far)
+        w = below_radius_grid(Theorem.T33)[-1]
+        corpus = default_corpus(7, size=40)
+        report = check_below_radius(Theorem.T33, w, corpus)
+        assert any(wit.function["kind"] == "blaschke" for wit in report.witnesses)
+        assert report == folded_below_report(Theorem.T33, w, corpus, too_far)
+
     def test_constant_branch_cell(self):
         report = check_below_radius(
             Theorem.T35, WeightPair(0.9, 0.1), default_corpus(7, size=40)
@@ -94,6 +146,22 @@ class TestCheckBelowRadius:
         assert str(err.value) == (
             "function not certified as a disk self-map (sup estimate 1.802761165418194)"
         )
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_products_short_of_their_bound_are_streamed(self, prepared, monkeypatch):
+        # the degree-24 product's closed-form bound, 1.04, exceeds the envelope's sup of
+        # 1 - 1.7e-10: only it streams, and the report is the one-by-one fold
+        high = random_test_function(4, 24)
+        corpus = default_corpus(7, size=12) + [high]
+        theorem, w = Theorem.T34, below_radius_grid(Theorem.T34)[20]
+        streamed, real = [], functionals._many_center_sums
+        monkeypatch.setattr(functionals, "_many_center_sums",
+                            lambda f, *rest: streamed.append(f) or real(f, *rest))
+        functions = functionals._Corpus(corpus) if prepared else corpus
+        report = check_below_radius(theorem, w, functions)
+        assert streamed == [high]
+        assert report == folded_below_report(theorem, w, corpus)
+        assert report.passed and report.cells_checked == 13 * THETA_POINTS + 1
 
     def test_epsilon_gate(self):
         # the t32 radius at (1, 1e6) is 4.99999e-7, below the check's epsilon
@@ -269,6 +337,16 @@ class TestSuites:
         products = [f for f, z in seen if isinstance(f, BlaschkeProduct)]
         assert {z for _, z in seen} == {0.0}
         assert len(products) == len({id(f) for f in products}) == 100
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_below_suite_streams_no_recentred_series(self, seed, monkeypatch):
+        # Cauchy's majorant proves every t33/t34 product of the seeded corpora, so no
+        # campaign streams a recentred series
+        calls, real = [], functionals._many_center_sums
+        monkeypatch.setattr(functionals, "_many_center_sums",
+                            lambda *args: calls.append(args) or real(*args))
+        verify.run_below_suite(seed)
+        assert calls == []
 
     def test_below_campaigns_equal_list_calls_bit_for_bit(self, monkeypatch):
         # each campaign's corpus totals and slacks, on the corpus the suite shares,
