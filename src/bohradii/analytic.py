@@ -13,15 +13,16 @@ One evaluator body written with plain operators serves a single point
 Every Blaschke series quantity (recentred coefficients, absolute sums at one
 center or many, the area sum) has two engines.  Pipelined recurrences
 (``_pipelined_product``) stream the truncated product of ``_factor_forms``'
-closed forms c0 + lead*u/(1 - t*u) for several centers (``_many_center_sums``;
-``_center_majorant`` gives it the forms and |f| there from their quotients c0,
-and Cauchy's majorant E(1) with its stated rounding), for many products at
-center 0 and for ``recenter``'s raw coefficients.  One function at one center
-is sampled on the circle |z - z0| = r, and one FFT gives its c_j r^j
-(``_one_center_sums``: Cauchy's integral by the trapezoidal rule).  Both take
-each term count and tail from Cauchy's estimate on the envelope of the factor
-forms (``_cauchy_terms``' rule), state their roundoff bounds, and read the
-series and area head from one set of coefficients.
+closed forms c0 + lead*u/(1 - t*u) for several centers or a stack
+(``recentered_abs_sums_grid``), for many products at center 0 and for
+``recenter``'s raw coefficients.  One function at one center is sampled on the
+circle |z - z0| = r, and one FFT gives its c_j r^j (``_one_center_sums``:
+Cauchy's integral by the trapezoidal rule).  Both take each term count and tail
+from Cauchy's estimate on the envelope of the factor forms (``_cauchy_terms``'
+rule), state their roundoff bounds, and read the series and area head from one
+set of coefficients.  ``_center_majorant`` bounds the recentred sums at many
+centers in closed form from the same forms: Cauchy's majorant E(1), with |f|
+there and their stated rounding.
 """
 
 from __future__ import annotations
@@ -273,13 +274,13 @@ def _streamed_sums(scale, c0, lead, t, sums, degree, start: int, m: int = 0):
 
 
 def _center_majorant(f: BlaschkeProduct, centers: np.ndarray, rho: float):
-    """(forms, |f|, E(1), mu, eps) at each of the 1-d ``centers`` (a row per ``_stack``
-    member), from one ``_factor_forms`` call: forms = (c0, lead, t, sums); the quotients c0
-    are ``_value``'s, so |scale prod c0|, multiplied in its order, is
-    ``np.abs(evaluate_grid(f, centers))`` bit for bit; E(1) = scale prod sums is
-    ``_streamed_sums``' e1.  By Cauchy's majorant (a product's coefficients are bounded by the
-    Cauchy product of its factors' absolute coefficients) sum_(k>=0) |c_k(z0)| rho^k <= E(1),
-    and |c_0| = |f(z0)|, so sum_(k>=1) |c_k(z0)| rho^k <= E(1) - |f(z0)|.
+    """(|f|, E(1), mu, eps) at each of the 1-d ``centers`` (a row per ``_stack`` member),
+    from one ``_factor_forms`` call (c0, lead, t, sums): the quotients c0 are ``_value``'s, so
+    |scale prod c0|, multiplied in its order, is ``np.abs(evaluate_grid(f, centers))`` bit for
+    bit; E(1) = scale prod sums is ``_streamed_sums``' e1.  By Cauchy's majorant (a product's
+    coefficients are bounded by the Cauchy product of its factors' absolute coefficients)
+    sum_(k>=0) |c_k(z0)| rho^k <= E(1), and |c_0| = |f(z0)|, so sum_(k>=1) |c_k(z0)| rho^k
+    <= E(1) - |f(z0)|.
 
     Roundoff (Higham, ch. 3; u = 2^-53; complex sums within u, products within sqrt 2 gamma_2,
     numpy's Smith quotients within sqrt 2 gamma_8, moduli within gamma_2), per factor zeta with
@@ -302,9 +303,9 @@ def _center_majorant(f: BlaschkeProduct, centers: np.ndarray, rho: float):
     modulus), underflow aside; both are infinite unless both are at most 1/2.  These
     closed forms are evaluated in floating point and taken as exact.  DomainError where a
     factor series diverges at ``rho``."""
-    forms = _factor_forms(f, centers, rho, rho)
-    value = f.scale + np.zeros(forms[0].shape[1:], dtype=complex)  # scale + 0j, as _value starts
-    for quotient in forms[0]:
+    c0, _, _, sums = _factor_forms(f, centers, rho, rho)
+    value = f.scale + np.zeros(c0.shape[1:], dtype=complex)  # scale + 0j, as _value starts
+    for quotient in c0:
         value *= quotient
     zeros = np.array(f.zeros, dtype=complex)[:, None]  # the axes of the forms, one center
     mods, k, g = np.abs(zeros), len(zeros), _gamma(16)
@@ -316,16 +317,8 @@ def _center_majorant(f: BlaschkeProduct, centers: np.ndarray, rho: float):
         eps = np.exp(3.0 * eta.sum(axis=0)) / (1.0 - _gamma(k)) - 1.0
         mu = np.expm1((g + 2.0 * theta).sum(axis=0) + math.log1p(_gamma(3 * k + 2)))
         ok = (eps <= 0.5) & (mu <= 0.5)  # so every eta is below 1/3
-    return (forms, np.abs(value), f.scale * forms[3].prod(axis=0),
+    return (np.abs(value), f.scale * sums.prod(axis=0),
             np.where(ok, mu, np.inf), np.where(ok, eps, np.inf))
-
-
-def _many_center_sums(f: BlaschkeProduct, centers: np.ndarray, rho: float):
-    """(|f|, sum_{k>=1} |c_k(z0)| rho^k, its slack) at each of the 1-d ``centers`` (a
-    row per ``_stack`` member): |f| and the forms from ``_center_majorant``, the sums
-    from one stream."""
-    (c0, lead, t, sums), value, *_ = _center_majorant(f, centers, rho)
-    return (value, *_streamed_sums(f.scale, c0, lead, t, sums, len(c0), 1)[:2])
 
 
 def _cauchy_terms(scale, c0_abs, lead_abs, t_abs, degree, n=None, e1=math.inf):
@@ -614,7 +607,8 @@ def recentered_abs_sums_grid(
 
     A Moebius map takes the closed form on the centers as given, a polynomial its exact sum
     about each center (with no shift at z0 = 0), one Blaschke product at one center (0-d, or
-    an array of one) ``_one_center_sums``, and several centers or a stack ``_many_center_sums``.
+    an array of one) ``_one_center_sums``, and several centers or a stack one ``_streamed_sums``
+    stream of its ``_factor_forms``.
     DomainError where rho lies outside [0, 1), a series diverges or a polynomial's sum overflows.
     """
     centers = _require_in_disk(np.asarray(centers, dtype=complex), "all centers")
@@ -630,7 +624,8 @@ def recentered_abs_sums_grid(
     elif isinstance(f.zeros, tuple) and centers.size == 1:  # one product, one center: floats
         values, slacks = _one_center_sums(f, complex(centers.ravel()[0]), rho, 1)[:2]
     else:
-        values, slacks = _many_center_sums(f, centers.ravel(), rho)[1:]
+        values, slacks = _streamed_sums(f.scale, *_factor_forms(f, centers.ravel(), rho, rho),
+                                        len(f.zeros), 1)[:2]
     shape = np.shape(values)[:-1] + centers.shape
     return np.reshape(values, shape), np.reshape(slacks, shape)
 

@@ -149,14 +149,14 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("r", [0.0, 0.1, 0.25, 0.4, 0.49])
     def test_many_center_modulus_is_the_evaluator_modulus(self, r):
-        # |scale prod c0| from the series' factor forms, multiplied in the evaluator's
-        # order: stacks of each degree 1-6, single products and zero-free ones
+        # the closed-form bound's |scale prod c0|, multiplied in the evaluator's order, is
+        # the modulus a corpus adds: stacks of each degree 1-6, single products and zero-free ones
         zs = r * np.exp(2j * np.pi * np.arange(64) / 64)
         products = [random_test_function(3000 + i, 1 + i % 6) for i in range(36)]
         empty = BlaschkeProduct((), 0.7)
         for f in [*(_stack(products[d::6]) for d in range(6)), *products[:6], empty,
                   _stack([empty] * 3)]:
-            modulus, _, _ = analytic._many_center_sums(f, zs, r)
+            modulus = analytic._center_majorant(f, zs, r)[0]
             grid = np.abs(evaluate_grid(f, zs))
             assert modulus.size == grid.size and same_bits(modulus, grid)
 

@@ -184,6 +184,21 @@ class TestCorpusStacks:
                 alone = bohr_lhs_theta_grid(theorem, f, r, w, thetas)
                 assert np.array_equal(total, alone[0]) and np.array_equal(slack, alone[1])
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    @pytest.mark.parametrize("theorem", [Theorem.T33, Theorem.T34])
+    def test_seed_corpus_rows_at_few_angles(self, theorem, count):
+        # at one angle a product alone takes the one-center engine, while in a stack
+        # it streams: the totals may differ in the last bits, within the smaller slack
+        corpus = default_corpus(7)
+        w, thetas = below_radius_grid(theorem)[0], 0.5 + np.arange(count)
+        totals, slacks = bohr_lhs_theta_corpus(theorem, corpus, 0.2, w, thetas)
+        for f, total, slack in zip(corpus, totals, slacks):
+            alone = bohr_lhs_theta_grid(theorem, f, 0.2, w, thetas)
+            if count == 1 and isinstance(f, BlaschkeProduct):
+                assert abs(total[0] - alone[0][0]) <= min(slack[0], alone[1][0])
+            else:
+                assert np.array_equal(total, alone[0]) and np.array_equal(slack, alone[1])
+
     @pytest.mark.parametrize("theorem", [Theorem.T33, Theorem.T34])
     def test_uneven_split_rows_equal_one_function_calls(self, theorem, monkeypatch):
         # 17 members of one degree, as in the seed corpus, in near-equal stacks
@@ -372,13 +387,16 @@ class TestPreparedCorpus:
         assert str(err.value) == str(alone.value)
 
     @pytest.mark.parametrize("theorem", [Theorem.T33, Theorem.T34])
-    def test_many_center_stacks_evaluate_factors_once(self, theorem, monkeypatch):
-        # the seed corpus's ten product stacks: one set of factor forms each gives
-        # the modulus and the series; only the Moebius stack is evaluated
+    def test_product_stacks_stream_through_the_recentred_sums(self, theorem, monkeypatch):
+        # the seed corpus's ten product stacks each reach recentered_abs_sums_grid once,
+        # with one set of factor forms and one stream; the evaluator takes every modulus
         forms = spy_pipeline(monkeypatch)
         evaluated, real_grid = [], functionals.evaluate_grid
         monkeypatch.setattr(functionals, "evaluate_grid",
                             lambda f, zs: evaluated.append(f) or real_grid(f, zs))
+        summed, real_sums = [], functionals.recentered_abs_sums_grid
+        monkeypatch.setattr(functionals, "recentered_abs_sums_grid",
+                            lambda f, *rest: summed.append(f) or real_sums(f, *rest))
         factored, real_forms = [], analytic._factor_forms
         monkeypatch.setattr(analytic, "_factor_forms",
                             lambda f, *rest: factored.append(f) or real_forms(f, *rest))
@@ -386,8 +404,11 @@ class TestPreparedCorpus:
         r = radius(theorem, w).value - DEFAULT_EPSILON
         thetas = 2.0 * math.pi * np.arange(THETA_POINTS) / THETA_POINTS
         bohr_lhs_theta_corpus(theorem, default_corpus(7), r, w, thetas)
-        assert [type(f) for f in evaluated] == [Moebius]
-        assert len(factored) == len(forms) == 10
+        products = [f for f in summed if isinstance(f, BlaschkeProduct)]
+        assert len(products) == len({id(f) for f in products}) == 10
+        assert [id(f) for f in factored] == [id(f) for f in products] and len(forms) == 10
+        assert [type(f) for f in evaluated] == [Moebius] + [BlaschkeProduct] * 10
+        assert [id(f) for f in evaluated[1:]] == [id(f) for f in products]
 
     def test_rows_are_prepared_without_certifying_again(self, monkeypatch):
         prepared = functionals._Corpus(mixed_corpus())

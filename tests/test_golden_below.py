@@ -2,9 +2,10 @@
 
 ``golden_cli.txt`` leaves out ``verify --suite below``, which is too slow for
 tier-1.  Two weight pairs per family over the seed-7 corpus pin the campaign
-through refactors.  t33 and t34 are the families whose campaign recentres
-every corpus Blaschke product about many points at once, so they come first
-and pin the many-center series engine.  A report's maximum violation is set by
+through refactors.  t33 and t34 come first: their direct corpus and grid calls
+below recentre every corpus Blaschke product about many points at once, and so
+pin the many-center series engine (their campaigns prove those products in
+closed form and stream none).  A report's maximum violation is set by
 the Moebius members and the envelope, so each report is followed by the sum of
 the Blaschke members' totals over the campaign's angles, which the
 many-center sums do reach; the other four families also get the Moebius

@@ -154,9 +154,9 @@ class TestCheckBelowRadius:
         high = random_test_function(4, 24)
         corpus = default_corpus(7, size=12) + [high]
         theorem, w = Theorem.T34, below_radius_grid(Theorem.T34)[20]
-        streamed, real = [], functionals._many_center_sums
-        monkeypatch.setattr(functionals, "_many_center_sums",
-                            lambda f, *rest: streamed.append(f) or real(f, *rest))
+        streamed, real = [], functionals.recentered_abs_sums_grid
+        monkeypatch.setattr(functionals, "recentered_abs_sums_grid", lambda f, *rest: (
+            isinstance(f, BlaschkeProduct) and streamed.append(f)) or real(f, *rest))
         functions = functionals._Corpus(corpus) if prepared else corpus
         report = check_below_radius(theorem, w, functions)
         assert streamed == [high]
@@ -342,9 +342,9 @@ class TestSuites:
     def test_below_suite_streams_no_recentred_series(self, seed, monkeypatch):
         # Cauchy's majorant proves every t33/t34 product of the seeded corpora, so no
         # campaign streams a recentred series
-        calls, real = [], functionals._many_center_sums
-        monkeypatch.setattr(functionals, "_many_center_sums",
-                            lambda *args: calls.append(args) or real(*args))
+        calls, real = [], functionals.recentered_abs_sums_grid
+        monkeypatch.setattr(functionals, "recentered_abs_sums_grid", lambda f, *rest: (
+            isinstance(f, BlaschkeProduct) and calls.append(f)) or real(f, *rest))
         verify.run_below_suite(seed)
         assert calls == []
 
